@@ -2,10 +2,10 @@
 //!
 //! Unlike the simulation harnesses (which report *simulated* nanoseconds),
 //! these measure real wall-clock throughput of the software structures —
-//! the plain list's O(1) closed-form slot lookup vs the B-tree's walk, free
-//! list pops, and the VA codec. They demonstrate on the host what the
-//! hardware model charges in simulation: the plain list does strictly less
-//! work per operation.
+//! the plain list's closed-form slot computation plus one keyed fetch from
+//! its sparse host store vs the B-tree's walk, free list pops, and the VA
+//! codec. The simulated costs come from the charged accesses, not from
+//! these host timings.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

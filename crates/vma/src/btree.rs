@@ -71,7 +71,8 @@ pub struct BTreeTable {
     /// Arena slot by (class, index) so the (sc, index)-keyed trait methods
     /// can find their VTE without a tree walk being *hidden* — mutation
     /// paths still walk the tree explicitly to charge realistic traffic.
-    slot_of_vma: std::collections::HashMap<(u8, u32), u32>,
+    /// Ordered, so `live_slots` enumerates class-then-index without a sort.
+    slot_of_vma: std::collections::BTreeMap<(u8, u32), u32>,
     root: u32,
     live: usize,
 }
@@ -88,7 +89,7 @@ impl BTreeTable {
             free_nodes: Vec::new(),
             arena: Vec::new(),
             free_arena: Vec::new(),
-            slot_of_vma: std::collections::HashMap::new(),
+            slot_of_vma: std::collections::BTreeMap::new(),
             root: 0,
             live: 0,
         }
@@ -585,8 +586,7 @@ impl VmaTable for BTreeTable {
     }
 
     fn live_slots(&self) -> Vec<(SizeClass, u32)> {
-        let mut out: Vec<(SizeClass, u32)> = self
-            .slot_of_vma
+        self.slot_of_vma
             .keys()
             .map(|&(sc, index)| {
                 (
@@ -594,11 +594,7 @@ impl VmaTable for BTreeTable {
                     index,
                 )
             })
-            .collect();
-        // The side map iterates in hash order; sort so enumeration is
-        // deterministic (snapshots feed seeded, reproducible recovery).
-        out.sort_by_key(|&(sc, index)| (sc.index(), index));
-        out
+            .collect()
     }
 
     fn dead_slots(&self) -> usize {

@@ -68,7 +68,7 @@ impl VaCodec {
     }
 
     /// The default scheme used by the experiments: tag `0b11010`, 4096 VMAs
-    /// per size class (≈ 106 K VTEs, a 6.6 MB plain list).
+    /// per size class (106,496 VTEs, a 6.8 MB plain list).
     pub fn isca25() -> Self {
         VaCodec::new(Self::DEFAULT_TAG, 4096)
     }

@@ -7,6 +7,8 @@
 //! T bit (they interact with the VTD); B-tree index-node accesses are plain
 //! data traffic.
 
+use std::collections::BTreeMap;
+
 use jord_hw::types::{PdId, Perm, Va, VteAddr};
 
 use crate::codec::{VaCodec, VTE_BYTES};
@@ -151,11 +153,15 @@ pub trait VmaTable {
 /// The plain-list VMA table: a flat, preallocated, overprovisioned array of
 /// VTEs whose position is the closed form `A_Base + f(SC, Index)` — both
 /// software and hardware use the same list concurrently (§4.1).
+/// [`footprint_bytes`](Self::footprint_bytes) reports that modelled
+/// reservation; the host stores only the slots written since their last
+/// compaction (live VTEs and tombstones), keyed by slot.
 #[derive(Debug)]
 pub struct PlainListTable {
     codec: VaCodec,
     base: u64,
-    slots: Vec<Option<Vte>>,
+    /// Ordered by slot, so sweeps run in ascending VTE address.
+    slots: BTreeMap<usize, Vte>,
     live: usize,
 }
 
@@ -166,7 +172,7 @@ impl PlainListTable {
         PlainListTable {
             codec,
             base,
-            slots: (0..codec.total_slots()).map(|_| None).collect(),
+            slots: BTreeMap::new(),
             live: 0,
         }
     }
@@ -181,14 +187,15 @@ impl PlainListTable {
         self.base
     }
 
-    /// Table footprint in bytes (the "64 MB for a million VMAs" trade-off).
+    /// Footprint of the modelled table in bytes: every preallocated slot,
+    /// whether or not it was ever written (the "64 MB for a million VMAs"
+    /// trade-off).
     pub fn footprint_bytes(&self) -> u64 {
-        self.slots.len() as u64 * VTE_BYTES
+        self.codec.total_slots() as u64 * VTE_BYTES
     }
 
-    fn slot_mut(&mut self, sc: SizeClass, index: u32) -> &mut Option<Vte> {
-        let slot = self.codec.slot_of(sc, index);
-        &mut self.slots[slot]
+    fn slot_mut(&mut self, sc: SizeClass, index: u32) -> Option<&mut Vte> {
+        self.slots.get_mut(&self.codec.slot_of(sc, index))
     }
 }
 
@@ -199,11 +206,7 @@ impl VmaTable for PlainListTable {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
         // … and fetches exactly one VTE.
         acc.push(TableAccess::VteRead(vte_addr));
-        let slot = self.codec.slot_of(sc, index);
-        let vte = self.slots[slot].as_ref()?;
-        if !vte.attr.valid {
-            return None;
-        }
+        let vte = self.peek(sc, index)?;
         let off = va - vte.base;
         if off >= vte.len {
             return None; // beyond the requested bound within the chunk
@@ -232,12 +235,12 @@ impl VmaTable for PlainListTable {
             .base_of(sc, index)
             .expect("index within codec capacity");
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let slot = self.slot_mut(sc, index);
         assert!(
-            slot.as_ref().is_none_or(|v| !v.attr.valid),
+            self.peek(sc, index).is_none(),
             "double insert at {sc} index {index}"
         );
-        *slot = Some(Vte::new(base, len, phys));
+        self.slots
+            .insert(self.codec.slot_of(sc, index), Vte::new(base, len, phys));
         self.live += 1;
         acc.push(TableAccess::VteWrite(vte_addr));
         vte_addr
@@ -245,8 +248,7 @@ impl VmaTable for PlainListTable {
 
     fn remove(&mut self, sc: SizeClass, index: u32, acc: &mut Vec<TableAccess>) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let slot = self.slot_mut(sc, index);
-        match slot {
+        match self.slot_mut(sc, index) {
             Some(vte) if vte.attr.valid => {
                 vte.attr.valid = false;
                 vte.clear_sharers();
@@ -343,7 +345,7 @@ impl VmaTable for PlainListTable {
 
     fn peek(&self, sc: SizeClass, index: u32) -> Option<&Vte> {
         let slot = self.codec.slot_of(sc, index);
-        self.slots[slot].as_ref().filter(|v| v.attr.valid)
+        self.slots.get(&slot).filter(|v| v.attr.valid)
     }
 
     fn vte_addr(&self, sc: SizeClass, index: u32) -> VteAddr {
@@ -358,33 +360,28 @@ impl VmaTable for PlainListTable {
         let mut out: Vec<(SizeClass, u32)> = self
             .slots
             .iter()
-            .enumerate()
-            .filter(|(_, v)| v.as_ref().is_some_and(|v| v.attr.valid))
-            .map(|(slot, _)| self.codec.slot_to_vma(slot))
+            .filter(|(_, v)| v.attr.valid)
+            .map(|(&slot, _)| self.codec.slot_to_vma(slot))
             .collect();
         out.sort_by_key(|&(sc, index)| (sc.index(), index));
         out
     }
 
     fn dead_slots(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|v| v.as_ref().is_some_and(|v| !v.attr.valid))
-            .count()
+        self.slots.len() - self.live
     }
 
     fn compact(&mut self, acc: &mut Vec<TableAccess>) -> usize {
-        let mut reclaimed = 0;
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].as_ref().is_some_and(|v| !v.attr.valid) {
+        let reclaimed = self.dead_slots();
+        self.slots.retain(|&slot, vte| {
+            if !vte.attr.valid {
                 let (sc, index) = self.codec.slot_to_vma(slot);
-                self.slots[slot] = None;
                 acc.push(TableAccess::VteWrite(
                     self.codec.vte_addr(self.base, sc, index),
                 ));
-                reclaimed += 1;
             }
-        }
+            vte.attr.valid
+        });
         reclaimed
     }
 }
@@ -539,7 +536,14 @@ mod tests {
 
     #[test]
     fn footprint_matches_slot_count() {
-        let t = table();
-        assert_eq!(t.footprint_bytes(), t.codec().total_slots() as u64 * 64);
+        let mut populated = table();
+        let mut acc = Vec::new();
+        for index in 0..64 {
+            populated.insert(sc((index % 5) as u8), index, 128, 0, &mut acc);
+        }
+        populated.remove(sc(0), 0, &mut acc); // leaves a tombstone
+        for t in [table(), populated] {
+            assert_eq!(t.footprint_bytes(), t.codec().total_slots() as u64 * 64);
+        }
     }
 }

@@ -7,10 +7,12 @@
 //!    any operation sequence (Jord and Jord_BT differ only in cost, never
 //!    in semantics).
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use jord_hw::types::{PdId, Perm};
-use jord_vma::{BTreeTable, PlainListTable, SizeClass, VaCodec, VmaTable, VteAttr};
+use jord_vma::{BTreeTable, PlainListTable, SizeClass, TableAccess, VaCodec, VmaTable, VteAttr};
 
 fn arb_size_class() -> impl Strategy<Value = SizeClass> {
     (0u8..26).prop_map(|k| SizeClass::from_index(k).unwrap())
@@ -101,6 +103,7 @@ enum Op {
         off_frac: f64,
         pd: u16,
     },
+    Compact,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -127,6 +130,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             off_frac,
             pd
         }),
+        Just(Op::Compact),
     ]
 }
 
@@ -147,6 +151,10 @@ proptest! {
         let mut plain = PlainListTable::new(codec, 0x4000_0000);
         let mut btree = BTreeTable::new(codec, 0x8000_0000, 0x9000_0000);
         let mut live = std::collections::HashSet::new();
+        // Model of the plain list's tombstones: VTE addresses removed and
+        // neither re-inserted nor compacted since. `dead_slots()` must
+        // equal its size.
+        let mut tombstones = BTreeSet::new();
         let mut acc_p = Vec::new();
         let mut acc_b = Vec::new();
 
@@ -160,9 +168,10 @@ proptest! {
                         continue; // both tables would panic on double insert
                     }
                     let len = ((len_frac * sc.bytes() as f64) as u64).clamp(1, sc.bytes());
-                    plain.insert(sc, index, len, 0, &mut acc_p);
+                    let vte = plain.insert(sc, index, len, 0, &mut acc_p);
                     btree.insert(sc, index, len, 0, &mut acc_b);
                     live.insert(slot);
+                    tombstones.remove(&vte);
                 }
                 Op::Remove { slot } => {
                     let (sc, index) = concrete(slot);
@@ -170,6 +179,9 @@ proptest! {
                     let b = btree.remove(sc, index, &mut acc_b);
                     prop_assert_eq!(a, b, "remove disagreement");
                     live.remove(&slot);
+                    if a {
+                        tombstones.insert(plain.vte_addr(sc, index));
+                    }
                 }
                 Op::SetPerm { slot, pd, perm } => {
                     let (sc, index) = concrete(slot);
@@ -217,8 +229,20 @@ proptest! {
                         (a, b) => prop_assert!(false, "lookup disagreement: {a:?} vs {b:?}"),
                     }
                 }
+                Op::Compact => {
+                    let reclaimed = plain.compact(&mut acc_p);
+                    btree.compact(&mut acc_b);
+                    prop_assert_eq!(reclaimed, tombstones.len());
+                    // One write per tombstone, in ascending VTE address.
+                    let writes: Vec<TableAccess> =
+                        tombstones.iter().map(|&vte| TableAccess::VteWrite(vte)).collect();
+                    prop_assert_eq!(&acc_p, &writes);
+                    tombstones.clear();
+                }
             }
             prop_assert_eq!(plain.live_mappings(), btree.live_mappings());
+            prop_assert_eq!(plain.live_slots(), btree.live_slots());
+            prop_assert_eq!(plain.dead_slots(), tombstones.len());
         }
         btree.check_invariants();
     }
