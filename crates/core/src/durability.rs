@@ -44,11 +44,11 @@ use crate::journal::JournalRecord;
 /// Frame header size: `len: u32` + `seq: u64` + `checksum: u64`.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into a running FNV-1a hash.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);

@@ -25,7 +25,7 @@ use jord_hw::FaultKind;
 use jord_sim::{OnlineStats, SimDuration, SimTime};
 
 use crate::admission::BrownoutLevel;
-use crate::durability::CheckpointSeal;
+use crate::durability::{fnv1a_fold, CheckpointSeal, FNV_OFFSET};
 use crate::function::FunctionId;
 use crate::invocation::{Breakdown, InvocationId};
 use crate::journal::{InvocationJournal, PendingInvocation, PendingRetry};
@@ -734,8 +734,15 @@ struct TraceSink {
     hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A `fmt::Write` that folds every written byte into an FNV-1a state.
+struct Fnv1a<'a>(&'a mut u64);
+
+impl std::fmt::Write for Fnv1a<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        *self.0 = fnv1a_fold(*self.0, s.as_bytes());
+        Ok(())
+    }
+}
 
 impl TraceSink {
     fn new(capacity: usize) -> Self {
@@ -749,15 +756,12 @@ impl TraceSink {
 
     fn apply(&mut self, ev: &LifecycleEvent) {
         // FNV-1a over the Debug encoding: stable for identical event
-        // streams, cheap, and independent of in-memory layout.
+        // streams, cheap, and independent of in-memory layout. The bytes
+        // are folded in as the formatter writes them; no string is built.
         use std::fmt::Write;
-        let mut buf = String::new();
-        let _ = write!(buf, "{ev:?}");
-        for &b in buf.as_bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        let _ = write!(Fnv1a(&mut self.hash), "{ev:?}");
         // Record separator so concatenation ambiguities cannot collide.
-        self.hash = (self.hash ^ 0x1e).wrapping_mul(FNV_PRIME);
+        self.hash = fnv1a_fold(self.hash, &[0x1e]);
 
         if self.ring.len() == self.capacity {
             self.ring.pop_front();

@@ -1,7 +1,7 @@
 //! Run-level measurement: request latencies, function service times, and
 //! the per-function breakdowns behind Figures 9–11 and 14.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use jord_hw::FaultKind;
 use jord_sim::{LatencyHistogram, OnlineStats, SimDuration, SimTime};
@@ -362,8 +362,9 @@ pub struct RunReport {
     pub latency: LatencyHistogram,
     /// Per-invocation function service time (Figure 10's CDF).
     pub service: LatencyHistogram,
-    /// Per-function breakdowns (Figure 11).
-    pub functions: HashMap<FunctionId, FunctionBreakdown>,
+    /// Per-function breakdowns (Figure 11), in ascending function order so
+    /// sums over them are the same in every process.
+    pub functions: BTreeMap<FunctionId, FunctionBreakdown>,
     /// Orchestrator dispatch latencies in ns (Figure 14).
     pub dispatch_ns: OnlineStats,
     /// VLB shootdown completion latencies in ns (Figure 14).
@@ -406,7 +407,7 @@ impl RunReport {
             completed: 0,
             latency: LatencyHistogram::new(),
             service: LatencyHistogram::new(),
-            functions: HashMap::new(),
+            functions: BTreeMap::new(),
             dispatch_ns: OnlineStats::new(),
             shootdown_ns: OnlineStats::new(),
             finished_at: SimTime::ZERO,
@@ -509,6 +510,43 @@ mod tests {
         assert_eq!((e, i, d), (1000.0, 100.0, 50.0));
         assert!((fb.overhead_fraction() - 150.0 / 1300.0).abs() < 1e-12);
         assert_eq!(r.invocations, 2);
+    }
+
+    #[test]
+    fn functions_ascend_so_overhead_sums_replay() {
+        // Overheads of very different magnitudes, so an f64 sum over them
+        // depends on the order the functions are visited in.
+        let records: Vec<(FunctionId, Breakdown)> = (0..32u32)
+            .map(|i| {
+                let ps = 1_000_003u64.pow(1 + i % 3) / 7 + u64::from(i) * 333;
+                let b = Breakdown {
+                    exec: SimDuration::ZERO,
+                    isolation: SimDuration::from_ps(ps),
+                    dispatch: SimDuration::from_ps(ps / 3 + 1),
+                };
+                (FunctionId(i), b)
+            })
+            .collect();
+        let feed = |seed: u64| {
+            let mut order = records.clone();
+            let mut rng = jord_sim::Rng::new(seed);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut r = RunReport::new();
+            for (f, b) in order {
+                r.record_invocation(f, b.isolation + b.dispatch, b);
+            }
+            r.record_request(SimDuration::from_us(1));
+            r
+        };
+        let (a, b) = (feed(1), feed(2));
+        let keys: Vec<FunctionId> = a.functions.keys().copied().collect();
+        assert_eq!(keys, (0..32).map(FunctionId).collect::<Vec<_>>());
+        assert_eq!(
+            a.overhead_per_request_ns().to_bits(),
+            b.overhead_per_request_ns().to_bits()
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! recycled, so coherence misses dominate, as in the paper.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use jord_sim::SimDuration;
 
@@ -46,10 +47,32 @@ pub struct CoherenceStats {
     pub dram_fills: u64,
 }
 
+/// Fx-style multiplicative hash for line numbers. The directory is only
+/// looked up by key, never iterated, so no order depends on the hash; its
+/// keys are simulator-chosen line numbers, so it needs no DoS resistance.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The exact-directory MESI model.
 #[derive(Debug)]
 pub struct CoherenceModel {
-    lines: HashMap<u64, LineState>,
+    lines: HashMap<u64, LineState, BuildHasherDefault<LineHasher>>,
     stats: CoherenceStats,
 }
 
@@ -57,7 +80,7 @@ impl CoherenceModel {
     /// Creates an empty model (all lines Invalid / in DRAM).
     pub fn new() -> Self {
         CoherenceModel {
-            lines: HashMap::new(),
+            lines: HashMap::default(),
             stats: CoherenceStats::default(),
         }
     }

@@ -257,10 +257,23 @@ impl CoreSet {
     }
 
     /// Iterates over member cores in ascending order.
+    ///
+    /// Walks set bits only, so the host cost is O(members) plus one test
+    /// per 64-bit word, not O([`CAPACITY`](Self::CAPACITY)): a modelled
+    /// invalidation or shootdown costs host time in proportion to the
+    /// sharers it reaches.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..Self::CAPACITY)
-            .filter(move |&i| self.contains(CoreId(i)))
-            .map(CoreId)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            core::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(CoreId(w * 64 + bit))
+            })
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use jord_hw::coherence::LineState;
-use jord_hw::types::{CoreId, LineAddr, PdId, Perm, VlbEntry, VteAddr};
+use jord_hw::types::{CoreId, CoreSet, LineAddr, PdId, Perm, VlbEntry, VteAddr};
 use jord_hw::{CoherenceModel, Machine, MachineConfig, Noc, Vlb, VlbKind};
 
 #[derive(Debug, Clone, Copy)]
@@ -153,5 +153,28 @@ proptest! {
         prop_assert_eq!(ab, ba);
         let bigger = noc.message(Endpoint::Core(CoreId(a)), Endpoint::Core(CoreId(b)), bytes + 4096);
         prop_assert!(bigger > ab);
+    }
+
+    /// The set-bit walk of `CoreSet::iter` visits exactly the members, in
+    /// ascending order: it equals a scan of every index through
+    /// `contains`. Half the cases also force a random subset of the 64-bit
+    /// word edges, where an off-by-one in the walk would show.
+    #[test]
+    fn coreset_iter_matches_contains(
+        members in proptest::collection::vec(0usize..256, 0..300),
+        edges in prop_oneof![Just(0u8), any::<u8>()],
+    ) {
+        let mut s: CoreSet = members.into_iter().map(CoreId).collect();
+        for (bit, edge) in [0usize, 63, 64, 127, 128, 191, 192, 255].into_iter().enumerate() {
+            if edges & (1 << bit) != 0 {
+                s.insert(CoreId(edge));
+            }
+        }
+        let scanned: Vec<CoreId> = (0..CoreSet::CAPACITY)
+            .filter(|&i| s.contains(CoreId(i)))
+            .map(CoreId)
+            .collect();
+        prop_assert_eq!(s.iter().collect::<Vec<_>>(), scanned);
+        prop_assert_eq!(s.iter().count(), s.len());
     }
 }

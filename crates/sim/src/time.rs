@@ -118,7 +118,19 @@ impl SimDuration {
         if ns <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
+        // Same result as `(ns * 1000.0).round() as u64` for every f64, without
+        // the libm call `round` becomes on the baseline x86-64 target. The
+        // cast truncates and saturates. Below 2^53 the subtraction is exact
+        // (Sterbenz), so the half-way test is exact; at or above 2^53 every
+        // f64 is integral and the fraction is 0. NaN casts to 0 and +inf to
+        // u64::MAX, as before.
+        let x = ns * PS_PER_NS as f64;
+        let whole = x as u64;
+        if x - whole as f64 >= 0.5 {
+            SimDuration(whole.saturating_add(1))
+        } else {
+            SimDuration(whole)
+        }
     }
 
     /// Constructs a span of `cycles` core clock cycles at `freq_ghz` GHz.

@@ -126,3 +126,80 @@ proptest! {
         }
     }
 }
+
+/// The rounding `SimDuration::from_ns_f64` replaced: nearest picosecond,
+/// ties away from zero, non-positive inputs clamped to zero.
+fn rounded_ps(ns: f64) -> u64 {
+    if ns <= 0.0 {
+        0
+    } else {
+        (ns * 1000.0).round() as u64
+    }
+}
+
+fn assert_rounds_like_reference(ns: f64) {
+    assert_eq!(
+        SimDuration::from_ns_f64(ns).as_ps(),
+        rounded_ps(ns),
+        "from_ns_f64({ns:e}) (bits {:#018x})",
+        ns.to_bits()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `from_ns_f64` equals `round()` on random bit patterns (every
+    /// exponent, NaNs and infinities included), on simulator-sized
+    /// spans, and on exact half-picosecond ties and their neighbours.
+    #[test]
+    fn from_ns_f64_matches_round(
+        bits in any::<u64>(),
+        span in 0.0f64..1e7,
+        tie in 0u64..(1 << 45),
+        step in -2i64..3,
+    ) {
+        assert_rounds_like_reference(f64::from_bits(bits));
+        assert_rounds_like_reference(span);
+        // (2k+1)/16 ns is exactly 62.5 * (2k+1) ps: a half-picosecond tie.
+        let tie_ns = (2 * tie + 1) as f64 / 16.0;
+        prop_assert_eq!((tie_ns * 1000.0).fract(), 0.5);
+        assert_rounds_like_reference(tie_ns);
+        assert_rounds_like_reference(f64::from_bits(tie_ns.to_bits().wrapping_add_signed(step)));
+    }
+}
+
+/// The edges of the truncate-and-compare rounding: where f64 can last hold
+/// a half picosecond (2^52), where every f64 is integral (2^53), where the
+/// cast saturates (2^64), and the non-finite, subnormal and non-positive
+/// inputs.
+#[test]
+fn from_ns_f64_matches_round_at_edges() {
+    for ps in [2f64.powi(52), 2f64.powi(53), 2f64.powi(64)] {
+        let ns = ps / 1000.0;
+        for step in -16i64..=16 {
+            assert_rounds_like_reference(f64::from_bits(ns.to_bits().wrapping_add_signed(step)));
+        }
+    }
+    for ns in [
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        0.0,
+        -0.0,
+        -1.5,
+        -0.0005,
+        f64::MIN,
+        0.0005,
+        0.0005f64.next_down(),
+        0.0005f64.next_up(),
+        0.0015,
+    ] {
+        assert_rounds_like_reference(ns);
+    }
+}
