@@ -29,6 +29,9 @@ struct Scenario {
     /// (sync calls, async calls) from the root into the leaf level.
     calls: (u8, u8),
     scratch: bool,
+    /// Sanitize PDs against their pristine snapshot and pool them
+    /// instead of tearing them down.
+    sanitize: bool,
     requests: u8,
     seed: u64,
     variant: SystemVariant,
@@ -47,6 +50,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         (
             (0u8..3, 0u8..4),
             any::<bool>(),
+            any::<bool>(),
             10u8..60,
             0u64..10_000,
             prop_oneof![
@@ -59,7 +63,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         .prop_map(
             |(
                 (fault_rate, runaway_rate, vlb_glitch_rate, max_retries, deadline_us, shed_bound),
-                (calls, scratch, requests, seed, variant),
+                (calls, scratch, sanitize, requests, seed, variant),
             )| Scenario {
                 fault_rate,
                 runaway_rate,
@@ -69,6 +73,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 shed_bound,
                 calls,
                 scratch,
+                sanitize,
                 requests,
                 seed,
                 variant,
@@ -112,6 +117,7 @@ proptest! {
         let (registry, root) = build_registry(&s);
         let cfg = RuntimeConfig::variant_on(s.variant, jord_hw::MachineConfig::isca25())
             .with_seed(s.seed)
+            .with_sanitize(s.sanitize)
             .with_inject(InjectConfig {
                 fault_rate: s.fault_rate,
                 runaway_rate: s.runaway_rate,

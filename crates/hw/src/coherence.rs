@@ -47,11 +47,14 @@ pub struct CoherenceStats {
     pub dram_fills: u64,
 }
 
-/// Fx-style multiplicative hash for line numbers. The directory is only
-/// looked up by key, never iterated, so no order depends on the hash; its
-/// keys are simulator-chosen line numbers, so it needs no DoS resistance.
-#[derive(Default)]
-struct LineHasher(u64);
+/// Fx-style multiplicative hash for simulator-chosen integer keys: cache
+/// line numbers here, VMA-table slots in `jord-vma`. The keys never come
+/// from outside the program, so it needs no DoS resistance. A map using
+/// it must not let its iteration order reach simulated state: the
+/// directory is only looked up by key, and the plain-list table sorts
+/// whatever it iterates.
+#[derive(Debug, Default)]
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -62,6 +65,10 @@ impl Hasher for LineHasher {
 
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 
     fn finish(&self) -> u64 {

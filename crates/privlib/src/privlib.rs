@@ -557,7 +557,9 @@ impl PrivLib {
         Ok((PdId(id), cost))
     }
 
-    /// `cput(cid)`: destroys a protection domain.
+    /// `cput(cid)`: destroys a protection domain. In full isolation mode
+    /// it first revokes every grant the PD still holds (one VTE write
+    /// each), so a recycled id never inherits a dead PD's permissions.
     ///
     /// # Errors
     ///
@@ -579,6 +581,16 @@ impl PrivLib {
             return Ok(cost);
         }
         let mut cost = machine.work(self.costs.cput_ns);
+        // Teardown normally leaves nothing, but a parent that aborts while
+        // async children run still holds RW on their ArgBufs; the LIFO
+        // free list would hand those grants to the next `cget`.
+        self.acc.clear();
+        let mut acc = std::mem::take(&mut self.acc);
+        for (sc, index) in self.table.pd_slots(pd) {
+            self.table.set_perm(sc, index, pd, Perm::NONE, &mut acc);
+        }
+        cost += Self::charge(machine, core, &acc);
+        self.acc = acc;
         cost += machine.atomic_rmw(core, self.layout.pd_freelist_addr);
         cost += machine.write(core, self.layout.pd_config_base + pd.0 as u64 * 64, 64);
         self.stats.record(OpKind::Cput, cost);

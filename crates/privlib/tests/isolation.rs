@@ -138,6 +138,30 @@ fn pmove_revokes_source_access() {
 }
 
 #[test]
+fn recycled_pd_id_inherits_no_grants() {
+    for (mut m, mut p) in [setup(), setup_btree()] {
+        let core = CoreId(1);
+        let (pd, _) = p.cget(&mut m, core).unwrap();
+        // A runtime-owned buffer shared with the PD, as a parent's child
+        // ArgBuf is; the PD dies before the buffer does.
+        let (buf, _) = p.mmap(&mut m, core, 128, Perm::RW, PdId::RUNTIME).unwrap();
+        p.pcopy(&mut m, core, buf, PdId::RUNTIME, pd, Perm::RW)
+            .unwrap();
+        p.access(&mut m, core, pd, buf, Perm::RW).unwrap();
+        p.cput(&mut m, core, pd).unwrap();
+
+        let (reused, _) = p.cget(&mut m, core).unwrap();
+        assert_eq!(reused, pd, "the PD free list is LIFO");
+        let (_, _, vte) = p.peek_vma(buf).unwrap();
+        assert_eq!(vte.perm_for(reused), Perm::NONE);
+        assert!(matches!(
+            p.access(&mut m, core, reused, buf, Perm::READ),
+            Err(PrivError::Fault(Fault::Permission { .. }))
+        ));
+    }
+}
+
+#[test]
 fn pcopy_keeps_both_and_narrows_by_prot() {
     let (mut m, mut p) = setup();
     let core = CoreId(1);

@@ -17,7 +17,7 @@ use jord_hw::types::{PdId, Perm, Va, VteAddr};
 
 use crate::codec::VaCodec;
 use crate::size_class::SizeClass;
-use crate::table::{TableAccess, VmaRecord, VmaTable};
+use crate::table::{GrantIndex, TableAccess, VmaRecord, VmaTable};
 use crate::vte::{Vte, VteAttr};
 
 /// Maximum keys per node.
@@ -75,6 +75,7 @@ pub struct BTreeTable {
     slot_of_vma: std::collections::BTreeMap<(u8, u32), u32>,
     root: u32,
     live: usize,
+    grants: GrantIndex,
 }
 
 impl BTreeTable {
@@ -92,6 +93,7 @@ impl BTreeTable {
             slot_of_vma: std::collections::BTreeMap::new(),
             root: 0,
             live: 0,
+            grants: GrantIndex::default(),
         }
     }
 
@@ -468,7 +470,9 @@ impl VmaTable for BTreeTable {
         self.delete_key(base, acc);
         let vte_addr = self.arena_addr(slot);
         acc.push(TableAccess::VteWrite(vte_addr));
-        self.arena[slot as usize] = None;
+        if let Some(mut vte) = self.arena[slot as usize].take() {
+            self.grants.clear(&mut vte, sc, index);
+        }
         self.free_arena.push(slot);
         self.live -= 1;
         true
@@ -492,7 +496,7 @@ impl VmaTable for BTreeTable {
         if vte.base != base || !vte.attr.valid {
             return false;
         }
-        vte.set_perm(pd, perm);
+        self.grants.set_perm(vte, sc, index, pd, perm);
         acc.push(TableAccess::VteWrite(self.arena_addr(slot)));
         true
     }
@@ -513,14 +517,7 @@ impl VmaTable for BTreeTable {
         if vte.base != base || !vte.attr.valid {
             return None;
         }
-        let perm = vte.perm_for(from) & mask;
-        if perm.is_none() {
-            return None;
-        }
-        if mv {
-            vte.revoke(from);
-        }
-        vte.set_perm(to, perm);
+        let perm = self.grants.transfer(vte, sc, index, from, to, mask, mv)?;
         acc.push(TableAccess::VteWrite(self.arena_addr(slot)));
         Some(perm)
     }
@@ -595,6 +592,10 @@ impl VmaTable for BTreeTable {
                 )
             })
             .collect()
+    }
+
+    fn pd_slots(&self, pd: PdId) -> Vec<(SizeClass, u32)> {
+        self.grants.slots(pd)
     }
 
     fn dead_slots(&self) -> usize {

@@ -7,8 +7,10 @@
 //! T bit (they interact with the VTD); B-tree index-node accesses are plain
 //! data traffic.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
+use jord_hw::coherence::LineHasher;
 use jord_hw::types::{PdId, Perm, Va, VteAddr};
 
 use crate::codec::{VaCodec, VTE_BYTES};
@@ -131,10 +133,18 @@ pub trait VmaTable {
 
     /// Every live mapping as `(class, index)` pairs in deterministic
     /// class-then-index order. Like [`peek`](Self::peek) this charges no
-    /// accesses: snapshot capture, crash-recovery validation, and PD
-    /// sanitization use it to enumerate state, then charge the repairs
-    /// they actually perform.
+    /// accesses. It walks every live VTE, so only whole-table work uses
+    /// it (checkpoint [`TableSnapshot`](crate::TableSnapshot)s); per-PD
+    /// work goes through [`pd_slots`](Self::pd_slots).
     fn live_slots(&self) -> Vec<(SizeClass, u32)>;
+
+    /// Every live mapping on which `pd` has an explicit sub-array or
+    /// overflow entry, as `(class, index)` pairs in class-then-index
+    /// order: [`live_slots`](Self::live_slots) filtered to `pd`'s grants,
+    /// read from a per-PD index in O(those grants). Charges no accesses;
+    /// PD snapshot capture and diff, and `cput`'s sweep of leftover
+    /// grants, enumerate a PD's state with it.
+    fn pd_slots(&self, pd: PdId) -> Vec<(SizeClass, u32)>;
 
     /// Dead bookkeeping entries a compaction pass would reclaim —
     /// tombstoned VTEs in the plain list, freed index nodes and arena
@@ -150,6 +160,99 @@ pub trait VmaTable {
     fn compact(&mut self, acc: &mut Vec<TableAccess>) -> usize;
 }
 
+/// Host-side index of explicit grants: for each PD id, the `(class,
+/// index)` of every live VMA whose sub-array or overflow list names that
+/// PD, sorted class-then-index. Both table backends route every sharer
+/// change through it (`set_perm`, `transfer_perm`, `remove`), so the VTEs
+/// and the index never disagree and [`VmaTable::pd_slots`] reads one PD's
+/// grants without walking the table. Models nothing: no access is charged.
+#[derive(Debug, Default)]
+pub(crate) struct GrantIndex {
+    /// Indexed by `PdId.0`, grown on a PD's first grant.
+    by_pd: Vec<Vec<(SizeClass, u32)>>,
+}
+
+impl GrantIndex {
+    /// Sets `pd`'s permission on `vte`, the VTE of `(sc, index)`;
+    /// [`Perm::NONE`] revokes.
+    pub(crate) fn set_perm(
+        &mut self,
+        vte: &mut Vte,
+        sc: SizeClass,
+        index: u32,
+        pd: PdId,
+        perm: Perm,
+    ) {
+        vte.set_perm(pd, perm);
+        if perm.is_none() {
+            self.revoke(pd, (sc, index));
+        } else {
+            self.grant(pd, (sc, index));
+        }
+    }
+
+    /// `pmove` (`mv`) or `pcopy` of `from`'s permission on `vte`, narrowed
+    /// by `mask`, to `to`. Returns the granted permission, or `None` (and
+    /// changes nothing) when nothing survives the mask.
+    #[allow(clippy::too_many_arguments)] // mirrors VmaTable::transfer_perm
+    pub(crate) fn transfer(
+        &mut self,
+        vte: &mut Vte,
+        sc: SizeClass,
+        index: u32,
+        from: PdId,
+        to: PdId,
+        mask: Perm,
+        mv: bool,
+    ) -> Option<Perm> {
+        let perm = vte.perm_for(from) & mask;
+        if perm.is_none() {
+            return None;
+        }
+        // Revoke before granting, as the VTE does, so `from == to` keeps
+        // its grant.
+        if mv {
+            vte.revoke(from);
+            self.revoke(from, (sc, index));
+        }
+        vte.set_perm(to, perm);
+        self.grant(to, (sc, index));
+        Some(perm)
+    }
+
+    /// Drops every sharer of `vte` ahead of its removal.
+    pub(crate) fn clear(&mut self, vte: &mut Vte, sc: SizeClass, index: u32) {
+        for (pd, _) in vte.sharers() {
+            self.revoke(pd, (sc, index));
+        }
+        vte.clear_sharers();
+    }
+
+    /// `pd`'s grants in class-then-index order.
+    pub(crate) fn slots(&self, pd: PdId) -> Vec<(SizeClass, u32)> {
+        self.by_pd.get(pd.0 as usize).cloned().unwrap_or_default()
+    }
+
+    fn grant(&mut self, pd: PdId, key: (SizeClass, u32)) {
+        let pd = pd.0 as usize;
+        if pd >= self.by_pd.len() {
+            self.by_pd.resize_with(pd + 1, Vec::new);
+        }
+        let list = &mut self.by_pd[pd];
+        if let Err(at) = list.binary_search(&key) {
+            list.insert(at, key);
+        }
+    }
+
+    fn revoke(&mut self, pd: PdId, key: (SizeClass, u32)) {
+        if let Some(list) = self.by_pd.get_mut(pd.0 as usize) {
+            if let Ok(at) = list.binary_search(&key) {
+                list.remove(at);
+            }
+        }
+    }
+}
+
 /// The plain-list VMA table: a flat, preallocated, overprovisioned array of
 /// VTEs whose position is the closed form `A_Base + f(SC, Index)` — both
 /// software and hardware use the same list concurrently (§4.1).
@@ -160,9 +263,12 @@ pub trait VmaTable {
 pub struct PlainListTable {
     codec: VaCodec,
     base: u64,
-    /// Ordered by slot, so sweeps run in ascending VTE address.
-    slots: BTreeMap<usize, Vte>,
+    /// Hashed by slot, so every op is O(1) on the host. Iteration order is
+    /// arbitrary: `live_slots` sorts class-then-index, and `compact` sorts
+    /// by slot so its sweep runs in ascending VTE address.
+    slots: HashMap<usize, Vte, BuildHasherDefault<LineHasher>>,
     live: usize,
+    grants: GrantIndex,
 }
 
 impl PlainListTable {
@@ -172,8 +278,9 @@ impl PlainListTable {
         PlainListTable {
             codec,
             base,
-            slots: BTreeMap::new(),
+            slots: HashMap::default(),
             live: 0,
+            grants: GrantIndex::default(),
         }
     }
 
@@ -194,8 +301,11 @@ impl PlainListTable {
         self.codec.total_slots() as u64 * VTE_BYTES
     }
 
-    fn slot_mut(&mut self, sc: SizeClass, index: u32) -> Option<&mut Vte> {
-        self.slots.get_mut(&self.codec.slot_of(sc, index))
+    /// The live VTE of `(sc, index)` and the grant index, borrowed apart so
+    /// a sharer change can update both.
+    fn live_mut(&mut self, sc: SizeClass, index: u32) -> Option<(&mut Vte, &mut GrantIndex)> {
+        let vte = self.slots.get_mut(&self.codec.slot_of(sc, index))?;
+        vte.attr.valid.then_some((vte, &mut self.grants))
     }
 }
 
@@ -248,16 +358,14 @@ impl VmaTable for PlainListTable {
 
     fn remove(&mut self, sc: SizeClass, index: u32, acc: &mut Vec<TableAccess>) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
-            Some(vte) if vte.attr.valid => {
-                vte.attr.valid = false;
-                vte.clear_sharers();
-                self.live -= 1;
-                acc.push(TableAccess::VteWrite(vte_addr));
-                true
-            }
-            _ => false,
-        }
+        let Some((vte, grants)) = self.live_mut(sc, index) else {
+            return false;
+        };
+        grants.clear(vte, sc, index);
+        vte.attr.valid = false;
+        self.live -= 1;
+        acc.push(TableAccess::VteWrite(vte_addr));
+        true
     }
 
     fn set_perm(
@@ -269,14 +377,12 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
-            Some(vte) if vte.attr.valid => {
-                vte.set_perm(pd, perm);
-                acc.push(TableAccess::VteWrite(vte_addr));
-                true
-            }
-            _ => false,
-        }
+        let Some((vte, grants)) = self.live_mut(sc, index) else {
+            return false;
+        };
+        grants.set_perm(vte, sc, index, pd, perm);
+        acc.push(TableAccess::VteWrite(vte_addr));
+        true
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -291,18 +397,8 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> Option<Perm> {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let vte = match self.slot_mut(sc, index) {
-            Some(vte) if vte.attr.valid => vte,
-            _ => return None,
-        };
-        let perm = vte.perm_for(from) & mask;
-        if perm.is_none() {
-            return None;
-        }
-        if mv {
-            vte.revoke(from);
-        }
-        vte.set_perm(to, perm);
+        let (vte, grants) = self.live_mut(sc, index)?;
+        let perm = grants.transfer(vte, sc, index, from, to, mask, mv)?;
         acc.push(TableAccess::VteWrite(vte_addr));
         Some(perm)
     }
@@ -312,14 +408,12 @@ impl VmaTable for PlainListTable {
             return false;
         }
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
-            Some(vte) if vte.attr.valid => {
-                vte.len = len;
-                acc.push(TableAccess::VteWrite(vte_addr));
-                true
-            }
-            _ => false,
-        }
+        let Some((vte, _)) = self.live_mut(sc, index) else {
+            return false;
+        };
+        vte.len = len;
+        acc.push(TableAccess::VteWrite(vte_addr));
+        true
     }
 
     fn set_attr(
@@ -330,17 +424,15 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
-            Some(vte) if vte.attr.valid => {
-                vte.attr = VteAttr {
-                    valid: true,
-                    ..attr
-                };
-                acc.push(TableAccess::VteWrite(vte_addr));
-                true
-            }
-            _ => false,
-        }
+        let Some((vte, _)) = self.live_mut(sc, index) else {
+            return false;
+        };
+        vte.attr = VteAttr {
+            valid: true,
+            ..attr
+        };
+        acc.push(TableAccess::VteWrite(vte_addr));
+        true
     }
 
     fn peek(&self, sc: SizeClass, index: u32) -> Option<&Vte> {
@@ -367,22 +459,30 @@ impl VmaTable for PlainListTable {
         out
     }
 
+    fn pd_slots(&self, pd: PdId) -> Vec<(SizeClass, u32)> {
+        self.grants.slots(pd)
+    }
+
     fn dead_slots(&self) -> usize {
         self.slots.len() - self.live
     }
 
     fn compact(&mut self, acc: &mut Vec<TableAccess>) -> usize {
-        let reclaimed = self.dead_slots();
-        self.slots.retain(|&slot, vte| {
-            if !vte.attr.valid {
-                let (sc, index) = self.codec.slot_to_vma(slot);
-                acc.push(TableAccess::VteWrite(
-                    self.codec.vte_addr(self.base, sc, index),
-                ));
-            }
-            vte.attr.valid
-        });
-        reclaimed
+        let mut dead: Vec<usize> = self
+            .slots
+            .iter()
+            .filter(|(_, vte)| !vte.attr.valid)
+            .map(|(&slot, _)| slot)
+            .collect();
+        dead.sort_unstable();
+        for &slot in &dead {
+            self.slots.remove(&slot);
+            let (sc, index) = self.codec.slot_to_vma(slot);
+            acc.push(TableAccess::VteWrite(
+                self.codec.vte_addr(self.base, sc, index),
+            ));
+        }
+        dead.len()
     }
 }
 

@@ -5,14 +5,18 @@
 //!    depends on it), and
 //! 2. the plain-list and B-tree tables are observationally equivalent under
 //!    any operation sequence (Jord and Jord_BT differ only in cost, never
-//!    in semantics).
+//!    in semantics), and each table's per-PD grant index equals a scan of
+//!    its live VTEs.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use jord_hw::types::{PdId, Perm};
-use jord_vma::{BTreeTable, PlainListTable, SizeClass, TableAccess, VaCodec, VmaTable, VteAttr};
+use jord_vma::{
+    BTreeTable, PdSnapshot, PlainListTable, SizeClass, SnapshotDiff, SnapshotEntry, TableAccess,
+    VaCodec, VmaTable, VteAttr,
+};
 
 fn arb_size_class() -> impl Strategy<Value = SizeClass> {
     (0u8..26).prop_map(|k| SizeClass::from_index(k).unwrap())
@@ -104,6 +108,10 @@ enum Op {
         pd: u16,
     },
     Compact,
+    /// Replaces the stored pristine snapshot of `pd` on both tables.
+    Capture {
+        pd: u16,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -131,7 +139,90 @@ fn arb_op() -> impl Strategy<Value = Op> {
             pd
         }),
         Just(Op::Compact),
+        (0u16..6).prop_map(|pd| Op::Capture { pd }),
     ]
+}
+
+/// Every PD the op alphabet can name.
+const PDS: std::ops::Range<u16> = 0..6;
+
+/// `live_slots()` filtered to the VMAs on which `pd` has an explicit
+/// sharer entry: what `pd_slots(pd)` must return.
+fn pd_slots_by_scan(table: &dyn VmaTable, pd: PdId) -> Vec<(SizeClass, u32)> {
+    table
+        .live_slots()
+        .into_iter()
+        .filter(|&(sc, index)| {
+            let vte = table.peek(sc, index).expect("live slot has a VTE");
+            vte.sharers().any(|(p, _)| p == pd)
+        })
+        .collect()
+}
+
+/// `PdSnapshot::capture` as a whole-table scan, the body it had before the
+/// grant index: the reference the index-backed capture must equal.
+fn capture_by_scan(table: &dyn VmaTable, pd: PdId) -> PdSnapshot {
+    let mut entries = Vec::new();
+    for (sc, index) in table.live_slots() {
+        let vte = table.peek(sc, index).expect("live slot has a VTE");
+        if vte.attr.global {
+            continue;
+        }
+        let perm = vte.perm_for(pd);
+        if !perm.is_none() {
+            entries.push(SnapshotEntry {
+                sc,
+                index,
+                base: vte.base,
+                len: vte.len,
+                perm,
+            });
+        }
+    }
+    PdSnapshot { pd, entries }
+}
+
+/// `PdSnapshot::diff` as a whole-table scan, the body it had before the
+/// grant index: the reference the index-backed diff must equal.
+fn diff_by_scan(snap: &PdSnapshot, table: &dyn VmaTable) -> Vec<SnapshotDiff> {
+    let mut repairs = Vec::new();
+    for (sc, index) in table.live_slots() {
+        let vte = table.peek(sc, index).expect("live slot has a VTE");
+        if vte.attr.global || vte.perm_for(snap.pd).is_none() {
+            continue;
+        }
+        if !snap.entries.iter().any(|e| e.sc == sc && e.index == index) {
+            repairs.push(SnapshotDiff::Extra {
+                sc,
+                index,
+                va: vte.base,
+            });
+        }
+    }
+    for e in &snap.entries {
+        match table.peek(e.sc, e.index) {
+            None => repairs.push(SnapshotDiff::Missing {
+                sc: e.sc,
+                index: e.index,
+            }),
+            Some(vte) => {
+                if vte.base != e.base {
+                    repairs.push(SnapshotDiff::Missing {
+                        sc: e.sc,
+                        index: e.index,
+                    });
+                } else if vte.perm_for(snap.pd) != e.perm {
+                    repairs.push(SnapshotDiff::PermDrift {
+                        sc: e.sc,
+                        index: e.index,
+                        va: e.base,
+                        want: e.perm,
+                    });
+                }
+            }
+        }
+    }
+    repairs
 }
 
 /// Maps the abstract slot id onto a concrete (class, index): three classes
@@ -143,10 +234,13 @@ fn concrete(slot: u8) -> (SizeClass, u32) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // Long sequences over many cases: a `pmove` of a held grant or a
+    // removal of a shared VTE needs a live slot, a grant on it and the
+    // right op, so short runs reach those transitions only a few times.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn plain_list_and_btree_agree(ops in proptest::collection::vec(arb_op(), 1..120)) {
+    fn plain_list_and_btree_agree(ops in proptest::collection::vec(arb_op(), 1..240)) {
         let codec = VaCodec::isca25();
         let mut plain = PlainListTable::new(codec, 0x4000_0000);
         let mut btree = BTreeTable::new(codec, 0x8000_0000, 0x9000_0000);
@@ -155,6 +249,8 @@ proptest! {
         // neither re-inserted nor compacted since. `dead_slots()` must
         // equal its size.
         let mut tombstones = BTreeSet::new();
+        // Pristine snapshots taken by `Op::Capture`, (plain, B-tree) per PD.
+        let mut snaps: Vec<(PdSnapshot, PdSnapshot)> = Vec::new();
         let mut acc_p = Vec::new();
         let mut acc_b = Vec::new();
 
@@ -239,10 +335,30 @@ proptest! {
                     prop_assert_eq!(&acc_p, &writes);
                     tombstones.clear();
                 }
+                Op::Capture { pd } => {
+                    snaps.retain(|(snap, _)| snap.pd != PdId(pd));
+                    snaps.push((
+                        PdSnapshot::capture(&plain, PdId(pd)),
+                        PdSnapshot::capture(&btree, PdId(pd)),
+                    ));
+                }
             }
             prop_assert_eq!(plain.live_mappings(), btree.live_mappings());
             prop_assert_eq!(plain.live_slots(), btree.live_slots());
             prop_assert_eq!(plain.dead_slots(), tombstones.len());
+            for pd in PDS.map(PdId) {
+                for table in [&plain as &dyn VmaTable, &btree] {
+                    prop_assert_eq!(table.pd_slots(pd), pd_slots_by_scan(table, pd));
+                    prop_assert_eq!(PdSnapshot::capture(table, pd), capture_by_scan(table, pd));
+                }
+                prop_assert_eq!(plain.pd_slots(pd), btree.pd_slots(pd));
+            }
+            for (snap_p, snap_b) in &snaps {
+                let repairs = snap_p.diff(&plain);
+                prop_assert_eq!(&repairs, &diff_by_scan(snap_p, &plain));
+                prop_assert_eq!(&snap_b.diff(&btree), &diff_by_scan(snap_b, &btree));
+                prop_assert_eq!(&repairs, &snap_b.diff(&btree));
+            }
         }
         btree.check_invariants();
     }
