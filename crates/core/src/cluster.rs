@@ -19,7 +19,9 @@
 //!   ([`WorkerServer::crash_for_cluster`]), and the stranded requests
 //!   are re-routed (at-least-once) or failed exactly once
 //!   (at-most-once). Cluster-wide conservation still holds:
-//!   `offered == completed + failed + shed`, with `lost == 0`.
+//!   `offered == completed + failed + shed`, with `lost == 0`
+//!   ([`ClusterDispatcher::audit`] checks it, and every worker's own
+//!   audit).
 //! - **Hedging**: a request still unanswered after a configured delay
 //!   gets a second copy on another worker; first response wins and the
 //!   loser is cancelled if it has not been dispatched yet.
@@ -47,6 +49,7 @@ use jord_hw::{PartitionWindow, StorageFaultPlan};
 use jord_sim::{EventQueue, LatencyHistogram, QueueProbe, Rng, SimDuration, SimTime};
 
 use crate::admission::BrownoutLevel;
+use crate::audit::{AuditError, LedgerCopy, Violation};
 use crate::autoscaler::{
     AutoscalerConfig, ClusterAutoscaler, Directive, ScaleDecision, WindowSignals,
 };
@@ -1334,17 +1337,40 @@ impl ClusterDispatcher {
             report.durability.merge(&rep.durability);
             report.workers.push(rep);
         }
-        debug_assert_eq!(
-            report.offered,
-            report.completed + report.failed + report.shed + report.failover.lost,
-            "cluster conservation: every request must have exactly one outcome"
-        );
-        debug_assert_eq!(report.failover.lost, 0, "no request may vanish");
-        debug_assert!(
-            report.memory.balanced(),
-            "fleet memory conservation: mapped == resident + reclaimed"
-        );
+        #[cfg(debug_assertions)]
+        self.audit(&report)
+            .unwrap_or_else(|e| panic!("cluster seal: {e}"));
         report
+    }
+
+    /// Audits a sealed cluster run: the fleet request ledger, `lost ==
+    /// 0`, the fleet memory ledger, and every worker's own
+    /// [`WorkerServer::audit`] against its sealed report
+    /// (`report.workers[w]`), each worker violation tagged with its slot.
+    /// It only reads state; debug builds run it at the end of every run.
+    ///
+    /// # Errors
+    ///
+    /// An [`AuditError`] listing every violation found.
+    pub fn audit(&self, report: &ClusterReport) -> Result<(), AuditError> {
+        let lost = report.failover.lost;
+        let mut found: Vec<Violation> = [
+            Violation::request_ledger(report.offered, report.completed, report.failed, report.shed),
+            (lost > 0).then_some(Violation::Lost { lost }),
+            Violation::memory_ledger(LedgerCopy::Fleet, &report.memory),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        for (worker, (slot, rep)) in self.slots.iter().zip(&report.workers).enumerate() {
+            if let Err(e) = slot.server.audit(rep) {
+                found.extend(e.violations.into_iter().map(|v| Violation::Worker {
+                    worker,
+                    violation: Box::new(v),
+                }));
+            }
+        }
+        AuditError::check(found)
     }
 }
 
@@ -1510,10 +1536,8 @@ mod tests {
     fn quiet_cluster_completes_everything() {
         let (mut c, _) = cluster_with_load(base_cfg(2), 400, 500);
         let rep = c.run();
-        assert_eq!(rep.offered, 400);
+        c.audit(&rep).expect("a quiet cluster audits clean");
         assert_eq!(rep.completed, 400);
-        assert_eq!(rep.failed + rep.shed, 0);
-        assert_eq!(rep.failover.lost, 0);
         assert_eq!(rep.failover.evictions, 0, "nobody died");
         assert_eq!(rep.failover.failovers, 0);
         assert!(rep.failover.heartbeats_sent > 0);
@@ -1523,6 +1547,38 @@ mod tests {
         }
         let sum: u64 = rep.workers.iter().map(|w| w.completed).sum();
         assert_eq!(sum, 400, "worker books must add up to the cluster's");
+    }
+
+    #[test]
+    fn audit_reports_a_lost_request() {
+        let (mut c, _) = cluster_with_load(base_cfg(2), 200, 500);
+        let mut rep = c.run();
+        assert_eq!(c.audit(&rep), Ok(()), "a clean cluster run audits clean");
+        rep.failover.lost = 1;
+        let e = c.audit(&rep).expect_err("a lost request must be reported");
+        assert_eq!(e.violations, [Violation::Lost { lost: 1 }]);
+    }
+
+    #[test]
+    fn audit_tags_a_worker_violation_with_its_slot() {
+        let (mut c, _) = cluster_with_load(base_cfg(2), 200, 500);
+        let mut rep = c.run();
+        let w = &mut rep.workers[1];
+        w.completed -= 1;
+        let broken = Violation::RequestLedger {
+            offered: w.offered,
+            completed: w.completed,
+            failed: 0,
+            shed: 0,
+        };
+        let e = c.audit(&rep).expect_err("the worker's audit must fail");
+        assert_eq!(
+            e.violations,
+            [Violation::Worker {
+                worker: 1,
+                violation: Box::new(broken),
+            }]
+        );
     }
 
     #[test]
@@ -1566,7 +1622,7 @@ mod tests {
             "at-least-once failover must complete the crash-free count"
         );
         assert_eq!(rep.failed + rep.shed, 0);
-        assert_eq!(rep.failover.lost, 0);
+        c.audit(&rep).expect("failover loses and leaks nothing");
         assert_eq!(rep.failover.evictions, 1, "exactly the killed worker");
         assert!(rep.failover.failovers > 0, "the kill stranded something");
         assert!(
@@ -1593,8 +1649,7 @@ mod tests {
         let (mut c, _) = cluster_with_load(cfg, n, 300);
         let rep = c.run();
         assert!(rep.failed > 0, "the kill must strand something");
-        assert_eq!(rep.completed + rep.failed + rep.shed, n);
-        assert_eq!(rep.failover.lost, 0);
+        c.audit(&rep).expect("stranded requests fail exactly once");
         assert_eq!(
             rep.failover.failovers, 0,
             "at-most-once never re-executes a stranded request"
@@ -1617,7 +1672,7 @@ mod tests {
         let (mut c, _) = cluster_with_load(cfg, n, 300);
         let rep = c.run();
         assert_eq!(rep.completed, n, "a partition must not fail requests");
-        assert_eq!(rep.failover.lost, 0);
+        c.audit(&rep).expect("a partition loses and leaks nothing");
         let w1 = &rep.workers[1].failover;
         assert_eq!(w1.evictions, 1, "the blackout crosses the evict phi");
         assert_eq!(w1.readmissions, 1, "heartbeats resume, worker rejoins");
@@ -1637,7 +1692,7 @@ mod tests {
         let (mut c, _) = cluster_with_load(cfg, 600, 100);
         let rep = c.run();
         assert_eq!(rep.completed, 600);
-        assert_eq!(rep.failover.lost, 0);
+        c.audit(&rep).expect("hedging loses and leaks nothing");
         assert!(rep.failover.hedges > 0, "load must trigger hedging");
         // Every hedged request produces exactly one redundant copy,
         // which is either pulled back in time or finishes late.
@@ -1690,7 +1745,7 @@ mod tests {
         let (mut c, _) = cluster_with_load(cfg, 800, 25);
         let rep = c.run();
         assert_eq!(rep.completed, 800, "drain must not lose work");
-        assert_eq!(rep.failover.lost, 0);
+        c.audit(&rep).expect("a drain loses and leaks nothing");
         assert_eq!(rep.failover.drains, 1);
         assert!(
             rep.failover.rebalanced > 0,

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use jord_hw::types::Va;
 use jord_hw::FaultInjector;
 use jord_sim::{Rng, SimTime};
-use jord_vma::TableSnapshot;
+use jord_vma::DurableFootprint;
 
 use crate::admission::BrownoutLevel;
 use crate::durability::{CheckpointSeal, DurableLog};
@@ -222,15 +222,11 @@ pub struct WorkerCheckpoint {
     pub in_flight: Vec<PendingInvocation>,
     /// Scheduled-but-unfired retries, as `(token, retry)`.
     pub pending: Vec<(u64, PendingRetry)>,
-    /// Full VMA-table image; its durable footprint (privileged/global
-    /// mappings) must be reproduced bit-for-bit by any correct restore.
-    pub vma: TableSnapshot,
+    /// The VMA table's durable (privileged/global) mappings at capture;
+    /// any correct restore must reproduce them bit-for-bit.
+    pub footprint: DurableFootprint,
     /// Free VMA slots per size class at capture (availability ledger).
     pub free_slots: Vec<usize>,
-    /// Live PD ids at capture.
-    pub live_pds: Vec<u16>,
-    /// Per-orchestrator (external, internal) queue depths at capture.
-    pub queue_depths: Vec<(usize, usize)>,
     /// Integrity seal over the durable log as of capture: recovery
     /// verifies it before trusting this checkpoint's tables, and falls
     /// down the recovery ladder when it does not hold.
@@ -625,12 +621,10 @@ mod tests {
             warmed,
             in_flight: journal.in_flight().values().copied().collect(),
             pending: journal.pending().iter().map(|(&t, &p)| (t, p)).collect(),
-            vma: TableSnapshot {
+            footprint: DurableFootprint {
                 entries: Vec::new(),
             },
             free_slots: Vec::new(),
-            live_pds: Vec::new(),
-            queue_depths: Vec::new(),
             seal: journal.durable_log().seal(),
         }
     }

@@ -44,6 +44,7 @@
 
 pub mod admission;
 pub mod argbuf;
+pub mod audit;
 pub mod autoscaler;
 pub mod cluster;
 pub mod config;
@@ -63,6 +64,7 @@ pub mod stats;
 
 pub use admission::{AdmissionPolicy, BrownoutLevel, FailureDisposition};
 pub use argbuf::ArgBuf;
+pub use audit::{AuditError, JournalCheck, LedgerCopy, Violation};
 pub use autoscaler::{
     AutoscalerConfig, BrownoutConfig, ClusterAutoscaler, Directive, ScaleDecision, WindowSignals,
 };

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use crate::admission::{AdmissionPolicy, BrownoutLevel, FailureDisposition};
 use crate::argbuf::ArgBuf;
+use crate::audit::{AuditError, LedgerCopy, Violation};
 use crate::config::{ConfigError, RuntimeConfig};
 use crate::events::{
     AbortCause, EventBus, LifecycleEvent, RetryKind, TraceEntry, WorkerNotice, TRACE_CAPACITY,
@@ -140,6 +141,10 @@ pub struct WorkerServer {
     pressure: MemoryPressure,
     /// Highest resident-byte watermark seen at a governor tick.
     peak_resident: u64,
+    /// Live VMAs and PDs of the pristine image, which every reboot
+    /// rebuilds: the audit's leak baseline.
+    boot_vmas: usize,
+    boot_pds: usize,
 }
 
 /// Everything a pristine process image contains: the booted machine and
@@ -167,6 +172,7 @@ impl WorkerServer {
             return Err(ConfigError::NoFunctions);
         }
         let parts = Self::boot_parts(&cfg, &registry)?;
+        let (boot_vmas, boot_pds) = (parts.privlib.live_vmas(), parts.privlib.live_pds());
         let admission = AdmissionPolicy::new(cfg.recovery, cfg.orchestrators, cfg.executors());
         let seed = cfg.seed;
         let mut rng = Rng::new(seed);
@@ -201,6 +207,8 @@ impl WorkerServer {
             pd_pool,
             pressure: MemoryPressure::Normal,
             peak_resident: 0,
+            boot_vmas,
+            boot_pds,
         })
     }
 
@@ -404,27 +412,66 @@ impl WorkerServer {
         true
     }
 
-    /// Finalizes a drained run: drains PD pools, checks the conservation
-    /// invariants, and assembles the measurement report.
+    /// Finalizes a drained run: drains PD pools and assembles the
+    /// measurement report. Debug builds then [`audit`](Self::audit) it.
     pub fn seal(&mut self) -> RunReport {
         // Snapshot the byte-side ledger before the final pool drain: the
         // report records what the run held; the drain just hands it back.
         let memory = self.memory_ledger();
-        // Return pooled sanitized PDs before the leak accounting below.
         self.drain_pd_pools();
-        debug_assert!(self.slab.is_empty(), "all invocations must complete");
-        debug_assert!(
-            self.lifecycle.is_empty(),
-            "every request row must reach a terminal state — none lost"
-        );
         let finished_at = self.queue.now();
         let shootdown_ns = self.machine.stats().shootdown_ns;
-        self.bus.seal(
+        let report = self.bus.seal(
             finished_at,
             shootdown_ns,
             self.orchs.iter().map(|o| &o.dispatch_ns),
             memory,
-        )
+        );
+        #[cfg(debug_assertions)]
+        self.audit(&report)
+            .unwrap_or_else(|e| panic!("worker seal: {e}"));
+        report
+    }
+
+    /// Audits a sealed run: the request and memory ledgers of `report`
+    /// (what [`seal`](Self::seal) returned) and of the live counters, an
+    /// empty slab and lifecycle table, live VMAs and PDs equal to the
+    /// pristine image's, a drained PD pool, no grant held by a dead PD
+    /// id, and on journaled runs the replay proof from the latest
+    /// checkpoint. It only reads state.
+    ///
+    /// # Errors
+    ///
+    /// An [`AuditError`] listing every violation found.
+    pub fn audit(&self, report: &RunReport) -> Result<(), AuditError> {
+        let (pooled, claimed) = (self.pd_pool.pooled(), self.pd_pool.claimed_len());
+        let (invocations, requests) = (self.slab.len(), self.lifecycle.len());
+        let leak = |live: usize, boot: usize| (live != boot).then_some((live, boot));
+        let vmas = leak(self.privlib.live_vmas(), self.boot_vmas);
+        let pds = leak(self.privlib.live_pds(), self.boot_pds);
+        let f = &report.faults;
+        let mut found: Vec<Violation> = [
+            Violation::request_ledger(report.offered, report.completed, f.failed, f.sheds),
+            Violation::memory_ledger(LedgerCopy::Report, &report.memory),
+            Violation::memory_ledger(LedgerCopy::Live, &self.memory_ledger()),
+            (invocations + requests > 0).then_some(Violation::Unsettled {
+                invocations,
+                requests,
+            }),
+            vmas.map(|(live, boot)| Violation::VmaLeak { live, boot }),
+            pds.map(|(live, boot)| Violation::PdLeak { live, boot }),
+            (pooled + claimed > 0).then_some(Violation::PoolNotDrained { pooled, claimed }),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let dead_grants = self.privlib.dead_pd_grants().into_iter();
+        found.extend(dead_grants.map(|(pd, grants)| Violation::GrantOutlivesPd { pd, grants }));
+        // Only journaled runs checkpoint, and they do from `begin` on.
+        if let Some(checkpoint) = &self.checkpoint {
+            found.extend(self.prove_replay(checkpoint).1);
+        }
+        AuditError::check(found)
     }
 
     /// The byte-side memory ledger as of now: PrivLib's mmap/munmap
@@ -1810,11 +1857,6 @@ impl WorkerServer {
     /// grant, free the retained stack/heap, drop the PD. Costs fall
     /// outside the measurement window.
     fn drain_pd_pools(&mut self) {
-        debug_assert_eq!(
-            self.pd_pool.claimed_len(),
-            0,
-            "no PD claim may outlive its invocation"
-        );
         let drained = self.pd_pool.drain();
         self.release_pooled(CoreId(0), drained);
     }
@@ -1963,5 +2005,215 @@ impl std::fmt::Debug for WorkerServer {
             .field("executors", &self.execs.len())
             .field("live_invocations", &self.slab.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! One test per worker [`Violation`] variant: each finishes a small
+    //! clean run, breaks exactly one invariant through private state, and
+    //! checks the audit reports exactly that.
+
+    use super::*;
+    use crate::audit::JournalCheck;
+    use crate::function::FunctionSpec;
+    use crate::lifecycle::Effect;
+    use crate::recovery::CrashConfig;
+    use jord_sim::TimeDist;
+    use jord_vma::PdSnapshot;
+
+    /// A small journaled, sanitized run, sealed and audited clean.
+    fn clean_run() -> (WorkerServer, RunReport) {
+        let mut registry = FunctionRegistry::new();
+        let f = registry.register(
+            FunctionSpec::new("leaf")
+                .op(FuncOp::ReadInput)
+                .op(FuncOp::Compute(TimeDist::fixed(500.0)))
+                .op(FuncOp::WriteOutput),
+        );
+        let cfg = RuntimeConfig::jord_32()
+            .with_sanitize(true)
+            .with_crash(CrashConfig::journal_only());
+        let mut s = WorkerServer::new(cfg, registry).unwrap();
+        for i in 0..20 {
+            s.push_request(SimTime::from_ns(i * 300), f, 256);
+        }
+        let report = s.run();
+        assert_eq!(s.audit(&report), Ok(()));
+        (s, report)
+    }
+
+    fn violations(s: &WorkerServer, report: &RunReport) -> Vec<Violation> {
+        s.audit(report)
+            .expect_err("the broken invariant must be reported")
+            .violations
+    }
+
+    #[test]
+    fn clean_worker_run_audits_clean() {
+        let (s, report) = clean_run();
+        assert_eq!(report.completed, 20);
+        assert!(report.sanitize.pooled_setups > 0, "the pool was exercised");
+        assert!(s.checkpoint.is_some(), "the journal proof ran");
+    }
+
+    #[test]
+    fn a_request_taken_off_completed_breaks_the_request_ledger() {
+        let (s, mut report) = clean_run();
+        report.completed -= 1;
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::RequestLedger {
+                offered: 20,
+                completed: 19,
+                failed: 0,
+                shed: 0,
+            }]
+        );
+    }
+
+    #[test]
+    fn an_uncounted_byte_breaks_the_memory_ledger() {
+        let (s, mut report) = clean_run();
+        report.memory.mapped_bytes += 64;
+        let m = report.memory;
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::MemoryLedger {
+                copy: LedgerCopy::Report,
+                mapped: m.mapped_bytes,
+                resident: m.resident_bytes,
+                reclaimed: m.reclaimed_bytes,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_leftover_invocation_is_unsettled() {
+        let (mut s, report) = clean_run();
+        // An internal record: the journal tracks externals only, so this
+        // breaks nothing but the drained slab.
+        let origin = Origin::Internal {
+            parent: InvocationId(0),
+            synchronous: true,
+        };
+        s.slab.insert(Invocation::new(
+            FunctionId(0),
+            origin,
+            ArgBuf::new(0, 64),
+            SimTime::ZERO,
+        ));
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::Unsettled {
+                invocations: 1,
+                requests: 0,
+            }]
+        );
+    }
+
+    #[test]
+    fn an_extra_mmap_is_a_vma_leak() {
+        let (mut s, report) = clean_run();
+        let boot = s.boot_vmas;
+        s.privlib
+            .mmap(&mut s.machine, CoreId(0), 4096, Perm::RW, PdId::RUNTIME)
+            .unwrap();
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::VmaLeak {
+                live: boot + 1,
+                boot,
+            }]
+        );
+    }
+
+    #[test]
+    fn an_extra_cget_is_a_pd_leak() {
+        let (mut s, report) = clean_run();
+        s.privlib.cget(&mut s.machine, CoreId(0)).unwrap();
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::PdLeak { live: 1, boot: 0 }]
+        );
+    }
+
+    #[test]
+    fn a_pd_left_in_the_pool_is_not_drained() {
+        let (mut s, report) = clean_run();
+        // A pool entry alone (the PD itself is not built), so only the
+        // pool is off.
+        let pd = PdId(9);
+        s.pd_pool.admit(
+            FunctionId(0),
+            PooledPd {
+                pd,
+                stackheap: 0,
+                snapshot: PdSnapshot {
+                    pd,
+                    entries: Vec::new(),
+                },
+                bytes: 0,
+                warmed_at: SimTime::ZERO,
+                last_used: SimTime::ZERO,
+                uses: 0,
+            },
+        );
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::PoolNotDrained {
+                pooled: 1,
+                claimed: 0,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_grant_left_on_a_freed_pd_id_outlives_it() {
+        let (mut s, report) = clean_run();
+        // The run's teardowns freed every PD id; re-grant the code VMA to
+        // one of them, as a forgotten revocation would leave it.
+        let code = s.code_vmas[0];
+        s.privlib
+            .mprotect(&mut s.machine, CoreId(0), code, Perm::RX, PdId(1))
+            .unwrap();
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::GrantOutlivesPd { pd: 1, grants: 1 }]
+        );
+    }
+
+    #[test]
+    fn a_journal_record_the_lifecycle_never_saw_breaks_the_replay_proof() {
+        let (mut s, report) = clean_run();
+        let id = InvocationId(5);
+        let admitted = LifecycleEvent::Admitted {
+            req: 999,
+            id,
+            func: FunctionId(0),
+            bytes: 64,
+            arrival: SimTime::ZERO,
+            attempt: 0,
+            tag: 0,
+            orch: 0,
+        };
+        s.bus.publish(&admitted, &[Effect::Journal]);
+        // Replay and the journal's live table agree (both saw the record);
+        // the slab and the lifecycle rows did not.
+        assert_eq!(
+            violations(&s, &report),
+            [
+                Violation::Journal {
+                    check: JournalCheck::SlabExternals,
+                    left: vec![5],
+                    right: Vec::new(),
+                },
+                Violation::Journal {
+                    check: JournalCheck::LifecycleAdmitted,
+                    left: Vec::new(),
+                    right: vec![5],
+                },
+            ]
+        );
     }
 }

@@ -11,6 +11,7 @@ use jord_sim::{SimDuration, SimTime};
 
 use std::collections::BTreeMap;
 
+use crate::audit::{AuditError, JournalCheck, Violation};
 use crate::durability::{self, FrameAnomaly, ScanReport};
 use crate::events::{AbortCause, LifecycleEvent, RetryKind};
 use crate::invocation::{Invocation, InvocationId, Origin, Phase};
@@ -51,10 +52,10 @@ impl WorkerServer {
     }
 
     /// Snapshots the worker's hot state: the report, RNG streams, warmup
-    /// progress, the journal's live tables, and the VMA-table image whose
-    /// durable footprint a post-crash reboot must reproduce. Checkpointing
-    /// is free in simulated time (a real implementation would write it
-    /// off the critical path).
+    /// progress, the journal's live tables, and the VMA table's durable
+    /// footprint and free slots, which a post-crash reboot must reproduce.
+    /// Checkpointing is free in simulated time (a real implementation
+    /// would write it off the critical path).
     pub(super) fn take_checkpoint(&mut self, t: SimTime) {
         let Some(img) = self.bus.checkpoint_image() else {
             return;
@@ -68,14 +69,8 @@ impl WorkerServer {
             warmed: img.warmed,
             in_flight: img.in_flight,
             pending: img.pending,
-            vma: self.privlib.table_snapshot(),
+            footprint: self.privlib.durable_footprint(),
             free_slots: self.privlib.free_slot_counts(),
-            live_pds: self.privlib.live_pd_ids(),
-            queue_depths: self
-                .orchs
-                .iter()
-                .map(|o| (o.external.len(), o.internal.len()))
-                .collect(),
             seal: img.seal,
         };
         // Keep one generation of history: the recovery ladder falls back
@@ -241,54 +236,52 @@ impl WorkerServer {
         self.orchs[o].next_free = t + self.restart_penalty();
     }
 
-    /// Replays the journal suffix over `checkpoint` and proves the
-    /// replayed tables against three independent witnesses: the journal's
-    /// live tables, the slab's external population, and the lifecycle
-    /// engine's request rows.
-    fn replay_and_prove(&mut self, checkpoint: &WorkerCheckpoint) -> RecoveredState {
-        let (recovered, live_in_flight, live_pending) = {
-            let j = self
-                .bus
-                .journal()
-                .expect("worker crash requires the journal");
-            let rec = j.replay(checkpoint);
-            (
-                rec,
-                j.in_flight().keys().copied().collect::<Vec<_>>(),
-                j.pending().keys().copied().collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(
-            recovered.in_flight.keys().copied().collect::<Vec<_>>(),
-            live_in_flight,
-            "replayed in-flight table must match the journal's live table"
-        );
-        assert_eq!(
-            recovered.pending.keys().copied().collect::<Vec<_>>(),
-            live_pending,
-            "replayed pending-retry table must match the journal's live table"
-        );
-        let mut slab_externals: Vec<usize> = self
+    /// Replays the journal suffix over `checkpoint` and compares the
+    /// replayed tables with three witnesses: the journal's live tables,
+    /// the slab's external population, and the lifecycle engine's rows.
+    /// The crash path panics on any disagreement; the audit reports them.
+    pub(super) fn prove_replay(
+        &self,
+        checkpoint: &WorkerCheckpoint,
+    ) -> (RecoveredState, Vec<Violation>) {
+        let j = self.bus.journal().expect("replay requires the journal");
+        let recovered = j.replay(checkpoint);
+        let key = |&i: &usize| i as u64;
+        let in_flight: Vec<u64> = j.in_flight().keys().map(key).collect();
+        let pending: Vec<u64> = j.pending().keys().copied().collect();
+        let mut externals: Vec<u64> = self
             .slab
             .iter()
             .filter(|(_, inv)| matches!(inv.origin, Origin::External { .. }))
-            .map(|(id, _)| id.0)
+            .map(|(id, _)| id.0 as u64)
             .collect();
-        slab_externals.sort_unstable();
-        assert_eq!(
-            live_in_flight, slab_externals,
-            "journal in-flight table must mirror the slab's external population"
-        );
-        assert_eq!(
-            self.lifecycle.live_slab_ids(),
-            live_in_flight,
-            "lifecycle engine's admitted rows must mirror the journal's in-flight table"
-        );
-        assert_eq!(
-            self.lifecycle.live_tokens(),
-            live_pending,
-            "lifecycle engine's retry-wait rows must mirror the journal's pending table"
-        );
+        externals.sort_unstable();
+        let replayed: Vec<u64> = recovered.in_flight.keys().map(key).collect();
+        let replayed_pending: Vec<u64> = recovered.pending.keys().copied().collect();
+        let admitted: Vec<u64> = self.lifecycle.live_slab_ids().iter().map(key).collect();
+        let retries = self.lifecycle.live_tokens();
+        let mut found = Vec::new();
+        for (check, left, right) in [
+            (JournalCheck::ReplayedInFlight, &replayed, &in_flight),
+            (JournalCheck::ReplayedPending, &replayed_pending, &pending),
+            (JournalCheck::SlabExternals, &in_flight, &externals),
+            (JournalCheck::LifecycleAdmitted, &admitted, &in_flight),
+            (JournalCheck::LifecycleRetries, &retries, &pending),
+        ] {
+            if left != right {
+                let (left, right) = (left.clone(), right.clone());
+                found.push(Violation::Journal { check, left, right });
+            }
+        }
+        (recovered, found)
+    }
+
+    /// [`prove_replay`](Self::prove_replay) on the crash path: any
+    /// disagreement is a recovery bug, so it panics.
+    fn replay_and_prove(&mut self, checkpoint: &WorkerCheckpoint) -> RecoveredState {
+        let (recovered, violations) = self.prove_replay(checkpoint);
+        AuditError::check(violations)
+            .unwrap_or_else(|e| panic!("journal replay proof failed: {e}"));
         self.emit(LifecycleEvent::Replayed {
             records: recovered.replayed,
         });
@@ -421,8 +414,8 @@ impl WorkerServer {
         self.admission.reset_routing();
         let Some(checkpoint) = checkpoint else { return };
         assert_eq!(
-            self.privlib.table_snapshot().durable_footprint(),
-            checkpoint.vma.durable_footprint(),
+            self.privlib.durable_footprint(),
+            checkpoint.footprint,
             "reboot must reproduce the checkpoint's durable mappings"
         );
         for (class, (&now_free, &cp_free)) in self
@@ -507,7 +500,7 @@ impl WorkerServer {
         // each of which terminalizes exactly once after the restart. On
         // the exact rung this is an identity.
         let mut report = recovered.report;
-        let settled = report.completed + report.faults.failed + report.faults.sheds;
+        let settled = report.settled();
         let live_rows = self.lifecycle.len() as u64;
         if rung.lossy() {
             report.offered = settled + live_rows;

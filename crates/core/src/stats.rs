@@ -423,12 +423,16 @@ impl RunReport {
         }
     }
 
-    /// True when the request ledger balances:
-    /// `offered == completed + faults.failed + faults.sheds`. Every
-    /// request must end Completed, Faulted, or Shed — a `false` here means
-    /// a lifecycle transition lost a request.
+    /// True when the request ledger balances: `offered == settled()`.
+    /// Every request must end Completed, Faulted, or Shed — a `false`
+    /// here means a lifecycle transition lost a request.
     pub fn balanced(&self) -> bool {
-        self.offered == self.completed + self.faults.failed + self.faults.sheds
+        self.offered == self.settled()
+    }
+
+    /// Requests with an outcome: `completed + faults.failed + faults.sheds`.
+    pub fn settled(&self) -> u64 {
+        self.completed + self.faults.failed + self.faults.sheds
     }
 
     /// Goodput: the fraction of offered requests that completed
@@ -605,6 +609,6 @@ mod tests {
         r.faults.failed = 2;
         r.faults.sheds = 1;
         assert!((r.goodput() - 0.7).abs() < 1e-12);
-        assert_eq!(r.offered, r.completed + r.faults.failed + r.faults.sheds);
+        assert!(r.balanced());
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based leak-freedom: for ANY injected fault schedule — any
 //! fault rate, runaway mix, deadline, retry budget, shed bound, workload
-//! shape, and seed — a drained worker server must return every allocator
-//! watermark to its pre-run baseline (VMAs, PDs, invocation slab) and must
-//! account for every request as Completed, Faulted, or Shed.
+//! shape, and seed — a drained worker server must pass
+//! [`WorkerServer::audit`]: every allocator watermark back at the pristine
+//! image's (VMAs, PDs, invocation slab, PD pool), no grant outliving its
+//! PD, and every request accounted as Completed, Faulted, or Shed.
 //!
 //! This is the Figure 4 teardown run adversarially: if any abort path
 //! forgets a temp VMA, an ArgBuf, a PD, or a zombie slab entry, some
@@ -132,30 +133,11 @@ proptest! {
                 ..RecoveryPolicy::default()
             });
         let mut server = WorkerServer::new(cfg, registry).expect("valid chaos config");
-        let baseline_vmas = server.privlib().live_vmas();
-        let baseline_pds = server.privlib().live_pds();
-
         for i in 0..s.requests as u64 {
             server.push_request(SimTime::from_ns(i * 1_500), root, 256);
         }
         let rep = server.run();
-
-        // Accounting: none lost, whatever the schedule did.
-        prop_assert_eq!(
-            rep.offered,
-            rep.completed + rep.faults.failed + rep.faults.sheds,
-            "lost requests under {:?}: {:?}", s, rep.faults
-        );
-        // Watermarks: the slab, VMA table, and PD pool all drain back to
-        // exactly their pre-run baselines.
-        prop_assert_eq!(server.live_invocations(), 0, "slab leak under {:?}", s);
-        prop_assert_eq!(
-            server.privlib().live_vmas(), baseline_vmas,
-            "VMA leak under {:?}", s
-        );
-        prop_assert_eq!(
-            server.privlib().live_pds(), baseline_pds,
-            "PD leak under {:?}", s
-        );
+        let audit = server.audit(&rep);
+        prop_assert!(audit.is_ok(), "{:?} under {:?}", audit, s);
     }
 }

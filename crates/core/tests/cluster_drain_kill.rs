@@ -43,12 +43,8 @@ fn kill_while_draining_conserves_every_request() {
         c.push_request(SimTime::from_ns(i * 100), f, 256);
     }
     let rep = c.run();
-    assert_eq!(rep.failover.lost, 0, "drain+kill must not lose requests");
-    assert_eq!(
-        rep.offered,
-        rep.completed + rep.failed + rep.shed,
-        "cluster ledger must balance across the drain and the kill"
-    );
+    c.audit(&rep)
+        .expect("drain+kill must lose nothing and leak nothing");
     assert!(rep.completed > 0, "the surviving worker must make progress");
 }
 
@@ -74,12 +70,8 @@ fn kill_while_evicted_conserves_every_request() {
         c.push_request(SimTime::from_ns(i * 200), f, 256);
     }
     let rep = c.run();
-    assert_eq!(rep.failover.lost, 0, "evict+kill must not lose requests");
-    assert_eq!(
-        rep.offered,
-        rep.completed + rep.failed + rep.shed,
-        "cluster ledger must balance across eviction and the kill"
-    );
+    c.audit(&rep)
+        .expect("evict+kill must lose nothing and leak nothing");
     assert!(
         rep.failover.evictions >= 1,
         "the partition must actually evict worker 0 before the kill"

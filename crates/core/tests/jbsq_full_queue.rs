@@ -57,7 +57,7 @@ fn full_queues_requeue_and_retry_without_losing_requests() {
     let rep = s.run();
     assert_eq!(rep.completed, 1_000, "retry path must drain the burst");
     assert_eq!(rep.spilled, 0, "no spill config, no spilling");
-    assert_eq!(s.live_invocations(), 0);
+    s.audit(&rep).expect("requeue-and-retry leaks nothing");
 }
 
 #[test]
@@ -99,7 +99,8 @@ fn internal_backlog_over_threshold_spills_to_peer() {
         "24-wide fan-out over bound-1 queues must spill"
     );
     assert!(rep.spilled < rep.invocations, "only the overflow leaves");
-    assert_eq!(s.live_invocations(), 0, "remote completions retire records");
+    s.audit(&rep)
+        .expect("remote completions retire records and free buffers");
 }
 
 #[test]
@@ -159,10 +160,6 @@ fn admission_shed_composes_with_spill_under_saturation() {
         rep.spilled > 0,
         "admitted fan-out still overflows to the peer"
     );
-    assert_eq!(
-        rep.offered,
-        rep.completed + rep.faults.failed + rep.faults.sheds,
-        "every request ends Completed, Faulted, or Shed"
-    );
-    assert_eq!(s.live_invocations(), 0);
+    s.audit(&rep)
+        .expect("every request ends Completed, Faulted, or Shed");
 }

@@ -4,7 +4,7 @@
 //! the lifecycle engine refactor shrank the module to runtime code only.
 
 use jord_core::{
-    CrashSemantics, FuncOp, FunctionId, FunctionRegistry, FunctionSpec, NoticeOutcome, RunReport,
+    CrashSemantics, FuncOp, FunctionId, FunctionRegistry, FunctionSpec, NoticeOutcome,
     RuntimeConfig, SystemVariant, WorkerServer,
 };
 use jord_hw::{CrashPlan, FaultKind};
@@ -234,24 +234,6 @@ fn overload_grows_latency_but_completes() {
 use jord_core::RecoveryPolicy;
 use jord_hw::InjectConfig;
 
-/// Every request must end Completed, Faulted, or Shed — none lost —
-/// and a drained server must hold no invocation, PD, or VMA it did
-/// not hold before the run.
-fn assert_contained(s: &WorkerServer, rep: &RunReport, vmas: usize, pds: usize) {
-    assert_eq!(
-        rep.offered,
-        rep.completed + rep.faults.failed + rep.faults.sheds,
-        "request accounting must balance: {rep:?}"
-    );
-    assert_eq!(s.live_invocations(), 0, "slab must drain");
-    assert_eq!(
-        s.privlib().live_vmas(),
-        vmas,
-        "VMAs must return to baseline"
-    );
-    assert_eq!(s.privlib().live_pds(), pds, "PDs must return to baseline");
-}
-
 #[test]
 fn injected_faults_reduce_goodput_but_lose_nothing() {
     let (r, f) = registry_leaf();
@@ -262,7 +244,6 @@ fn injected_faults_reduce_goodput_but_lose_nothing() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..2_000u64 {
         s.push_request(SimTime::from_ns(i * 900), f, 256);
     }
@@ -275,7 +256,7 @@ fn injected_faults_reduce_goodput_but_lose_nothing() {
     assert!(rep.goodput() < 1.0 && rep.goodput() > 0.8);
     assert!(rep.faults.total_faults() > 0);
     assert_eq!(rep.faults.aborted, rep.faults.total_faults());
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -288,7 +269,6 @@ fn retries_recover_transient_faults() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..1_000u64 {
         s.push_request(SimTime::from_ns(i * 900), f, 256);
     }
@@ -299,7 +279,7 @@ fn retries_recover_transient_faults() {
         "independent retry draws at 2% cannot exhaust 5 attempts"
     );
     assert_eq!(rep.completed, rep.offered);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -317,7 +297,6 @@ fn deadline_kills_runaways() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..500u64 {
         s.push_request(SimTime::from_ns(i * 2_000), f, 256);
     }
@@ -330,7 +309,7 @@ fn deadline_kills_runaways() {
     // A 1 ms spin with no deadline would dominate the run; with one the
     // run finishes within a sane horizon.
     assert!(rep.finished_at.as_us_f64() < 5_000.0);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -341,7 +320,6 @@ fn admission_control_sheds_overload() {
         ..RecoveryPolicy::default()
     });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     // 10 k requests all at once: far beyond the shed bound.
     for i in 0..10_000u64 {
         s.push_request(SimTime::from_ps(i), f, 128);
@@ -349,7 +327,7 @@ fn admission_control_sheds_overload() {
     let rep = s.run();
     assert!(rep.faults.sheds > 0, "burst must overflow the shed bound");
     assert!(rep.completed > 0, "admitted work still completes");
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -431,7 +409,6 @@ fn chaos_nested_trees_contain_faults_without_leaks() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..600u64 {
         s.push_request(SimTime::from_ns(i * 3_000), root, 256);
     }
@@ -442,7 +419,7 @@ fn chaos_nested_trees_contain_faults_without_leaks() {
         "8% per invocation over 5-node trees must fail some"
     );
     assert!(rep.completed > 0, "most trees still complete");
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -456,13 +433,12 @@ fn chaos_at_acceptance_rate_stays_graceful() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..5_000u64 {
         s.push_request(SimTime::from_ns(i * 800), f, 256);
     }
     let rep = s.run();
     assert!(rep.goodput() > 0.99, "goodput {} at 1e-3", rep.goodput());
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -541,10 +517,8 @@ fn warmup_discards_early_failures_symmetrically() {
     }
     let rep = s.run();
     assert!(rep.offered < 2_000, "warmup must discount early requests");
-    assert_eq!(
-        rep.offered,
-        rep.completed + rep.faults.failed + rep.faults.sheds
-    );
+    s.audit(&rep)
+        .expect("warm-up discounts both sides of the ledger alike");
 }
 
 // ------------------------------------------------------------------
@@ -557,21 +531,19 @@ use jord_core::CrashConfig;
 /// A burst far beyond instantaneous capacity: the queues stay deep for
 /// hundreds of microseconds, so a mid-drain crash provably finds work
 /// in flight at the event boundary where it fires.
-fn crash_workload(cfg: RuntimeConfig) -> (WorkerServer, usize, usize) {
+fn crash_workload(cfg: RuntimeConfig) -> WorkerServer {
     let (r, f) = registry_leaf();
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let vmas = s.privlib().live_vmas();
-    let pds = s.privlib().live_pds();
     for i in 0..4_000u64 {
         s.push_request(SimTime::from_ps(i), f, 128);
     }
-    (s, vmas, pds)
+    s
 }
 
 #[test]
 fn journal_only_mode_audits_without_crashing() {
     let cfg = RuntimeConfig::jord_32().with_crash(CrashConfig::journal_only());
-    let (mut s, vmas, pds) = crash_workload(cfg);
+    let mut s = crash_workload(cfg);
     let rep = s.run();
     assert_eq!(rep.crash.crashes, 0);
     assert_eq!(rep.completed, 4_000);
@@ -584,12 +556,12 @@ fn journal_only_mode_audits_without_crashing() {
         rep.crash.checkpoints >= 1,
         "the initial checkpoint at least"
     );
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
 fn worker_crash_at_least_once_matches_the_crash_free_run() {
-    let (mut baseline, _, _) = crash_workload(RuntimeConfig::jord_32());
+    let mut baseline = crash_workload(RuntimeConfig::jord_32());
     let base = baseline.run();
     assert_eq!(base.completed, 4_000);
 
@@ -597,7 +569,7 @@ fn worker_crash_at_least_once_matches_the_crash_free_run() {
         CrashPlan::worker_at(150.0),
         CrashSemantics::AtLeastOnce,
     ));
-    let (mut s, vmas, pds) = crash_workload(cfg);
+    let mut s = crash_workload(cfg);
     let rep = s.run();
     assert_eq!(rep.crash.crashes, 1);
     assert!(rep.crash.killed > 0, "a mid-run crash must interrupt work");
@@ -617,7 +589,7 @@ fn worker_crash_at_least_once_matches_the_crash_free_run() {
         "at-least-once recovery must reach the crash-free completion count"
     );
     assert_eq!(rep.faults.failed, 0);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -626,14 +598,14 @@ fn worker_crash_at_most_once_fails_what_was_in_flight() {
         CrashPlan::worker_at(150.0),
         CrashSemantics::AtMostOnce,
     ));
-    let (mut s, vmas, pds) = crash_workload(cfg);
+    let mut s = crash_workload(cfg);
     let rep = s.run();
     assert_eq!(rep.crash.crashes, 1);
     assert_eq!(rep.crash.readmitted, 0);
     assert!(rep.faults.failed > 0, "interrupted requests must fail");
     assert!(rep.completed < 4_000);
     assert_eq!(rep.completed + rep.faults.failed, 4_000);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -658,7 +630,6 @@ fn executor_crash_contains_residents_and_recovers() {
             ..RecoveryPolicy::default()
         });
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..1_000u64 {
         s.push_request(SimTime::from_ps(i), root, 256);
     }
@@ -673,7 +644,7 @@ fn executor_crash_contains_residents_and_recovers() {
         "every request survives via re-admission or child-failure retry"
     );
     assert_eq!(rep.faults.failed, 0);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -684,7 +655,6 @@ fn orchestrator_crash_drops_only_queued_work() {
         CrashSemantics::AtMostOnce,
     ));
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     // A burst far beyond capacity keeps the orchestrator deques deep,
     // so the crash provably finds queued work to kill.
     for i in 0..4_000u64 {
@@ -702,7 +672,7 @@ fn orchestrator_crash_drops_only_queued_work() {
         rep.completed > rep.faults.failed,
         "dispatched work keeps running — only one orchestrator's queue dies"
     );
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -712,7 +682,7 @@ fn crash_recovery_is_deterministic() {
             CrashPlan::worker_at(250.0),
             CrashSemantics::AtLeastOnce,
         ));
-        let (mut s, _, _) = crash_workload(cfg);
+        let mut s = crash_workload(cfg);
         let rep = s.run();
         (rep.completed, rep.faults.failed, rep.crash, rep.finished_at)
     };
@@ -724,7 +694,6 @@ fn pd_sanitization_pools_pds_and_cuts_setup_latency() {
     let (r, f) = registry_leaf();
     let cfg = RuntimeConfig::jord_32().with_sanitize(true);
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..1_000u64 {
         s.push_request(SimTime::from_ns(i * 900), f, 256);
     }
@@ -747,7 +716,7 @@ fn pd_sanitization_pools_pds_and_cuts_setup_latency() {
         rep.sanitize.mean_full_ns(),
         rep.sanitize.mean_pooled_ns()
     );
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -764,14 +733,13 @@ fn sanitization_reclaims_leaked_temps() {
     );
     let cfg = RuntimeConfig::jord_32().with_sanitize(true);
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let (vmas, pds) = (s.privlib().live_vmas(), s.privlib().live_pds());
     for i in 0..300u64 {
         s.push_request(SimTime::from_ns(i * 900), f, 256);
     }
     let rep = s.run();
     assert_eq!(rep.completed, 300);
     assert!(rep.sanitize.pooled_setups > 0);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 // ------------------------------------------------------------------
@@ -904,8 +872,6 @@ fn crash_for_cluster_strands_everything_unfinished() {
     let (r, f) = registry_leaf();
     let cfg = RuntimeConfig::jord_32().with_crash(CrashConfig::journal_only());
     let mut s = WorkerServer::new(cfg, r).unwrap();
-    let vmas = s.privlib().live_vmas();
-    let pds = s.privlib().live_pds();
     let n = 600u64;
     for i in 0..n {
         s.push_tagged_request(SimTime::from_ps(i), f, 128, i + 1);
@@ -954,7 +920,7 @@ fn crash_for_cluster_strands_everything_unfinished() {
         rep.crash.journal_records > 0 && rep.crash.checkpoints >= 2,
         "retired journal history must fold into the sealed report"
     );
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -966,7 +932,7 @@ fn crash_before_the_first_cadence_checkpoint_recovers() {
         CrashConfig::new(CrashPlan::worker_at(2.0), CrashSemantics::AtLeastOnce)
             .checkpoint_every(1_000_000),
     );
-    let (mut s, vmas, pds) = crash_workload(cfg);
+    let mut s = crash_workload(cfg);
     let rep = s.run();
     assert_eq!(rep.crash.crashes, 1);
     assert_eq!(
@@ -976,7 +942,7 @@ fn crash_before_the_first_cadence_checkpoint_recovers() {
     assert!(rep.crash.replayed > 0, "everything replays from t=0");
     assert_eq!(rep.completed, 4_000, "at-least-once loses nothing");
     assert_eq!(rep.faults.failed, 0);
-    assert_contained(&s, &rep, vmas, pds);
+    s.audit(&rep).expect("a drained worker audits clean");
 }
 
 #[test]
@@ -989,7 +955,7 @@ fn checkpoint_cadence_one_matches_the_default_cadence() {
             CrashConfig::new(CrashPlan::worker_at(150.0), CrashSemantics::AtLeastOnce)
                 .checkpoint_every(every),
         );
-        let (mut s, _, _) = crash_workload(cfg);
+        let mut s = crash_workload(cfg);
         s.run()
     };
     let fine = run_with(1);

@@ -4,8 +4,8 @@ use jord_hw::types::{CoreId, PdId, Perm, Va};
 use jord_hw::{Csr, Fault, Machine, VlbKind};
 use jord_sim::SimDuration;
 use jord_vma::{
-    BTreeTable, FreeLists, PdSnapshot, PhysAllocator, PlainListTable, SizeClass, SnapshotDiff,
-    TableAccess, TableSnapshot, VaCodec, VmaTable, VteAttr,
+    BTreeTable, DurableFootprint, FreeLists, PdSnapshot, PhysAllocator, PlainListTable, SizeClass,
+    SnapshotDiff, TableAccess, VaCodec, VmaTable, VteAttr,
 };
 
 use crate::cost::CostModel;
@@ -812,9 +812,10 @@ impl PrivLib {
         PdSnapshot::capture(self.table.as_ref(), pd)
     }
 
-    /// A full copy of the live VMA table, for journal checkpoints.
-    pub fn table_snapshot(&self) -> TableSnapshot {
-        TableSnapshot::capture(self.table.as_ref())
+    /// The table's durable (privileged/global) mappings, for journal
+    /// checkpoints.
+    pub fn durable_footprint(&self) -> DurableFootprint {
+        DurableFootprint::capture(self.table.as_ref())
     }
 
     /// Free-slot availability per size class (checkpoint occupancy
@@ -823,10 +824,14 @@ impl PrivLib {
         SizeClass::all().map(|sc| self.free.available(sc)).collect()
     }
 
-    /// Live PD ids in ascending order (checkpoint PD-registry capture).
-    pub fn live_pd_ids(&self) -> Vec<u16> {
+    /// `(id, grants)` of every PD id that is not live but still holds
+    /// grants — which the next `cget` of that id would inherit. Walks the
+    /// PD ids, not the table.
+    pub fn dead_pd_grants(&self) -> Vec<(u16, usize)> {
         (1..=MAX_PDS)
-            .filter(|&id| self.pd_live[id as usize])
+            .filter(|&id| !self.pd_live[id as usize])
+            .map(|id| (id, self.table.pd_slots(PdId(id)).len()))
+            .filter(|&(_, grants)| grants > 0)
             .collect()
     }
 

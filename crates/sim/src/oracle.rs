@@ -270,33 +270,6 @@ impl<E> HeapOracle<E> {
             .map(|e| (e.time, e.event))
             .collect()
     }
-
-    /// Removes and returns the pop-order-first event matching `pred`,
-    /// keeping every survivor's sequence number (tombstone semantics,
-    /// mirroring the calendar queue).
-    pub fn remove_first(&mut self, pred: impl Fn(&E) -> bool) -> Option<(SimTime, E)> {
-        let target = self
-            .inner
-            .heap
-            .iter()
-            .filter(|e| !self.tombstones.contains(&e.seq) && pred(&e.event))
-            .map(|e| (e.time, e.seq))
-            .min()?;
-        // Pull the entry's payload out by rebuilding — oracle simplicity
-        // over speed; the production queue tombstones in place.
-        let mut kept: Vec<Entry<E>> = Vec::with_capacity(self.inner.heap.len());
-        let mut removed = None;
-        for e in std::mem::take(&mut self.inner.heap).into_vec() {
-            if e.seq == target.1 {
-                removed = Some((e.time, e.event));
-            } else {
-                kept.push(e);
-            }
-        }
-        self.inner.heap = kept.into();
-        self.live.remove(&target.1);
-        removed
-    }
 }
 
 impl<E> Default for HeapOracle<E> {

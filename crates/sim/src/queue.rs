@@ -97,7 +97,7 @@ pub struct QueueProbe {
     pub scheduled: u64,
     /// Events returned by `pop`.
     pub popped: u64,
-    /// Events removed by `cancel`/`remove_first`.
+    /// Events removed by `cancel`.
     pub cancelled: u64,
     /// Keys moved between buckets and the overflow heap (horizon advances,
     /// geometry growth, re-anchors). A cancel must never add to this.
@@ -455,35 +455,6 @@ impl<E> EventQueue<E> {
         self.max_pending = 0;
         self.stale_keys = 0;
         entries.into_iter().map(|(t, _, e)| (t, e)).collect()
-    }
-
-    /// Removes and returns the first pending event (in pop order) matching
-    /// `pred`, leaving every other event scheduled in its original relative
-    /// order (and with its original sequence number). Returns `None` if
-    /// nothing matches.
-    ///
-    /// This is the predicate form of [`cancel`](Self::cancel): one pass over
-    /// the live slab picks the pop-order-first match, which is then
-    /// tombstoned in place — no drain, no rebuild, no re-heapification.
-    /// Callers that hold the [`EventId`] should cancel directly and skip
-    /// the scan.
-    pub fn remove_first(&mut self, pred: impl Fn(&E) -> bool) -> Option<(SimTime, E)> {
-        let slot = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.event.as_ref().is_some_and(&pred))
-            .min_by_key(|(_, s)| (s.time, s.seq))
-            .map(|(i, _)| i as u32)?;
-        let s = &mut self.slots[slot as usize];
-        let time = s.time;
-        let event = s.event.take().expect("selected slot is live");
-        self.retire_slot(slot);
-        self.live -= 1;
-        self.stale_keys += 1;
-        self.probe.cancelled += 1;
-        self.settle();
-        Some((time, event))
     }
 
     // ------------------------------------------------------------------

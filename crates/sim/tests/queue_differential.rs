@@ -31,7 +31,6 @@ enum Op {
     Batch(Vec<u64>),
     Pop,
     Cancel(usize),
-    RemoveFirst(u32),
     Drain,
 }
 
@@ -60,7 +59,6 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         any::<usize>().prop_map(Op::Cancel),
         any::<usize>().prop_map(Op::Cancel),
-        (0u32..4).prop_map(Op::RemoveFirst),
         Just(Op::Drain),
     ]
 }
@@ -117,13 +115,6 @@ fn run_script(ops: &[Op]) {
                     q.cancel(qid).is_cancelled(),
                     oracle.cancel(oid),
                     "cancel outcome diverged (stale-handle path?)"
-                );
-            }
-            Op::RemoveFirst(class) => {
-                assert_eq!(
-                    q.remove_first(|e| e % 4 == *class),
-                    oracle.remove_first(|e| e % 4 == *class),
-                    "remove_first picked different events"
                 );
             }
             Op::Drain => {

@@ -1,10 +1,10 @@
 //! Op-count regression tests for cancellation cost.
 //!
-//! PR 3's hedged dispatch cancels losing request copies through
-//! `remove_first`, which the pre-refactor queue implemented as a linear
-//! scan plus a full drain-and-rebuild of the heap — O(n log n) per cancel.
-//! The calendar queue tombstones in place. These tests pin that down with
-//! the [`QueueProbe`] op counters rather than wall-clock timing: cancelling
+//! Hedged dispatch cancels losing request copies. The pre-refactor queue
+//! did that with a linear scan plus a full drain-and-rebuild of the heap —
+//! O(n log n) per cancel. The calendar queue tombstones in place, by
+//! [`jord_sim::EventId`]. These tests pin that down with the
+//! [`QueueProbe`] op counters rather than wall-clock timing: cancelling
 //! out of a 100 000-event queue must not pop, re-schedule, or re-bucket
 //! anything.
 
@@ -56,28 +56,6 @@ fn cancel_in_a_100k_event_queue_is_o1() {
     assert_eq!(d.rebucketed, 0, "cancel must not move keys between buckets");
     assert_eq!(d.overflowed, 0, "cancel must not touch the overflow heap");
     assert_eq!(q.len(), 100_000 - cancelled as usize);
-}
-
-#[test]
-fn remove_first_in_a_100k_event_queue_does_not_rebuild() {
-    let (mut q, _ids) = populated();
-    let before = q.probe();
-
-    let (_, ev) = q
-        .remove_first(|&e| e == 77_777)
-        .expect("payload is pending");
-    assert_eq!(ev, 77_777);
-
-    let d = delta(before, q.probe());
-    assert_eq!(d.cancelled, 1);
-    assert_eq!(
-        d.scheduled, 0,
-        "remove_first must not re-schedule survivors"
-    );
-    assert_eq!(d.popped, 0, "remove_first must not pop survivors");
-    assert_eq!(d.rebucketed, 0, "remove_first must not re-bucket");
-    assert_eq!(d.sorts, 0, "remove_first must not re-sort any bucket");
-    assert_eq!(q.len(), 99_999);
 }
 
 #[test]

@@ -41,6 +41,6 @@ pub use codec::VaCodec;
 pub use free_list::FreeLists;
 pub use phys::PhysAllocator;
 pub use size_class::SizeClass;
-pub use snapshot::{PdSnapshot, SnapshotDiff, SnapshotEntry, TableSnapshot};
+pub use snapshot::{DurableFootprint, PdSnapshot, SnapshotDiff, SnapshotEntry};
 pub use table::{PlainListTable, TableAccess, VmaRecord, VmaTable};
 pub use vte::{Vte, VteAttr, SUB_ARRAY_LEN};

@@ -8,11 +8,10 @@
 //!   against the snapshot and repairs only the divergence — unmapping
 //!   stray VMAs, resetting drifted permissions — instead of destroying
 //!   and rebuilding the PD from scratch for the next request.
-//! * **Checkpoints**: [`TableSnapshot`] is a full copy of the table's live
-//!   VTEs, taken at journal-checkpoint cadence. After a whole-worker crash
-//!   the restored (pristine) image is validated against the checkpoint's
-//!   durable footprint — the privileged/global runtime mappings that must
-//!   survive any crash bit-for-bit.
+//! * **Checkpoints**: [`DurableFootprint`] records the table's
+//!   privileged/global runtime mappings at journal-checkpoint cadence.
+//!   After a whole-worker crash the restored (pristine) image must
+//!   reproduce the checkpoint's footprint bit-for-bit.
 //!
 //! Capture and diff charge no simulated memory accesses themselves; the
 //! caller (PrivLib) charges the repairs it actually performs.
@@ -21,7 +20,6 @@ use jord_hw::types::{PdId, Perm, Va};
 
 use crate::size_class::SizeClass;
 use crate::table::VmaTable;
-use crate::vte::Vte;
 
 /// One VMA as a snapshot sees it: location, geometry, and the captured
 /// permission of the snapshotted PD.
@@ -168,42 +166,28 @@ impl PdSnapshot {
     }
 }
 
-/// A full copy of a VMA table's live entries, in deterministic order.
+/// The durable subset of a VMA table: its privileged or global mappings
+/// — the runtime image (PrivLib's own structures, shared function code)
+/// that any correct crash restore must reproduce exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableSnapshot {
-    /// `(class, index, VTE)` for every live mapping.
-    pub entries: Vec<(SizeClass, u32, Vte)>,
+pub struct DurableFootprint {
+    /// `(class, index, base, len)` of every durable mapping, in
+    /// class-then-index order.
+    pub entries: Vec<(SizeClass, u32, Va, u64)>,
 }
 
-impl TableSnapshot {
-    /// Copies every live VTE out of `table`.
+impl DurableFootprint {
+    /// Records `table`'s durable mappings.
     pub fn capture(table: &dyn VmaTable) -> Self {
         let entries = table
             .live_slots()
             .into_iter()
-            .map(|(sc, index)| {
+            .filter_map(|(sc, index)| {
                 let vte = table.peek(sc, index).expect("live slot has a VTE");
-                (sc, index, vte.clone())
+                (vte.attr.privileged || vte.attr.global).then_some((sc, index, vte.base, vte.len))
             })
             .collect();
-        TableSnapshot { entries }
-    }
-
-    /// Number of captured mappings.
-    pub fn live(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The durable subset: privileged or global mappings — the runtime
-    /// image (PrivLib's own structures, shared function code) that any
-    /// correct crash restore must reproduce exactly. Returned as
-    /// `(class, index, base, len)` in capture order.
-    pub fn durable_footprint(&self) -> Vec<(SizeClass, u32, Va, u64)> {
-        self.entries
-            .iter()
-            .filter(|(_, _, vte)| vte.attr.privileged || vte.attr.global)
-            .map(|&(sc, index, ref vte)| (sc, index, vte.base, vte.len))
-            .collect()
+        DurableFootprint { entries }
     }
 }
 
@@ -312,29 +296,28 @@ mod tests {
     }
 
     #[test]
-    fn table_snapshot_copies_everything_and_finds_durables() {
+    fn durable_footprint_keeps_only_privileged_and_global_mappings() {
         let pd = PdId(2);
         let mut t = table_with(pd, &[(0, 0, Perm::RW), (1, 3, Perm::RX)]);
         let mut acc = Vec::new();
+        let attr = |global, privileged| crate::vte::VteAttr {
+            valid: true,
+            global,
+            privileged,
+            global_perm: Perm::NONE,
+        };
         t.insert(sc(4), 0, 1024, 0, &mut acc);
-        t.set_attr(
-            sc(4),
-            0,
-            crate::vte::VteAttr {
-                valid: true,
-                global: false,
-                privileged: true,
-                global_perm: Perm::NONE,
-            },
-            &mut acc,
+        t.set_attr(sc(4), 0, attr(false, true), &mut acc);
+        t.insert(sc(2), 5, 128, 0, &mut acc);
+        t.set_attr(sc(2), 5, attr(true, false), &mut acc);
+        let footprint = DurableFootprint::capture(&t);
+        let base = |k, i| t.peek(sc(k), i).unwrap().base;
+        assert_eq!(
+            footprint.entries,
+            vec![(sc(2), 5, base(2, 5), 128), (sc(4), 0, base(4, 0), 1024)],
+            "the two per-PD mappings are not durable; class-then-index order"
         );
-        let snap = TableSnapshot::capture(&t);
-        assert_eq!(snap.live(), 3);
-        assert_eq!(snap.live(), t.live_mappings());
-        let durable = snap.durable_footprint();
-        assert_eq!(durable.len(), 1);
-        assert_eq!(durable[0].0, sc(4));
         // Two pristine captures are identical (determinism).
-        assert_eq!(snap, TableSnapshot::capture(&t));
+        assert_eq!(footprint, DurableFootprint::capture(&t));
     }
 }

@@ -134,7 +134,7 @@ pub trait VmaTable {
     /// Every live mapping as `(class, index)` pairs in deterministic
     /// class-then-index order. Like [`peek`](Self::peek) this charges no
     /// accesses. It walks every live VTE, so only whole-table work uses
-    /// it (checkpoint [`TableSnapshot`](crate::TableSnapshot)s); per-PD
+    /// it (checkpoint [`DurableFootprint`](crate::DurableFootprint)s); per-PD
     /// work goes through [`pd_slots`](Self::pd_slots).
     fn live_slots(&self) -> Vec<(SizeClass, u32)>;
 

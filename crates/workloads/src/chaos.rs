@@ -8,9 +8,9 @@
 //! one PD, VMA, or invocation record more than it did before the storm.
 //!
 //! Each point re-runs the same seeded workload, so a campaign is exactly
-//! reproducible; the containment invariants are asserted inside the
-//! runner itself — a leak anywhere in the abort path fails the campaign,
-//! not just a dedicated unit test.
+//! reproducible; every point's worker passes [`WorkerServer::audit`]
+//! inside the runner itself — a leak anywhere in the abort path fails
+//! the campaign, not just a dedicated unit test.
 
 use jord_core::{RecoveryPolicy, RuntimeConfig, SystemVariant, WorkerServer};
 use jord_hw::{InjectConfig, MachineConfig};
@@ -105,9 +105,8 @@ impl ChaosSpec {
     ///
     /// # Panics
     ///
-    /// Panics if any point violates containment: a lost request
-    /// (`offered != completed + failed + sheds`) or a leaked invocation,
-    /// VMA, or PD after the run drains.
+    /// Panics if any point fails [`WorkerServer::audit`]: a lost request,
+    /// or a leaked invocation, VMA, PD, or grant after the run drains.
     pub fn run(&self, workload: &Workload) -> ChaosReport {
         let mut points = Vec::with_capacity(self.fault_rates.len() + 1);
         points.push(self.run_point(workload, 0.0));
@@ -126,36 +125,15 @@ impl ChaosSpec {
         }
         let mut server =
             WorkerServer::new(cfg, workload.registry.clone()).expect("valid chaos config");
-        let baseline_vmas = server.privlib().live_vmas();
-        let baseline_pds = server.privlib().live_pds();
         server.set_warmup(self.warmup as u64);
         let mut gen = LoadGen::new(workload, self.seed).expect("workload mix is sampleable");
         for (t, f, b) in gen.arrivals(self.rate_rps, self.requests + self.warmup) {
             server.push_request(t, f, b);
         }
         let rep = server.run();
-
-        // Containment invariants, checked at every point of every campaign.
-        assert_eq!(
-            rep.offered,
-            rep.completed + rep.faults.failed + rep.faults.sheds,
-            "rate {fault_rate}: requests lost"
-        );
-        assert_eq!(
-            server.live_invocations(),
-            0,
-            "rate {fault_rate}: invocation records leaked"
-        );
-        assert_eq!(
-            server.privlib().live_vmas(),
-            baseline_vmas,
-            "rate {fault_rate}: VMAs leaked"
-        );
-        assert_eq!(
-            server.privlib().live_pds(),
-            baseline_pds,
-            "rate {fault_rate}: PDs leaked"
-        );
+        server
+            .audit(&rep)
+            .unwrap_or_else(|e| panic!("rate {fault_rate}: {e}"));
 
         ChaosPoint {
             fault_rate,
@@ -247,8 +225,8 @@ mod tests {
         let heavy = rep.points.last().unwrap();
         assert!(heavy.faults > 0, "2e-2 must raise faults: {heavy:?}");
         assert!(heavy.retries > 0, "default policy retries failures");
-        // …and degradation stays smooth (run_point already asserted the
-        // containment invariants at every rung).
+        // …and degradation stays smooth (run_point already audited every
+        // rung).
         assert!(
             rep.degrades_gracefully(0.9, 0.1),
             "goodput ladder: {:?}",

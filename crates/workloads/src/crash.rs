@@ -4,11 +4,13 @@
 //! sweeps: instead of raising a per-invocation fault rate, a campaign
 //! kills a whole runtime component — an executor, an orchestrator, or the
 //! entire worker — mid-run and checks that the write-ahead journal brings
-//! the survivor back honestly. Two ledger invariants are asserted inside
-//! the runner at every point:
+//! the survivor back honestly. Two invariants are asserted inside the
+//! runner at every point:
 //!
-//! 1. **No request is ever lost**: `offered == completed + failed + sheds`
-//!    holds across the crash boundary, whatever died.
+//! 1. **A clean audit**: the drained worker passes
+//!    [`WorkerServer::audit`] — no request lost across the crash
+//!    boundary, whatever died, nothing leaked, and the journal replay
+//!    agreeing with its live witnesses.
 //! 2. **At-least-once parity**: under [`CrashSemantics::AtLeastOnce`] the
 //!    crashed run completes exactly as many requests as the crash-free
 //!    baseline with the same seed — every interrupted request is
@@ -61,13 +63,6 @@ pub struct CrashPoint {
     pub trace_hash: u64,
     /// Goodput: completed / offered.
     pub goodput: f64,
-}
-
-impl CrashPoint {
-    /// True when the request ledger balances: nothing offered was lost.
-    pub fn lossless(&self) -> bool {
-        self.offered == self.completed + self.failed + self.sheds
-    }
 }
 
 /// A crash-campaign recipe: one workload, one crash instant, a grid of
@@ -153,11 +148,9 @@ impl CrashCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if any point loses a request
-    /// (`offered != completed + failed + sheds`), leaks an invocation,
-    /// VMA, or PD, fails to fire its planned crash, or — under
-    /// at-least-once semantics — completes a different number of requests
-    /// than the crash-free baseline.
+    /// Panics if any point fails [`WorkerServer::audit`], fails to fire
+    /// its planned crash, or — under at-least-once semantics — completes
+    /// a different number of requests than the crash-free baseline.
     pub fn run(&self, workload: &Workload) -> CrashReport {
         let baseline = self.run_point(workload, CrashConfig::journal_only(), "none");
         let mut points = vec![baseline];
@@ -200,8 +193,6 @@ impl CrashCampaign {
             .with_crash(crash);
         let mut server =
             WorkerServer::new(cfg, workload.registry.clone()).expect("valid crash config");
-        let baseline_vmas = server.privlib().live_vmas();
-        let baseline_pds = server.privlib().live_pds();
         let mut gen = LoadGen::new(workload, self.seed).expect("workload mix is sampleable");
         for (t, f, b) in gen.arrivals(self.rate_rps, self.requests) {
             server.push_request(t, f, b);
@@ -214,27 +205,9 @@ impl CrashCampaign {
             "{scope}: the event bus published no lifecycle events"
         );
 
-        // Ledger and containment invariants, at every point.
-        assert!(
-            rep.balanced(),
-            "{scope}: requests lost across the crash boundary \
-             (offered {} != completed {} + failed {} + sheds {})",
-            rep.offered,
-            rep.completed,
-            rep.faults.failed,
-            rep.faults.sheds,
-        );
-        assert_eq!(server.live_invocations(), 0, "{scope}: invocations leaked");
-        assert_eq!(
-            server.privlib().live_vmas(),
-            baseline_vmas,
-            "{scope}: VMAs leaked"
-        );
-        assert_eq!(
-            server.privlib().live_pds(),
-            baseline_pds,
-            "{scope}: PDs leaked"
-        );
+        server
+            .audit(&rep)
+            .unwrap_or_else(|e| panic!("{scope}/{}: {e}", crash.semantics.label()));
 
         CrashPoint {
             scope,
@@ -267,11 +240,6 @@ impl CrashReport {
     /// The crash-free (journal-audit) baseline point.
     pub fn baseline(&self) -> &CrashPoint {
         &self.points[0]
-    }
-
-    /// True when every point's request ledger balances.
-    pub fn lossless(&self) -> bool {
-        self.points.iter().all(CrashPoint::lossless)
     }
 
     /// True when every at-least-once point completed exactly as many
@@ -326,7 +294,6 @@ mod tests {
         let rep = quick_campaign().run(&w);
         // 1 baseline + 3 scopes x 2 semantics.
         assert_eq!(rep.points.len(), 7);
-        assert!(rep.lossless());
         assert!(rep.at_least_once_parity());
         assert_eq!(rep.baseline().crashes, 0);
         assert!(rep.baseline().journal_records > 0);
@@ -354,7 +321,6 @@ mod tests {
             "interrupted requests must surface as failed"
         );
         assert!(point.completed < rep.baseline().completed);
-        assert!(rep.lossless());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   injection,
 //! * [`crash`] — crash/recovery campaigns that kill an executor, an
 //!   orchestrator, or the whole worker mid-run and assert the write-ahead
-//!   journal loses nothing (`offered == completed + failed + sheds`, and
-//!   at-least-once parity with the crash-free baseline),
+//!   journal loses nothing (a clean [`jord_core::WorkerServer::audit`],
+//!   and at-least-once parity with the crash-free baseline),
 //! * [`failover`] — cluster campaigns that run N workers behind a
 //!   [`jord_core::ClusterDispatcher`], kill or partition one mid-run, and
 //!   assert the phi-accrual detector convicts within its configured bound

@@ -27,9 +27,10 @@
 //!
 //! Invariants asserted at every point:
 //!
-//! 1. **Ledger balance**: `offered == completed + failed + sheds` however
-//!    the log was mangled — corruption may lose *records*, never
-//!    *requests* from the books.
+//! 1. **A clean audit**: the drained worker passes
+//!    [`jord_core::WorkerServer::audit`] however the log was mangled —
+//!    corruption may lose *records*, never *requests* from the books, and
+//!    leaks nothing.
 //! 2. **At-least-once never fails a request**: under
 //!    [`CrashSemantics::AtLeastOnce`] every interrupted request — proven
 //!    or demoted — is re-admitted, so `failed == 0` at every fault point.
@@ -38,8 +39,8 @@
 //!    crash-free baseline's completions; re-running any point reproduces
 //!    its whole lifecycle trace hash.
 //! 4. **Cluster re-derivation**: a cluster whose killed worker recovers
-//!    through *any* rung — pristine reboot included — still completes
-//!    every request with [`jord_core::FailoverStats::lost`]` == 0`: the
+//!    through *any* rung — pristine reboot included — passes
+//!    [`ClusterDispatcher::audit`] and still completes every request: the
 //!    dispatcher's notice-driven ledger re-derives whatever the worker's
 //!    journal could not prove.
 
@@ -111,13 +112,6 @@ pub struct StoragePoint {
     pub trace_hash: u64,
     /// Goodput: completed / offered.
     pub goodput: f64,
-}
-
-impl StoragePoint {
-    /// True when the request ledger balances: nothing offered was lost.
-    pub fn lossless(&self) -> bool {
-        self.offered == self.completed + self.failed + self.sheds
-    }
 }
 
 /// One cluster-level kill with a storage fault armed on the victim.
@@ -252,10 +246,11 @@ impl StorageChaosCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if any point loses a request, fails to fire its planned
-    /// crash, lands on a rung outside the fault kind's allowed set, fails
-    /// a request under at-least-once semantics, or — at the control
-    /// point — diverges from the crash-free baseline's completions.
+    /// Panics if any point fails [`WorkerServer::audit`], fails to fire
+    /// its planned crash, lands on a rung outside the fault kind's
+    /// allowed set, fails a request under at-least-once semantics, or —
+    /// at the control point — diverges from the crash-free baseline's
+    /// completions.
     pub fn run(&self, workload: &Workload) -> StorageReport {
         let baseline = self.run_point(workload, CrashConfig::journal_only(), "none", 0.0);
         assert_eq!(baseline.crashes, 0);
@@ -399,22 +394,9 @@ impl StorageChaosCampaign {
             server.push_request(t, f, b);
         }
         let rep = server.run();
-
-        assert!(
-            rep.balanced(),
-            "{fault}/{}: requests lost to storage corruption \
-             (offered {} != completed {} + failed {} + sheds {})",
-            crash.semantics.label(),
-            rep.offered,
-            rep.completed,
-            rep.faults.failed,
-            rep.faults.sheds,
-        );
-        assert_eq!(
-            server.live_invocations(),
-            0,
-            "{fault}: invocations leaked across recovery"
-        );
+        server
+            .audit(&rep)
+            .unwrap_or_else(|e| panic!("{fault}/{}@{instant}: {e}", crash.semantics.label()));
 
         let d = rep.durability;
         StoragePoint {
@@ -446,10 +428,10 @@ impl StorageChaosCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if any point loses a request, fails one, or sheds one: the
-    /// dispatcher's notice-driven ledger must re-derive whatever the
-    /// victim's corrupted journal could not prove, whatever rung its
-    /// restart landed on.
+    /// Panics if any point fails [`ClusterDispatcher::audit`], or fails
+    /// or sheds a request: the dispatcher's notice-driven ledger must
+    /// re-derive whatever the victim's corrupted journal could not prove,
+    /// whatever rung its restart landed on.
     pub fn run_cluster(&self, workload: &Workload) -> Vec<ClusterStoragePoint> {
         let mut points = Vec::new();
         for &kind in &self.faults {
@@ -471,12 +453,9 @@ impl StorageChaosCampaign {
             let rep = cluster.run();
 
             let tag = kind.label();
-            assert_eq!(rep.failover.lost, 0, "{tag}: dispatcher lost requests");
-            assert_eq!(
-                rep.offered,
-                rep.completed + rep.failed + rep.shed,
-                "{tag}: cluster ledger out of balance"
-            );
+            cluster
+                .audit(&rep)
+                .unwrap_or_else(|e| panic!("cluster {tag}: {e}"));
             assert_eq!(
                 rep.completed, rep.offered,
                 "{tag}: cross-worker retry must complete every request even \
@@ -526,11 +505,6 @@ impl StorageReport {
         &self.points[1]
     }
 
-    /// True when every point's request ledger balances.
-    pub fn lossless(&self) -> bool {
-        self.points.iter().all(StoragePoint::lossless)
-    }
-
     /// Formats the campaign as an aligned text table.
     pub fn table(&self) -> String {
         let mut out = String::from(
@@ -576,7 +550,6 @@ mod tests {
         let rep = quick_campaign().run(&w);
         // baseline + control + 5 kinds x 2 semantics + quarantine probe.
         assert_eq!(rep.points.len(), 13);
-        assert!(rep.lossless());
         assert_eq!(rep.control().rung, "exact-replay");
         // Every fault kind must actually have exercised its rung: no
         // point on "none".

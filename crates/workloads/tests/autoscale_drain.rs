@@ -79,7 +79,10 @@ fn run_removals(s: &Removals) -> ClusterReport {
     for (t, f, b) in gen.arrivals(s.rate_rps, s.requests as usize) {
         cluster.push_request(t, f, b);
     }
-    cluster.run()
+    let rep = cluster.run();
+    let audit = cluster.audit(&rep);
+    prop_assert!(audit.is_ok(), "{:?} under {:?}", audit, s);
+    rep
 }
 
 proptest! {
@@ -91,15 +94,9 @@ proptest! {
     /// work instead of dropping it — zero terminal failures too.
     #[test]
     fn consecutive_removals_conserve_every_request(s in arb_removals()) {
+        // run_removals audited the run: the ledger balances with zero lost.
         let rep = run_removals(&s);
         prop_assert_eq!(rep.offered, s.requests as u64);
-        prop_assert_eq!(
-            rep.offered,
-            rep.completed + rep.failed + rep.shed,
-            "ledger must balance across {} removals (report: completed {} failed {} shed {})",
-            s.drained, rep.completed, rep.failed, rep.shed
-        );
-        prop_assert_eq!(rep.failover.lost, 0, "drains must never lose work");
         prop_assert_eq!(
             rep.failed, 0,
             "a graceful drain migrates in-flight work; nothing may terminally fail"
@@ -136,6 +133,7 @@ fn scale_events_racing_a_crash_replay_identically() {
             at_us: 600.0,
         });
     };
+    // run_cluster audits both runs, so the race loses and leaks nothing.
     let (rep_a, win_a) = c.run_cluster(&w, &c.crowd, true, script);
     let (rep_b, win_b) = c.run_cluster(&w, &c.crowd, true, script);
 
@@ -146,12 +144,6 @@ fn scale_events_racing_a_crash_replay_identically() {
     assert!(
         rep_a.failover.evictions >= 1,
         "the kill must land on the spawned slot and be convicted"
-    );
-    assert_eq!(rep_a.failover.lost, 0, "the race must lose nothing");
-    assert_eq!(
-        rep_a.offered,
-        rep_a.completed + rep_a.failed + rep_a.shed,
-        "ledger must balance through the race"
     );
 
     assert!(!win_a.is_empty(), "autoscaled runs must record windows");

@@ -1,8 +1,10 @@
 //! Property-based crash-recovery determinism: for ANY crash point, crash
 //! scope, checkpoint cadence, workload shape, and seed, an at-least-once
 //! recovery must converge to EXACTLY the totals of the same seeded run
-//! with no crash — same completed count, a balanced request ledger, and
-//! every allocator watermark back at its pre-run baseline.
+//! with no crash — same completed count — and pass
+//! [`WorkerServer::audit`]: a balanced request ledger, every allocator
+//! watermark back at the pristine image's, and a journal replay that
+//! agrees with its witnesses.
 //!
 //! This is the write-ahead journal run adversarially: if replay ever
 //! loses, duplicates, or fabricates a request — at any crash instant,
@@ -79,8 +81,7 @@ fn registry_for(calls: u8) -> (FunctionRegistry, jord_core::FunctionId) {
     (r, root)
 }
 
-/// Runs one seeded server to completion and asserts leak-freedom: the
-/// drained server holds exactly its pre-run VMA/PD/invocation watermarks.
+/// Runs one seeded server to completion and audits it.
 fn run_one(s: &Scenario, crash: Option<CrashConfig>) -> RunReport {
     let mut cfg = RuntimeConfig::jord_32()
         .with_seed(s.seed)
@@ -93,15 +94,18 @@ fn run_one(s: &Scenario, crash: Option<CrashConfig>) -> RunReport {
     }
     let (r, root) = registry_for(s.calls);
     let mut server = WorkerServer::new(cfg, r).expect("valid config");
-    let vmas = server.privlib().live_vmas();
-    let pds = server.privlib().live_pds();
     for i in 0..s.requests as u64 {
         server.push_request(SimTime::from_ns(i * s.spacing_ns), root, 128);
     }
     let rep = server.run();
-    assert_eq!(server.live_invocations(), 0, "invocation records leaked");
-    assert_eq!(server.privlib().live_vmas(), vmas, "VMAs leaked");
-    assert_eq!(server.privlib().live_pds(), pds, "PDs leaked");
+    let audit = server.audit(&rep);
+    prop_assert!(
+        audit.is_ok(),
+        "{:?} under {:?}, crash {:?}",
+        audit,
+        s,
+        crash
+    );
     rep
 }
 
@@ -125,13 +129,8 @@ proptest! {
         .checkpoint_every(s.checkpoint_every);
         let rep = run_one(&s, Some(crash));
 
-        // The ledger balances across the crash boundary…
-        prop_assert_eq!(
-            rep.offered,
-            rep.completed + rep.faults.failed + rep.faults.sheds,
-            "requests lost: {:?}", rep.crash
-        );
-        // …and replay converges to the crash-free totals.
+        // run_one audited both runs; replay converges to the crash-free
+        // totals.
         prop_assert_eq!(
             rep.completed, base.completed,
             "at-least-once must complete exactly the baseline count \

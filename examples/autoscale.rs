@@ -5,8 +5,9 @@
 //! pinned-fleet crowd baseline, the same crowd with the autoscaler
 //! engaged, a kill racing a scale-down drain, and diurnal/bursty
 //! traffic. The campaign asserts the overload-survival contract at every
-//! point — `offered == completed + failed + shed` with zero lost, the
-//! elastic fleet shedding no more than the pinned one, at most one scale
+//! point — a clean `ClusterDispatcher::audit` (both ledgers balanced,
+//! zero lost, no worker leaks), the elastic fleet shedding no more than
+//! the pinned one, at most one scale
 //! reversal per cooldown window, and the mid-drain crash convicted by
 //! the failure detector. This example additionally replays the
 //! autoscaled crowd run and asserts the decision sequence and fleet
@@ -37,10 +38,6 @@ fn main() {
 
     let report = campaign.run(&hotel);
     println!("{}", report.table());
-    assert!(
-        report.lossless(),
-        "every ledger must balance with zero lost"
-    );
 
     // Determinism gate: the same seed must replay the same decisions.
     let (rep_a, win_a) = campaign.run_cluster(&hotel, &campaign.crowd, true, |_, _| {});

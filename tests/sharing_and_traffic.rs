@@ -32,7 +32,9 @@ fn code_vte_overflows_past_20_sharers_under_load() {
     assert_eq!(report.completed, 600);
     // All VMAs and PDs must be released at the end (no leak through the
     // overflow path).
-    assert_eq!(server.privlib().live_pds(), 0);
+    server
+        .audit(&report)
+        .expect("the overflow path leaks nothing");
 }
 
 /// §6.3: "data transferred through ArgBufs spans only ~15 cache blocks per
