@@ -7,7 +7,7 @@
 //! entries suffice even for Media's ArgBuf-heavy functions, because the
 //! plain-list walk behind a miss costs only ~2 ns.
 
-use jord_bench::{header, requests_per_point, row, sweep};
+use jord_bench::{header, requests_per_point, row};
 use jord_hw::MachineConfig;
 use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
 
@@ -101,5 +101,4 @@ fn main() {
          16-entry = {:.1}/{:.1} us (paper: two entries reach 99% of throughput)",
         two[0], two[1], full[0], full[1]
     );
-    let _ = sweep; // shared helper exercised by fig9; kept for parity
 }

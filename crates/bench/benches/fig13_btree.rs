@@ -6,12 +6,12 @@
 //! more time managing VMAs (tree walks + rebalancing); yet Jord_BT still
 //! beats NightCore.
 
-use jord_bench::{best_under_slo, header, requests_per_point, row, sweep};
+use jord_bench::{header, requests_per_point, row};
 use jord_core::{RuntimeConfig, SystemVariant, WorkerServer};
 use jord_hw::types::{CoreId, Perm};
 use jord_hw::{Machine, MachineConfig};
 use jord_privlib::{os, TableChoice};
-use jord_workloads::{measure_slo, System, Workload, WorkloadKind};
+use jord_workloads::{measure_slo, throughput_under_slo, System, Workload, WorkloadKind};
 
 /// Measures the VLB-miss walk penalty on a warm table of each kind.
 fn walk_penalty(choice: TableChoice) -> f64 {
@@ -73,26 +73,27 @@ fn vma_mgmt_time(choice: TableChoice) -> f64 {
 fn main() {
     let n = requests_per_point();
     let w = Workload::build(WorkloadKind::Hotel);
-    let slo = measure_slo(&w, 0.05e6, (n / 4).max(500))
-        .expect("probe produced latencies")
-        .as_us_f64();
+    let slo = measure_slo(&w, 0.05e6, (n / 4).max(500)).expect("probe produced latencies");
 
     header(&format!(
-        "Figure 13: Hotel — p99 latency (us) vs load (MRPS); SLO = {slo:.1} us"
+        "Figure 13: Hotel — p99 latency (us) vs load (MRPS); SLO = {:.1} us",
+        slo.as_us_f64()
     ));
     let loads = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-    let jord = sweep(System::Jord, &w, &loads, n);
-    let bt = sweep(System::JordBt, &w, &loads, n);
+    let rates = loads.map(|mrps| mrps * 1e6);
+    let sweep =
+        |sys| throughput_under_slo(sys, &w, &rates, slo, n).expect("sweep produced latencies");
+    let (jord, best_jord) = sweep(System::Jord);
+    let (bt, best_bt) = sweep(System::JordBt);
     row(&["MRPS".into(), "Jord".into(), "Jord_BT".into()]);
     for (i, &mrps) in loads.iter().enumerate() {
         row(&[
             format!("{mrps:.2}"),
-            format!("{:.1}", jord[i].1),
-            format!("{:.1}", bt[i].1),
+            format!("{:.1}", jord[i].p99_us),
+            format!("{:.1}", bt[i].p99_us),
         ]);
     }
-    let best_jord = best_under_slo(&jord, slo);
-    let best_bt = best_under_slo(&bt, slo);
+    let (best_jord, best_bt) = (best_jord / 1e6, best_bt / 1e6);
     println!();
     println!(
         "check: throughput under SLO — Jord {best_jord:.1} MRPS, Jord_BT {best_bt:.1} MRPS \

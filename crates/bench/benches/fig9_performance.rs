@@ -8,8 +8,8 @@
 //! * NightCore failing the SLO at any load on the communication-heavy
 //!   workloads (Hipster, Media).
 
-use jord_bench::{best_under_slo, header, requests_per_point, row, sweep};
-use jord_workloads::{measure_slo, System, Workload, WorkloadKind};
+use jord_bench::{header, requests_per_point, row};
+use jord_workloads::{measure_slo, throughput_under_slo, System, Workload, WorkloadKind};
 
 /// Per-workload load grids (MRPS), shaped around each one's capacity.
 fn grid(kind: WorkloadKind) -> Vec<f64> {
@@ -40,22 +40,18 @@ fn main() {
         head.extend(systems.iter().map(|s| s.label().to_string()));
         row(&head);
 
-        let curves: Vec<Vec<(f64, f64)>> = systems
-            .iter()
-            .map(|&sys| sweep(sys, &w, &loads, n))
-            .collect();
+        let rates: Vec<f64> = loads.iter().map(|mrps| mrps * 1e6).collect();
+        let curves = systems.map(|sys| {
+            throughput_under_slo(sys, &w, &rates, slo, n).expect("sweep produced latencies")
+        });
         for (i, &mrps) in loads.iter().enumerate() {
             let mut cells = vec![format!("{mrps:.2}")];
-            for curve in &curves {
-                cells.push(format!("{:.1}", curve[i].1));
+            for (points, _) in &curves {
+                cells.push(format!("{:.1}", points[i].p99_us));
             }
             row(&cells);
         }
-        let bests = [
-            best_under_slo(&curves[0], slo_us),
-            best_under_slo(&curves[1], slo_us),
-            best_under_slo(&curves[2], slo_us),
-        ];
+        let bests = curves.map(|(_, best)| best / 1e6);
         summary.push((kind, bests, slo_us));
     }
 

@@ -12,7 +12,7 @@
 //! - every [`JournalRecord`] is appended to a [`DurableLog`] as a
 //!   length-prefixed frame `[len:u32][seq:u64][checksum:u64][payload]`,
 //!   where `checksum` is FNV-1a over the sequence number and payload
-//!   (the same hash the trace ring uses) and `seq` increases by one per
+//!   (the same hash the trace sink uses) and `seq` increases by one per
 //!   frame — so torn tails, interior corruption, lost writes, and
 //!   duplicated frames are all *detectable*;
 //! - every checkpoint captures a [`CheckpointSeal`]: the frame count,
@@ -399,11 +399,6 @@ impl DurableLog {
     /// Frames appended so far (also the next sequence number).
     pub fn frames(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Byte length of the image.
-    pub fn len_bytes(&self) -> u64 {
-        self.bytes.len() as u64
     }
 
     /// The whole-log running FNV-1a hash.

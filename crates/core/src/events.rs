@@ -9,16 +9,16 @@
 //! 2. `StatsSink` — updates the [`RunReport`] counters, including the
 //!    warmup-symmetry bookkeeping,
 //! 3. `NoticeSink` — emits cluster [`WorkerNotice`]s for tagged requests,
-//! 4. `TraceSink` — records the event in a bounded ring buffer and folds
-//!    it into a running order-sensitive hash.
+//! 4. `TraceSink` — counts the event and folds it into a running
+//!    order-sensitive hash.
 //!
-//! Which sinks see which event is not the sink's decision: the effect list
-//! comes from [`lifecycle::transition`](crate::lifecycle::transition), the
-//! single legality-checked place a request may change state. The server
-//! never touches the journal, the report, or the notice queue directly —
-//! those ~35 formerly scattered call sites are all subscribers now.
-
-use std::collections::VecDeque;
+//! Every sink sees every event and acts only on the variants it owns; the
+//! `sink_routing_per_variant` test pins which those are. Legality is not a
+//! sink's concern: [`lifecycle::transition`](crate::lifecycle::transition),
+//! the single place a request may change state, checks each event before
+//! the server publishes it. The server never touches the journal, the
+//! report, or the notice queue directly — those ~35 formerly scattered
+//! call sites are all subscribers now.
 
 use jord_hw::types::Va;
 use jord_hw::FaultKind;
@@ -29,14 +29,9 @@ use crate::durability::{fnv1a_fold, CheckpointSeal, FNV_OFFSET};
 use crate::function::FunctionId;
 use crate::invocation::{Breakdown, InvocationId};
 use crate::journal::{InvocationJournal, PendingInvocation, PendingRetry};
-use crate::lifecycle::Effect;
 use crate::memory::{MemoryLedger, MemoryPressure};
 use crate::recovery::RecoveryRung;
 use crate::stats::{AutoscaleStats, CrashStats, DurabilityStats, RunReport, SanitizeStats};
-
-/// Capacity of the trace-sink ring buffer: enough to hold the tail of a
-/// campaign for post-mortem assertions without growing with run length.
-pub const TRACE_CAPACITY: usize = 4096;
 
 /// Why an invocation was aborted mid-execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,16 +440,6 @@ impl LifecycleEvent {
     }
 }
 
-/// One entry of the bounded trace ring.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEntry {
-    /// Position of the event in the full stream (0-based; survives ring
-    /// eviction, so `seq` gaps at the front reveal how much was dropped).
-    pub seq: u64,
-    /// The event.
-    pub event: LifecycleEvent,
-}
-
 /// Sink 1: the write-ahead journal (present only on journaled runs).
 #[derive(Debug, Default)]
 struct JournalSink {
@@ -719,17 +704,17 @@ impl NoticeSink {
                 at,
                 outcome: NoticeOutcome::Shed,
             }),
+            // A dropped retry fails without a notice: whole-worker crash
+            // recovery reports interruptions through the stranded path.
             _ => {}
         }
     }
 }
 
-/// Sink 4: a bounded ring buffer of recent events plus an order-sensitive
-/// hash of the *entire* stream (eviction never changes the hash).
+/// Sink 4: an event count plus an order-sensitive hash of the whole
+/// stream.
 #[derive(Debug)]
 struct TraceSink {
-    ring: VecDeque<TraceEntry>,
-    capacity: usize,
     count: u64,
     hash: u64,
 }
@@ -745,10 +730,8 @@ impl std::fmt::Write for Fnv1a<'_> {
 }
 
 impl TraceSink {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         TraceSink {
-            ring: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
             count: 0,
             hash: FNV_OFFSET,
         }
@@ -762,14 +745,6 @@ impl TraceSink {
         let _ = write!(Fnv1a(&mut self.hash), "{ev:?}");
         // Record separator so concatenation ambiguities cannot collide.
         self.hash = fnv1a_fold(self.hash, &[0x1e]);
-
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(TraceEntry {
-            seq: self.count,
-            event: *ev,
-        });
         self.count += 1;
     }
 }
@@ -806,8 +781,8 @@ pub struct EventBus {
 }
 
 impl EventBus {
-    /// A bus over an optional journal with a trace ring of `trace_capacity`.
-    pub fn new(journal: Option<InvocationJournal>, trace_capacity: usize) -> Self {
+    /// A bus over an optional journal.
+    pub fn new(journal: Option<InvocationJournal>) -> Self {
         EventBus {
             journal: JournalSink {
                 journal,
@@ -815,25 +790,17 @@ impl EventBus {
             },
             stats: StatsSink::default(),
             notices: NoticeSink::default(),
-            trace: TraceSink::new(trace_capacity),
+            trace: TraceSink::new(),
         }
     }
 
-    /// Publishes one event to the sinks its effect list names, in the
-    /// fixed order journal → stats → notices → trace.
-    pub fn publish(&mut self, ev: &LifecycleEvent, effects: &[Effect]) {
-        if effects.contains(&Effect::Journal) {
-            self.journal.apply(ev);
-        }
-        if effects.contains(&Effect::Stats) {
-            self.stats.apply(ev);
-        }
-        if effects.contains(&Effect::Notice) {
-            self.notices.apply(ev);
-        }
-        if effects.contains(&Effect::Trace) {
-            self.trace.apply(ev);
-        }
+    /// Publishes one event to every sink, in the fixed order
+    /// journal → stats → notices → trace.
+    pub fn publish(&mut self, ev: &LifecycleEvent) {
+        self.journal.apply(ev);
+        self.stats.apply(ev);
+        self.notices.apply(ev);
+        self.trace.apply(ev);
     }
 
     // --- measurement window -------------------------------------------
@@ -929,14 +896,9 @@ impl EventBus {
         self.trace.hash
     }
 
-    /// Total events published so far (not bounded by the ring).
+    /// Total events published so far.
     pub fn trace_len(&self) -> u64 {
         self.trace.count
-    }
-
-    /// Drains the trace ring: the most recent `TRACE_CAPACITY` events.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace.ring.drain(..).collect()
     }
 
     // --- seal ----------------------------------------------------------
@@ -991,7 +953,7 @@ impl EventBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::transition;
+    use crate::lifecycle::{transition, InvocationState, LifecycleEngine};
 
     fn offered(req: u64) -> LifecycleEvent {
         LifecycleEvent::Offered {
@@ -1003,41 +965,32 @@ mod tests {
         }
     }
 
-    fn publish(
-        bus: &mut EventBus,
-        state: Option<crate::lifecycle::InvocationState>,
-        ev: LifecycleEvent,
-    ) {
-        let (_, effects) = transition(state, &ev).expect("legal transition");
-        bus.publish(&ev, &effects);
+    fn publish(bus: &mut EventBus, state: Option<InvocationState>, ev: LifecycleEvent) {
+        transition(state, &ev).expect("legal transition");
+        bus.publish(&ev);
     }
 
     #[test]
     fn offered_counts_and_traces() {
-        let mut bus = EventBus::new(None, 8);
+        let mut bus = EventBus::new(None);
         publish(&mut bus, None, offered(1));
         publish(&mut bus, None, offered(2));
         assert_eq!(bus.trace_len(), 2);
-        let trace = bus.take_trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].seq, 0);
-        assert_eq!(trace[1].event.req(), Some(2));
     }
 
     #[test]
-    fn trace_hash_is_order_sensitive_and_eviction_proof() {
-        let mut a = EventBus::new(None, 2);
-        let mut b = EventBus::new(None, 2);
+    fn trace_hash_is_order_sensitive_and_deterministic() {
+        let mut a = EventBus::new(None);
+        let mut b = EventBus::new(None);
         for req in 1..=10 {
             publish(&mut a, None, offered(req));
             publish(&mut b, None, offered(11 - req));
         }
         assert_eq!(a.trace_len(), b.trace_len());
         assert_ne!(a.trace_hash(), b.trace_hash(), "order must matter");
-        assert_eq!(a.take_trace().len(), 2, "ring bounded at capacity");
 
-        // Same stream, different capacities: identical hash.
-        let mut c = EventBus::new(None, 1024);
+        // Same stream on a fresh bus: identical hash.
+        let mut c = EventBus::new(None);
         for req in 1..=10 {
             publish(&mut c, None, offered(req));
         }
@@ -1046,7 +999,7 @@ mod tests {
 
     #[test]
     fn warmup_symmetry_in_the_stats_sink() {
-        let mut bus = EventBus::new(None, 8);
+        let mut bus = EventBus::new(None);
         bus.set_warmup(1);
         assert!(!bus.measuring());
         publish(&mut bus, None, offered(1));
@@ -1059,8 +1012,7 @@ mod tests {
             latency: SimDuration::from_ns(100),
             measured: bus.measuring(),
         };
-        let (_, fx) = transition(Some(crate::lifecycle::InvocationState::InFlight), &ev).unwrap();
-        bus.publish(&ev, &fx);
+        publish(&mut bus, Some(InvocationState::InFlight), ev);
         assert!(bus.measuring(), "one unmeasured terminal consumed warmup");
         assert_eq!(bus.stats.report.offered, 0, "warmup un-offers");
         assert_eq!(bus.stats.report.completed, 0);
@@ -1068,37 +1020,141 @@ mod tests {
 
     #[test]
     fn notices_only_for_tagged_requests() {
-        let mut bus = EventBus::new(None, 8);
-        let fx = [Effect::Stats, Effect::Notice, Effect::Trace];
-        bus.publish(
-            &LifecycleEvent::Shed {
-                req: 1,
-                func: FunctionId(0),
-                tag: 0,
-                at: SimTime::ZERO,
-                measured: true,
-            },
-            &fx,
-        );
-        bus.publish(
-            &LifecycleEvent::Shed {
-                req: 2,
-                func: FunctionId(0),
-                tag: 9,
-                at: SimTime::ZERO,
-                measured: true,
-            },
-            &fx,
-        );
+        let mut bus = EventBus::new(None);
+        bus.publish(&LifecycleEvent::Shed {
+            req: 1,
+            func: FunctionId(0),
+            tag: 0,
+            at: SimTime::ZERO,
+            measured: true,
+        });
+        bus.publish(&LifecycleEvent::Shed {
+            req: 2,
+            func: FunctionId(0),
+            tag: 9,
+            at: SimTime::ZERO,
+            measured: true,
+        });
         let notices = bus.take_notices();
         assert_eq!(notices.len(), 1, "untagged sheds emit no notice");
         assert_eq!(notices[0].tag, 9);
         assert_eq!(notices[0].outcome, NoticeOutcome::Shed);
     }
 
+    /// Every variant, published in a legal order on a journaled bus with
+    /// tagged, measured events: which sinks act on it.
+    #[test]
+    fn sink_routing_per_variant() {
+        use LifecycleEvent::*;
+        const T: SimTime = SimTime::ZERO;
+        const NS: SimDuration = SimDuration::from_ns(9);
+        let f = FunctionId(0);
+        let id = InvocationId;
+        let offer = |req: u64| Offered {
+            req,
+            func: f,
+            bytes: 64,
+            tag: 10 + req,
+            at: T,
+        };
+        let admit = |req: u64, slab: usize| Admitted {
+            req,
+            id: id(slab),
+            func: f,
+            bytes: 64,
+            arrival: T,
+            attempt: 0,
+            tag: 10 + req,
+            orch: 0,
+        };
+        let retry = |req: u64, slab: usize, token: u64| RetryScheduled {
+            req,
+            id: id(slab),
+            token,
+            retry: PendingRetry {
+                func: f,
+                bytes: 64,
+                arrival: T,
+                attempt: 1,
+                tag: 10 + req,
+                due: T,
+            },
+            kind: RetryKind::Backoff,
+            measured: true,
+        };
+        // (event, journal record appended, notice queued, stats sink untouched)
+        #[rustfmt::skip]
+        let steps = [
+            (offer(1), false, false, false),
+            (admit(1, 0), true, false, true),
+            (ArgBufGranted { req: 1, id: id(0), va: 0x1000, bytes: 64 }, true, false, true),
+            (Dispatched { req: 1, id: id(0), executor: 0 }, true, false, true),
+            (PdCreated { req: 1, id: id(0), pd: 1 }, true, false, true),
+            (Completed { req: 1, id: id(0), tag: 11, at: T, latency: NS, measured: true }, true, true, false),
+            (offer(2), false, false, false),
+            (Shed { req: 2, func: f, tag: 12, at: T, measured: true }, true, true, false),
+            (offer(3), false, false, false),
+            (admit(3, 1), true, false, true),
+            (Failed { req: 3, id: id(1), tag: 13, at: T, measured: true, notify: true }, true, true, false),
+            (offer(4), false, false, false),
+            (admit(4, 2), true, false, true),
+            (retry(4, 2, 0), true, false, false),
+            (RetryFired { req: 4, token: 0 }, true, false, true),
+            (admit(4, 3), true, false, true),
+            (Cancelled { req: 4, id: Some(id(3)), tag: 14 }, true, false, false),
+            (offer(5), false, false, false),
+            (admit(5, 4), true, false, true),
+            (retry(5, 4, 1), true, false, false),
+            (RetryDropped { req: 5, token: 1, measured: true }, true, false, false),
+            (offer(6), false, false, false),
+            // Withdrawn before admission: never journaled.
+            (Cancelled { req: 6, id: None, tag: 16 }, false, false, false),
+            (Crashed { scope: "executor" }, true, false, false),
+            (Aborted { cause: AbortCause::Timeout, measured: true }, false, false, false),
+            (Spilled, false, false, false),
+            (Glitched { measured: true }, false, false, false),
+            (InvocationFinished { func: f, service: NS, breakdown: Breakdown::default(), measured: true },
+                false, false, false),
+            (PdSetup { pooled: true, ns: 5.0 }, false, false, false),
+            (PdSanitized { repairs: 1 }, false, false, false),
+            (CrashKilled { count: 1 }, false, false, false),
+            (Replayed { records: 1 }, false, false, false),
+            (BrownoutChanged { level: BrownoutLevel::Degraded, at: T }, true, false, false),
+            (PoolEvicted { pds: 1, bytes: 4096 }, false, false, false),
+            (TableCompacted { released: 1 }, false, false, false),
+            (MemoryPressureChanged { level: MemoryPressure::Elevated, resident: 1 }, false, false, false),
+            (JournalScanned { frames_verified: 1, frames_quarantined: 0, truncated_bytes: 0, duplicates_dropped: 0 },
+                false, false, false),
+            (CheckpointSealChecked { ok: false }, false, false, false),
+            (RecoveryRungTaken { rung: RecoveryRung::TornTail }, false, false, false),
+            (WorkDemoted { req: 7, readmit: true }, false, false, false),
+        ];
+        let names: std::collections::BTreeSet<_> = steps.iter().map(|s| s.0.name()).collect();
+        assert_eq!(names.len(), 29, "every LifecycleEvent variant is covered");
+
+        let mut bus = EventBus::new(Some(InvocationJournal::new()));
+        let mut engine = LifecycleEngine::new();
+        for (ev, journaled, notified, quiet) in steps {
+            let records = bus.journal().expect("journaled").len();
+            let traced = bus.trace_len();
+            let stats = format!("{:?}", bus.stats);
+            engine.apply(&ev).expect("legal sequence");
+            bus.publish(&ev);
+            let name = ev.name();
+            let journal_grew = bus.journal().unwrap().len() > records;
+            assert_eq!(journal_grew, journaled, "{name}: journal record");
+            assert_eq!(!bus.take_notices().is_empty(), notified, "{name}: notice");
+            assert_eq!(bus.trace_len(), traced + 1, "{name}: traced once");
+            if quiet {
+                assert_eq!(format!("{:?}", bus.stats), stats, "{name}: stats untouched");
+            }
+        }
+        assert!(engine.is_empty(), "every request reached a terminal state");
+    }
+
     #[test]
     fn retired_journal_totals_fold_into_seal() {
-        let mut bus = EventBus::new(Some(InvocationJournal::new()), 8);
+        let mut bus = EventBus::new(Some(InvocationJournal::new()));
         assert!(bus.journaling());
         let img = bus.checkpoint_image().expect("journaled");
         assert_eq!(img.at_record, 1, "the checkpoint mark is record 0");

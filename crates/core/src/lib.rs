@@ -74,10 +74,7 @@ pub use cluster::{
 };
 pub use config::{ConfigError, RecoveryPolicy, RuntimeConfig, SpillConfig, SystemVariant};
 pub use durability::{CheckpointSeal, DurableLog, FrameAnomaly, ScanReport, FRAME_HEADER_BYTES};
-pub use events::{
-    AbortCause, EventBus, LifecycleEvent, NoticeOutcome, RetryKind, TraceEntry, WorkerNotice,
-    TRACE_CAPACITY,
-};
+pub use events::{AbortCause, EventBus, LifecycleEvent, NoticeOutcome, RetryKind, WorkerNotice};
 pub use executor::Executor;
 pub use function::{FuncOp, FunctionId, FunctionRegistry, FunctionSpec};
 pub use health::{DetectorConfig, PhiAccrual, WorkerHealth};
@@ -86,9 +83,7 @@ pub use journal::{
     InvocationJournal, JournalRecord, PendingInvocation, PendingRetry, RecoveredState,
     WorkerCheckpoint,
 };
-pub use lifecycle::{
-    transition, Effect, InvocationState, LifecycleEngine, LifecycleError, RequestRow,
-};
+pub use lifecycle::{transition, InvocationState, LifecycleEngine, LifecycleError, RequestRow};
 pub use memory::{
     MemoryConfig, MemoryLedger, MemoryPressure, PdPool, PdPoolError, PooledPd,
     CHECKPOINT_IMAGE_BYTES, JOURNAL_RECORD_BYTES,

@@ -2,12 +2,11 @@
 //!
 //! [`transition`] is the **only** place a request may change state: given
 //! the request's current [`InvocationState`] and a [`LifecycleEvent`], it
-//! either returns the successor state plus the [`Effect`]s the event bus
-//! must apply (journal append, stats update, notice, trace), or rejects
-//! the transition as illegal. The server funnels every event through
-//! [`LifecycleEngine::apply`], so a bookkeeping path that used to be
-//! hand-threaded through dozens of call sites is now a legality-checked
-//! table lookup.
+//! either returns the successor state or rejects the transition as
+//! illegal. The server funnels every event through
+//! [`LifecycleEngine::apply`] and then publishes it on the event bus, so a
+//! bookkeeping path that used to be hand-threaded through dozens of call
+//! sites is now a legality-checked table lookup.
 //!
 //! The state graph (terminal states retire the request row):
 //!
@@ -42,8 +41,8 @@ use crate::invocation::InvocationId;
 ///
 /// Terminal states ([`Completed`](Self::Completed), [`Failed`](Self::Failed),
 /// [`Shed`](Self::Shed), [`Cancelled`](Self::Cancelled)) are returned by
-/// [`transition`] but never stored: the [`Effect::Retire`] accompanying
-/// them removes the request row.
+/// [`transition`] but never stored: [`LifecycleEngine::apply`] removes the
+/// request row instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvocationState {
     /// Scheduled in the future-event list, not yet at an orchestrator.
@@ -65,19 +64,17 @@ pub enum InvocationState {
     Cancelled,
 }
 
-/// What the event bus must do with an event, as decided by [`transition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// Append the write-ahead journal record (before all other effects).
-    Journal,
-    /// Update the run-report counters.
-    Stats,
-    /// Offer a terminal notice to the cluster dispatcher.
-    Notice,
-    /// Record the event in the trace ring.
-    Trace,
-    /// Remove the request row: the request reached a terminal state.
-    Retire,
+impl InvocationState {
+    /// True for the states that retire the request row.
+    pub(crate) fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            InvocationState::Completed
+                | InvocationState::Failed
+                | InvocationState::Shed
+                | InvocationState::Cancelled
+        )
+    }
 }
 
 /// An illegal state transition: the event cannot be applied to the
@@ -107,7 +104,7 @@ impl std::error::Error for LifecycleError {}
 /// `state` is the request's current state (`None` when no row exists:
 /// required for [`LifecycleEvent::Offered`] and the stat-only events,
 /// illegal for everything else). On success, returns the successor state
-/// (`None` only for stat-only events) and the ordered effect list.
+/// (`None` only for stat-only events).
 ///
 /// # Errors
 ///
@@ -116,48 +113,28 @@ impl std::error::Error for LifecycleError {}
 pub fn transition(
     state: Option<InvocationState>,
     event: &LifecycleEvent,
-) -> Result<(Option<InvocationState>, Vec<Effect>), LifecycleError> {
-    use Effect::*;
+) -> Result<Option<InvocationState>, LifecycleError> {
     use InvocationState::*;
-    let illegal = Err(LifecycleError {
-        state,
-        event: event.name(),
-    });
-    let ok = |next: InvocationState, effects: Vec<Effect>| Ok((Some(next), effects));
-    match (event, state) {
-        (LifecycleEvent::Offered { .. }, None) => ok(Offered, vec![Stats, Trace]),
-        (LifecycleEvent::Shed { .. }, Some(Offered)) => {
-            ok(Shed, vec![Journal, Stats, Notice, Trace, Retire])
-        }
-        (LifecycleEvent::Admitted { .. }, Some(Offered)) => ok(Queued, vec![Journal, Trace]),
-        (LifecycleEvent::ArgBufGranted { .. }, Some(Queued)) => ok(Queued, vec![Journal, Trace]),
-        (LifecycleEvent::Dispatched { .. }, Some(Queued)) => ok(InFlight, vec![Journal, Trace]),
-        (LifecycleEvent::PdCreated { .. }, Some(InFlight)) => ok(InFlight, vec![Journal, Trace]),
-        (LifecycleEvent::Completed { .. }, Some(InFlight)) => {
-            ok(Completed, vec![Journal, Stats, Notice, Trace, Retire])
-        }
+    let next = match (event, state) {
+        (LifecycleEvent::Offered { .. }, None) => Some(Offered),
+        (LifecycleEvent::Shed { .. }, Some(Offered)) => Some(Shed),
+        (LifecycleEvent::Admitted { .. }, Some(Offered)) => Some(Queued),
+        (LifecycleEvent::ArgBufGranted { .. }, Some(Queued)) => Some(Queued),
+        (LifecycleEvent::Dispatched { .. }, Some(Queued)) => Some(InFlight),
+        (LifecycleEvent::PdCreated { .. }, Some(InFlight)) => Some(InFlight),
+        (LifecycleEvent::Completed { .. }, Some(InFlight)) => Some(Completed),
         // A request can fail out of the orchestrator queue too (a crash
         // killing queued work under at-most-once semantics).
-        (LifecycleEvent::Failed { .. }, Some(Queued | InFlight)) => {
-            ok(Failed, vec![Journal, Stats, Notice, Trace, Retire])
-        }
-        (LifecycleEvent::RetryScheduled { .. }, Some(Queued | InFlight)) => {
-            ok(RetryWait, vec![Journal, Stats, Trace])
-        }
-        (LifecycleEvent::RetryFired { .. }, Some(RetryWait)) => ok(Offered, vec![Journal, Trace]),
-        // A dropped retry fails without a notice: whole-worker crash
-        // recovery reports interruptions through the stranded path.
-        (LifecycleEvent::RetryDropped { .. }, Some(RetryWait)) => {
-            ok(Failed, vec![Journal, Stats, Trace, Retire])
-        }
-        (LifecycleEvent::Cancelled { .. }, Some(Offered | Queued)) => {
-            ok(Cancelled, vec![Journal, Stats, Trace, Retire])
-        }
+        (LifecycleEvent::Failed { .. }, Some(Queued | InFlight)) => Some(Failed),
+        (LifecycleEvent::RetryScheduled { .. }, Some(Queued | InFlight)) => Some(RetryWait),
+        (LifecycleEvent::RetryFired { .. }, Some(RetryWait)) => Some(Offered),
+        (LifecycleEvent::RetryDropped { .. }, Some(RetryWait)) => Some(Failed),
+        (LifecycleEvent::Cancelled { .. }, Some(Offered | Queued)) => Some(Cancelled),
         // Stat-only events never touch a request row.
-        (LifecycleEvent::Crashed { .. }, None) => Ok((None, vec![Journal, Stats, Trace])),
-        (LifecycleEvent::BrownoutChanged { .. }, None) => Ok((None, vec![Journal, Stats, Trace])),
         (
-            LifecycleEvent::Aborted { .. }
+            LifecycleEvent::Crashed { .. }
+            | LifecycleEvent::BrownoutChanged { .. }
+            | LifecycleEvent::Aborted { .. }
             | LifecycleEvent::Spilled
             | LifecycleEvent::Glitched { .. }
             | LifecycleEvent::InvocationFinished { .. }
@@ -173,9 +150,15 @@ pub fn transition(
             | LifecycleEvent::RecoveryRungTaken { .. }
             | LifecycleEvent::WorkDemoted { .. },
             None,
-        ) => Ok((None, vec![Stats, Trace])),
-        _ => illegal,
-    }
+        ) => None,
+        _ => {
+            return Err(LifecycleError {
+                state,
+                event: event.name(),
+            })
+        }
+    };
+    Ok(next)
 }
 
 /// One live request as the lifecycle engine tracks it.
@@ -240,29 +223,28 @@ impl LifecycleEngine {
         token
     }
 
-    /// Applies one event: legality-checks it with [`transition`], updates
-    /// the request row (insert on offer, retire on terminal), and returns
-    /// the effect list for the event bus.
+    /// Applies one event: legality-checks it with [`transition`] and
+    /// updates the request row (insert on offer, retire on a terminal
+    /// state).
     ///
     /// # Errors
     ///
     /// Returns the [`LifecycleError`] unchanged when the transition is
     /// illegal; the table is untouched in that case.
-    pub fn apply(&mut self, ev: &LifecycleEvent) -> Result<Vec<Effect>, LifecycleError> {
+    pub fn apply(&mut self, ev: &LifecycleEvent) -> Result<(), LifecycleError> {
         let Some(req) = ev.req() else {
-            let (next, effects) = transition(None, ev)?;
+            let next = transition(None, ev)?;
             debug_assert!(next.is_none(), "stat-only events yield no state");
-            return Ok(effects);
+            return Ok(());
         };
         let state = self.rows.get(&req).map(|r| r.state);
-        let (next, effects) = transition(state, ev)?;
-        let next = next.expect("request events always yield a state");
-        if effects.contains(&Effect::Retire) {
+        let next = transition(state, ev)?.expect("request events always yield a state");
+        if next.is_terminal() {
             self.rows.remove(&req);
         } else {
             self.update_row(req, next, ev);
         }
-        Ok(effects)
+        Ok(())
     }
 
     fn update_row(&mut self, req: u64, next: InvocationState, ev: &LifecycleEvent) {
@@ -451,17 +433,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(eng.rows().next().unwrap().state, InvocationState::InFlight);
-        let fx = eng
-            .apply(&LifecycleEvent::Completed {
-                req,
-                id: InvocationId(3),
-                tag: 0,
-                at: SimTime::ZERO,
-                latency: jord_sim::SimDuration::ZERO,
-                measured: true,
-            })
-            .unwrap();
-        assert!(fx.contains(&Effect::Retire));
+        eng.apply(&LifecycleEvent::Completed {
+            req,
+            id: InvocationId(3),
+            tag: 0,
+            at: SimTime::ZERO,
+            latency: jord_sim::SimDuration::ZERO,
+            measured: true,
+        })
+        .unwrap();
         assert!(eng.is_empty(), "terminal outcome retires the row");
     }
 

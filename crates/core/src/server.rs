@@ -12,9 +12,7 @@ use crate::admission::{AdmissionPolicy, BrownoutLevel, FailureDisposition};
 use crate::argbuf::ArgBuf;
 use crate::audit::{AuditError, LedgerCopy, Violation};
 use crate::config::{ConfigError, RuntimeConfig};
-use crate::events::{
-    AbortCause, EventBus, LifecycleEvent, RetryKind, TraceEntry, WorkerNotice, TRACE_CAPACITY,
-};
+use crate::events::{AbortCause, EventBus, LifecycleEvent, RetryKind, WorkerNotice};
 use crate::executor::Executor;
 use crate::function::{FuncOp, FunctionId, FunctionRegistry};
 use crate::invocation::{Invocation, InvocationId, InvocationSlab, Origin, Phase};
@@ -181,7 +179,7 @@ impl WorkerServer {
         let injector = cfg
             .inject
             .map(|ic| FaultInjector::new(ic, rng.fork(0xFA_17)));
-        let bus = EventBus::new(cfg.crash.map(|_| InvocationJournal::new()), TRACE_CAPACITY);
+        let bus = EventBus::new(cfg.crash.map(|_| InvocationJournal::new()));
         let crash_pending = cfg.crash.and_then(|c| c.plan);
         let pd_pool = PdPool::new(registry.len());
         Ok(WorkerServer {
@@ -297,15 +295,14 @@ impl WorkerServer {
     }
 
     /// Routes a lifecycle event through the engine (the single legality
-    /// authority) and publishes it on the bus, which fans the resulting
-    /// effects out to the journal, stats, notice, and trace sinks — the
-    /// only place in the server where bookkeeping state changes.
+    /// authority) and publishes it on the bus, which fans it out to the
+    /// journal, stats, notice, and trace sinks — the only place in the
+    /// server where bookkeeping state changes.
     fn emit(&mut self, ev: LifecycleEvent) {
-        let effects = self
-            .lifecycle
+        self.lifecycle
             .apply(&ev)
             .unwrap_or_else(|e| panic!("illegal lifecycle transition: {e} ({ev:?})"));
-        self.bus.publish(&ev, &effects);
+        self.bus.publish(&ev);
     }
 
     /// Schedules an external request for `func` carrying `bytes` of
@@ -541,16 +538,9 @@ impl WorkerServer {
         self.bus.trace_hash()
     }
 
-    /// Number of lifecycle events published so far (the ring may hold
-    /// fewer — it keeps the most recent [`TRACE_CAPACITY`]).
+    /// Number of lifecycle events published so far.
     pub fn trace_len(&self) -> u64 {
         self.bus.trace_len()
-    }
-
-    /// Drains the buffered tail of the lifecycle-event trace (the ring
-    /// keeps the most recent [`TRACE_CAPACITY`] events).
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.bus.take_trace()
     }
 
     /// Request rows still live in the lifecycle engine (0 after a drained
@@ -2017,7 +2007,6 @@ mod tests {
     use super::*;
     use crate::audit::JournalCheck;
     use crate::function::FunctionSpec;
-    use crate::lifecycle::Effect;
     use crate::recovery::CrashConfig;
     use jord_sim::TimeDist;
     use jord_vma::PdSnapshot;
@@ -2197,7 +2186,7 @@ mod tests {
             tag: 0,
             orch: 0,
         };
-        s.bus.publish(&admitted, &[Effect::Journal]);
+        s.bus.publish(&admitted);
         // Replay and the journal's live table agree (both saw the record);
         // the slab and the lifecycle rows did not.
         assert_eq!(

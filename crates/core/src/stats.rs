@@ -114,11 +114,6 @@ impl DurabilityStats {
         self.demoted_readmitted += other.demoted_readmitted;
         self.demoted_failed += other.demoted_failed;
     }
-
-    /// Total lossy-rung recoveries (anything below exact replay).
-    pub fn lossy_recoveries(&self) -> u64 {
-        self.torn_tails + self.quarantines + self.checkpoint_fallbacks + self.pristine_reboots
-    }
 }
 
 /// Cluster-layer failover counters: what the dispatcher's health and
@@ -244,15 +239,6 @@ impl AutoscaleStats {
     /// Total simulated time under any brownout level, ns.
     pub fn brownout_ns(&self) -> f64 {
         self.degraded_ns + self.shed_heavy_ns
-    }
-
-    /// Folds a worker's brownout residency into this (cluster-level) copy.
-    /// Scale events are cluster-scoped and tracked by the dispatcher
-    /// directly, so only the per-worker fields merge.
-    pub fn merge_worker(&mut self, other: &AutoscaleStats) {
-        self.brownout_transitions += other.brownout_transitions;
-        self.degraded_ns += other.degraded_ns;
-        self.shed_heavy_ns += other.shed_heavy_ns;
     }
 }
 

@@ -439,14 +439,6 @@ impl FaultInjector {
         self.cfg.vlb_glitch_rate > 0.0 && self.rng.chance(self.cfg.vlb_glitch_rate)
     }
 
-    /// Draws the concrete corruption coordinates for `plan` from this
-    /// injector's seeded stream. Only called when a storage fault is
-    /// actually armed — unarmed runs consume no randomness here, so
-    /// clean configs stay byte-identical to runs without the feature.
-    pub fn storage_strike(&mut self, plan: StorageFaultPlan) -> StorageStrike {
-        plan.strike(&mut self.rng)
-    }
-
     /// Decides whether a heartbeat sent at `at_us` reaches the dispatcher.
     ///
     /// The partition window is checked first and consumes no randomness,

@@ -294,13 +294,6 @@ impl Machine {
         self.cores[core.0].csrs.current_pd()
     }
 
-    /// Raw one-way NoC latency between two cores carrying `bytes` of
-    /// payload (used by the runtime's dispatch model).
-    pub fn core_to_core(&self, from: CoreId, to: CoreId, bytes: u64) -> SimDuration {
-        self.noc
-            .message(Endpoint::Core(from), Endpoint::Core(to), bytes)
-    }
-
     /// Direct access to the coherence directory's sharer view (tests,
     /// victim-fallback introspection).
     pub fn line_sharers(&self, addr: u64) -> CoreSet {

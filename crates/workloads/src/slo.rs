@@ -134,6 +134,21 @@ mod tests {
     }
 
     #[test]
+    fn best_is_the_highest_load_whose_p99_meets_the_slo() {
+        let w = Workload::build(WorkloadKind::Hotel);
+        // Two light loads and one far past saturation.
+        let loads = [0.2e6, 1.0e6, 20.0e6];
+        let sweep = |slo| throughput_under_slo(System::Jord, &w, &loads, slo, 300).unwrap();
+        let (points, none) = sweep(SimDuration::ZERO);
+        assert_eq!(none, 0.0, "no load meets a zero SLO");
+        let p99 = |i: usize| SimDuration::from_ns_f64(points[i].p99_us * 1e3);
+        let light = p99(0).max(p99(1));
+        assert!(p99(2) > light, "the saturated load must have the worst p99");
+        assert_eq!(sweep(light).1, 1.0e6, "both light loads pass: the higher");
+        assert_eq!(sweep(p99(2)).1, 20.0e6, "every load passes: the highest");
+    }
+
+    #[test]
     fn empty_probe_is_a_typed_error_not_a_panic() {
         let w = Workload::build(WorkloadKind::Hotel);
         // Zero measured requests: everything lands in the warm-up window,
