@@ -12,12 +12,12 @@
 //! fetched); the workloads' hot state — queues, ArgBufs, VTEs — is small and
 //! recycled, so coherence misses dominate, as in the paper.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use jord_sim::SimDuration;
 
-use crate::config::MachineConfig;
 use crate::noc::{Endpoint, Noc};
 use crate::types::{CoreId, CoreSet, LineAddr};
 
@@ -122,26 +122,10 @@ impl CoherenceModel {
         }
     }
 
-    fn l1(&self, noc: &Noc) -> SimDuration {
-        let cfg = noc.config();
-        SimDuration::from_cycles(cfg.l1_cycles, cfg.freq_ghz)
-    }
-
-    fn llc(&self, noc: &Noc) -> SimDuration {
-        let cfg = noc.config();
-        SimDuration::from_cycles(cfg.llc_cycles, cfg.freq_ghz)
-    }
-
-    fn dram(&self, cfg: &MachineConfig) -> SimDuration {
-        SimDuration::from_ns_f64(cfg.dram_ns)
-    }
-
     /// Simulates a read of one line by `core`, returning its latency and
     /// updating directory state.
     pub fn read_line(&mut self, noc: &Noc, core: CoreId, line: LineAddr) -> SimDuration {
-        let l1 = self.l1(noc);
-        let llc = self.llc(noc);
-        let home = Endpoint::LlcSlice(noc.home_slice(line));
+        let l1 = noc.l1();
         let me = Endpoint::Core(core);
 
         match self.lines.get_mut(&line.0) {
@@ -158,7 +142,8 @@ impl CoherenceModel {
             Some(LineState::Shared(s)) => {
                 s.insert(core);
                 self.stats.llc_fills += 1;
-                l1 + noc.message(me, home, 0) + llc + noc.message(home, me, 64)
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
+                l1 + noc.message(me, home, 0) + noc.llc() + noc.message(home, me, 64)
             }
             // Owned by another core: 3-hop forward.
             Some(state @ (LineState::Exclusive(_) | LineState::Modified(_))) => {
@@ -170,8 +155,9 @@ impl CoherenceModel {
                 s.insert(core);
                 *state = LineState::Shared(s);
                 self.stats.forwards += 1;
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
                 l1 + noc.message(me, home, 0)
-                    + llc
+                    + noc.llc()
                     + noc.message(home, Endpoint::Core(owner), 0)
                     + l1
                     + noc.message(Endpoint::Core(owner), me, 64)
@@ -181,10 +167,8 @@ impl CoherenceModel {
                 self.lines.insert(line.0, LineState::Exclusive(core));
                 self.stats.llc_fills += 1;
                 self.stats.dram_fills += 1;
-                l1 + noc.message(me, home, 0)
-                    + llc
-                    + self.dram(noc.config())
-                    + noc.message(home, me, 64)
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
+                l1 + noc.message(me, home, 0) + noc.llc() + noc.dram() + noc.message(home, me, 64)
             }
         }
     }
@@ -192,21 +176,35 @@ impl CoherenceModel {
     /// Simulates a write of one line by `core`, returning its latency and
     /// updating directory state. Ends with the line `Modified(core)`.
     pub fn write_line(&mut self, noc: &Noc, core: CoreId, line: LineAddr) -> SimDuration {
-        let l1 = self.l1(noc);
-        let llc = self.llc(noc);
-        let home = Endpoint::LlcSlice(noc.home_slice(line));
+        let l1 = noc.l1();
         let me = Endpoint::Core(core);
 
-        let prev = self.lines.remove(&line.0);
-        let latency = match prev {
+        // One probe: a tracked line's entry is overwritten in place.
+        let state = match self.lines.entry(line.0) {
+            Entry::Occupied(e) => e.into_mut(),
+            // Invalid: DRAM fill for ownership.
+            Entry::Vacant(e) => {
+                e.insert(LineState::Modified(core));
+                self.stats.llc_fills += 1;
+                self.stats.dram_fills += 1;
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
+                return l1
+                    + noc.message(me, home, 0)
+                    + noc.llc()
+                    + noc.dram()
+                    + noc.message(home, me, 64);
+            }
+        };
+        let latency = match *state {
             // Write hits: already exclusive owner (silent E→M) or modified.
-            Some(LineState::Modified(c)) | Some(LineState::Exclusive(c)) if c == core => {
+            LineState::Modified(c) | LineState::Exclusive(c) if c == core => {
                 self.stats.l1_hits += 1;
                 l1
             }
             // Upgrade / invalidate sharers. The home slice sends parallel
             // invalidations; completion waits on the furthest sharer's ack.
-            Some(LineState::Shared(s)) => {
+            LineState::Shared(s) => {
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
                 let had_copy = s.contains(core);
                 let mut worst = SimDuration::ZERO;
                 for sharer in s.iter() {
@@ -224,29 +222,21 @@ impl CoherenceModel {
                     self.stats.llc_fills += 1;
                     noc.message(home, me, 64)
                 };
-                l1 + noc.message(me, home, 0) + llc + worst + data_back
+                l1 + noc.message(me, home, 0) + noc.llc() + worst + data_back
             }
             // Another core owns it: forward with ownership transfer.
-            Some(LineState::Exclusive(owner)) | Some(LineState::Modified(owner)) => {
+            LineState::Exclusive(owner) | LineState::Modified(owner) => {
                 self.stats.forwards += 1;
                 self.stats.invalidations += 1;
+                let home = Endpoint::LlcSlice(noc.home_slice(line));
                 l1 + noc.message(me, home, 0)
-                    + llc
+                    + noc.llc()
                     + noc.message(home, Endpoint::Core(owner), 0)
                     + l1
                     + noc.message(Endpoint::Core(owner), me, 64)
             }
-            // Invalid: DRAM fill for ownership.
-            None => {
-                self.stats.llc_fills += 1;
-                self.stats.dram_fills += 1;
-                l1 + noc.message(me, home, 0)
-                    + llc
-                    + self.dram(noc.config())
-                    + noc.message(home, me, 64)
-            }
         };
-        self.lines.insert(line.0, LineState::Modified(core));
+        *state = LineState::Modified(core);
         latency
     }
 
@@ -285,9 +275,10 @@ impl Default for CoherenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
 
     fn setup() -> (Noc, CoherenceModel) {
-        (Noc::new(MachineConfig::isca25()), CoherenceModel::new())
+        (Noc::new(&MachineConfig::isca25()), CoherenceModel::new())
     }
 
     #[test]

@@ -139,13 +139,16 @@ impl MachineConfig {
         self.mesh_w * self.mesh_h
     }
 
-    /// Picoseconds per core cycle.
+    /// Picoseconds per core cycle. [`validate`](Self::validate) admits only
+    /// clocks for which this is exact.
     pub fn cycle_ps(&self) -> u64 {
         (1000.0 / self.freq_ghz).round() as u64
     }
 
     /// Validates internal consistency (mesh covers the cores, socket split
-    /// divides evenly). Returns a description of the first problem found.
+    /// divides evenly) and the timing parameters, so that every latency can
+    /// be priced once in integer picoseconds. Returns a description of the
+    /// first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("cores must be positive".into());
@@ -172,6 +175,33 @@ impl MachineConfig {
         }
         if self.mlp == 0 {
             return Err("mlp must be at least 1".into());
+        }
+        // Simulated time counts whole picoseconds, so a cycle must last a
+        // whole number of them, from 1 ps (1 THz) to 1 s (1 Hz). A zero,
+        // negative, infinite or NaN clock falls outside that range.
+        let ps = 1000.0 / self.freq_ghz;
+        if !((1.0..=1e12).contains(&ps) && ps.fract() == 0.0) {
+            return Err(format!(
+                "a cycle at {} GHz must last a whole number of picoseconds, 1 ps to 1 s",
+                self.freq_ghz
+            ));
+        }
+        if self.link_bytes == 0 {
+            return Err("link_bytes must be positive".into());
+        }
+        for (name, ns) in [
+            ("dram_ns", self.dram_ns),
+            ("inter_socket_ns", self.inter_socket_ns),
+        ] {
+            if !(ns.is_finite() && ns >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative, got {ns}"));
+            }
+        }
+        if !(self.ipc_factor.is_finite() && self.ipc_factor > 0.0) {
+            return Err(format!(
+                "ipc_factor must be finite and positive, got {}",
+                self.ipc_factor
+            ));
         }
         Ok(())
     }
@@ -207,7 +237,15 @@ mod tests {
             MachineConfig::scaled(256),
             MachineConfig::two_socket(),
         ] {
-            cfg.validate().unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+            // Every clock with a whole number of picoseconds per cycle.
+            for ghz in [1.0, 2.0, 4.0, 5.0] {
+                let cfg = MachineConfig {
+                    freq_ghz: ghz,
+                    ..cfg.clone()
+                };
+                cfg.validate().unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+                assert_eq!(cfg.cycle_ps() as f64 * ghz, 1000.0);
+            }
         }
     }
 
@@ -244,5 +282,27 @@ mod tests {
         let mut c = MachineConfig::isca25();
         c.ivlb_entries = 0;
         assert!(c.validate().is_err());
+        let mut c = MachineConfig::isca25();
+        c.link_bytes = 0;
+        assert!(c.validate().is_err());
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = MachineConfig::isca25();
+            c.dram_ns = bad;
+            assert!(c.validate().is_err(), "dram_ns {bad}");
+            let mut c = MachineConfig::isca25();
+            c.inter_socket_ns = bad;
+            assert!(c.validate().is_err(), "inter_socket_ns {bad}");
+        }
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = MachineConfig::isca25();
+            c.ipc_factor = bad;
+            assert!(c.validate().is_err(), "ipc_factor {bad}");
+        }
+        // 3 GHz is 333.3 ps per cycle, not a whole number.
+        for bad in [0.0, -4.0, f64::NAN, f64::INFINITY, 3.0] {
+            let mut c = MachineConfig::isca25();
+            c.freq_ghz = bad;
+            assert!(c.validate().is_err(), "clock {bad} GHz");
+        }
     }
 }

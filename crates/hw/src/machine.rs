@@ -65,7 +65,7 @@ impl Machine {
             })
             .collect();
         Machine {
-            noc: Noc::new(cfg.clone()),
+            noc: Noc::new(&cfg),
             vtd: Vtd::new(cfg.vtd_sets, cfg.vtd_ways),
             coherence: CoherenceModel::new(),
             cores,
@@ -110,7 +110,7 @@ impl Machine {
 
     /// Duration of `cycles` core cycles.
     pub fn cycles(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_cycles(cycles, self.cfg.freq_ghz)
+        self.noc.cycles(cycles)
     }
 
     /// Abstract instruction-execution work of `ns` nanoseconds, scaled by
@@ -213,7 +213,7 @@ impl Machine {
 
         let shoot_path = if count > 0 {
             self.noc.message(Endpoint::Core(core), home, 0)
-                + self.cycles(self.cfg.llc_cycles)
+                + self.noc.llc()
                 + worst_inval
                 + self.noc.message(home, Endpoint::Core(core), 0)
         } else {

@@ -1,10 +1,21 @@
 //! Network-on-chip topology and message latency.
 //!
-//! Each socket is a `mesh_w × mesh_h` 2D mesh of tiles; tile *i* hosts core
-//! *i* (of that socket) and one LLC slice. Messages route XY with
+//! Each socket is a `mesh_w × mesh_h` 2D mesh of tiles, numbered row-major
+//! from the socket's I/O corner (0, 0); global tile *t* is tile
+//! `t % tiles_per_socket` of socket `t / tiles_per_socket`. Each tile holds
+//! one LLC slice, and local tile *i* of a socket also hosts that socket's
+//! core *i*: global core *c* sits on socket `c / cores_per_socket`, tile
+//! `c % cores_per_socket`. A mesh may have spare tiles (more tiles than
+//! cores per socket); they hold only a slice. Messages route XY with
 //! `hop_cycles` per hop plus serialization over `link_bytes`-wide links
-//! (Table 2: 3 cycles/hop, 16 B links). Crossing sockets adds the
-//! `inter_socket_ns` one-way latency of §5 (260 ns, AMD Zen5 Turin).
+//! (Table 2: 3 cycles/hop, 16 B links). Crossing sockets routes through
+//! tile 0 of each socket and adds the `inter_socket_ns` one-way latency of
+//! §5 (260 ns, AMD Zen5 Turin).
+//!
+//! [`Noc::new`] prices the machine once: each tile's place, the clock's
+//! whole picoseconds per cycle, and the L1, LLC, DRAM and inter-socket
+//! latencies. A message then costs two table reads and integer arithmetic;
+//! cycles are charged as `cycles × cycle_ps` by [`Noc::cycles`].
 //!
 //! Cache lines are interleaved across all LLC slices of the machine by line
 //! address, which is what spreads the VTD (co-located with the directory in
@@ -24,10 +35,28 @@ pub enum Endpoint {
     LlcSlice(usize),
 }
 
-/// The NoC latency model.
+/// Where a tile sits: its socket and its mesh coordinates there.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    socket: u32,
+    x: u32,
+    y: u32,
+}
+
+/// The NoC latency model, with every latency of the machine priced once.
 #[derive(Debug, Clone)]
 pub struct Noc {
-    cfg: MachineConfig,
+    /// Place of each global tile.
+    tiles: Vec<Place>,
+    /// Place of each global core's tile.
+    cores: Vec<Place>,
+    cycle_ps: u64,
+    hop_cycles: u64,
+    link_bytes: u64,
+    l1: SimDuration,
+    llc: SimDuration,
+    dram: SimDuration,
+    inter_socket: SimDuration,
 }
 
 impl Noc {
@@ -36,19 +65,56 @@ impl Noc {
     /// # Panics
     ///
     /// Panics if `cfg.validate()` fails.
-    pub fn new(cfg: MachineConfig) -> Self {
+    pub fn new(cfg: &MachineConfig) -> Self {
         cfg.validate().expect("invalid machine configuration");
-        Noc { cfg }
+        let (tps, cps) = (cfg.tiles_per_socket(), cfg.cores_per_socket());
+        let tiles: Vec<Place> = (0..tps * cfg.sockets)
+            .map(|t| Place {
+                socket: (t / tps) as u32,
+                x: (t % tps % cfg.mesh_w) as u32,
+                y: (t % tps / cfg.mesh_w) as u32,
+            })
+            .collect();
+        let cores = (0..cfg.cores)
+            .map(|c| tiles[c / cps * tps + c % cps])
+            .collect();
+        let cycle_ps = cfg.cycle_ps();
+        Noc {
+            tiles,
+            cores,
+            cycle_ps,
+            hop_cycles: cfg.hop_cycles,
+            link_bytes: cfg.link_bytes,
+            l1: SimDuration::from_ps(cfg.l1_cycles * cycle_ps),
+            llc: SimDuration::from_ps(cfg.llc_cycles * cycle_ps),
+            dram: SimDuration::from_ns_f64(cfg.dram_ns),
+            inter_socket: SimDuration::from_ns_f64(cfg.inter_socket_ns),
+        }
     }
 
-    /// The machine configuration this NoC was built from.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+    /// Duration of `cycles` core cycles.
+    pub fn cycles(&self, cycles: u64) -> SimDuration {
+        SimDuration::from_ps(cycles * self.cycle_ps)
+    }
+
+    /// L1 access latency.
+    pub fn l1(&self) -> SimDuration {
+        self.l1
+    }
+
+    /// LLC slice access latency.
+    pub fn llc(&self) -> SimDuration {
+        self.llc
+    }
+
+    /// DRAM access latency.
+    pub fn dram(&self) -> SimDuration {
+        self.dram
     }
 
     /// Total number of tiles (== LLC slices) across all sockets.
     pub fn total_tiles(&self) -> usize {
-        self.cfg.tiles_per_socket() * self.cfg.sockets
+        self.tiles.len()
     }
 
     /// The home LLC slice (global tile index) of a cache line: lines are
@@ -57,64 +123,43 @@ impl Noc {
         (line.0 % self.total_tiles() as u64) as usize
     }
 
-    fn endpoint_tile(&self, ep: Endpoint) -> usize {
+    fn place(&self, ep: Endpoint) -> Place {
         match ep {
             Endpoint::Core(c) => {
-                assert!(c.0 < self.cfg.cores, "core {} out of range", c.0);
-                c.0
+                assert!(c.0 < self.cores.len(), "core {} out of range", c.0);
+                self.cores[c.0]
             }
             Endpoint::LlcSlice(t) => {
-                assert!(t < self.total_tiles(), "tile {t} out of range");
-                t
+                assert!(t < self.tiles.len(), "tile {t} out of range");
+                self.tiles[t]
             }
         }
     }
 
     /// Socket index of a global tile.
     pub fn socket_of_tile(&self, tile: usize) -> usize {
-        tile / self.cfg.tiles_per_socket()
+        self.place(Endpoint::LlcSlice(tile)).socket as usize
     }
 
     /// Socket index of a core.
     pub fn socket_of_core(&self, core: CoreId) -> usize {
-        self.socket_of_tile(core.0)
-    }
-
-    /// Manhattan hop count between two tiles of the *same* socket.
-    fn hops_within_socket(&self, a: usize, b: usize) -> u64 {
-        let (ax, ay) = (a % self.cfg.mesh_w, a / self.cfg.mesh_w);
-        let (bx, by) = (b % self.cfg.mesh_w, b / self.cfg.mesh_w);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        self.place(Endpoint::Core(core)).socket as usize
     }
 
     /// One-way message latency carrying `payload_bytes` of data (control
     /// headers ride for free in the first flit).
     pub fn message(&self, from: Endpoint, to: Endpoint, payload_bytes: u64) -> SimDuration {
-        let a = self.endpoint_tile(from);
-        let b = self.endpoint_tile(to);
-        let (sa, sb) = (self.socket_of_tile(a), self.socket_of_tile(b));
-        let local_a = a % self.cfg.tiles_per_socket();
-        let local_b = b % self.cfg.tiles_per_socket();
-
-        let ser_cycles = payload_bytes.div_ceil(self.cfg.link_bytes.max(1));
-        let mut total = SimDuration::ZERO;
-        if sa == sb {
-            let hops = self.hops_within_socket(local_a, local_b);
-            total += SimDuration::from_cycles(
-                hops * self.cfg.hop_cycles + ser_cycles,
-                self.cfg.freq_ghz,
-            );
+        let (a, b) = (self.place(from), self.place(to));
+        let ser_cycles = payload_bytes.div_ceil(self.link_bytes);
+        if a.socket == b.socket {
+            let hops = a.x.abs_diff(b.x) + a.y.abs_diff(b.y);
+            self.cycles(u64::from(hops) * self.hop_cycles + ser_cycles)
         } else {
             // Route to the socket edge, cross the inter-socket link, route on.
             // Edge tile: local tile 0 (the I/O corner) on each socket.
-            let hops = self.hops_within_socket(local_a, 0) + self.hops_within_socket(0, local_b);
-            total += SimDuration::from_cycles(
-                hops * self.cfg.hop_cycles + ser_cycles,
-                self.cfg.freq_ghz,
-            );
-            total += SimDuration::from_ns_f64(self.cfg.inter_socket_ns);
+            let hops = a.x + a.y + b.x + b.y;
+            self.cycles(u64::from(hops) * self.hop_cycles + ser_cycles) + self.inter_socket
         }
-        total
     }
 
     /// Round-trip latency: request (control) out, response with
@@ -129,7 +174,7 @@ mod tests {
     use super::*;
 
     fn noc() -> Noc {
-        Noc::new(MachineConfig::isca25())
+        Noc::new(&MachineConfig::isca25())
     }
 
     #[test]
@@ -176,13 +221,41 @@ mod tests {
 
     #[test]
     fn cross_socket_adds_link_latency() {
-        let n = Noc::new(MachineConfig::two_socket());
+        let n = Noc::new(&MachineConfig::two_socket());
         let same = n.message(Endpoint::Core(CoreId(0)), Endpoint::Core(CoreId(127)), 0);
         let cross = n.message(Endpoint::Core(CoreId(0)), Endpoint::Core(CoreId(128)), 0);
         assert!(cross.as_ns_f64() >= 260.0);
         assert!(cross > same);
         assert_eq!(n.socket_of_core(CoreId(128)), 1);
         assert_eq!(n.socket_of_core(CoreId(127)), 0);
+    }
+
+    #[test]
+    fn cores_fill_each_socket_before_its_spare_tiles() {
+        // 12 cores per socket on a 16-tile mesh: tiles 12..16 of each
+        // socket hold only an LLC slice.
+        let n = Noc::new(&MachineConfig {
+            cores: 24,
+            sockets: 2,
+            mesh_w: 4,
+            mesh_h: 4,
+            ..MachineConfig::isca25()
+        });
+        assert_eq!(n.total_tiles(), 32);
+        assert_eq!(n.socket_of_core(CoreId(11)), 0);
+        assert_eq!(n.socket_of_core(CoreId(12)), 1);
+        assert_eq!(n.socket_of_tile(15), 0);
+        assert_eq!(n.socket_of_tile(16), 1);
+        // Core 11 is tile (3,2) of socket 0 and core 12 is tile (0,0) of
+        // socket 1: 5 hops to the edge, then the inter-socket link.
+        let cross = n.message(Endpoint::Core(CoreId(11)), Endpoint::Core(CoreId(12)), 0);
+        assert_eq!(
+            cross,
+            SimDuration::from_ps(5 * 750) + SimDuration::from_ns(260)
+        );
+        // Core 12 shares tile 16 with that slice.
+        let local = n.message(Endpoint::Core(CoreId(12)), Endpoint::LlcSlice(16), 0);
+        assert_eq!(local, SimDuration::ZERO);
     }
 
     #[test]

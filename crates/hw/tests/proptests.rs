@@ -7,8 +7,10 @@
 use proptest::prelude::*;
 
 use jord_hw::coherence::LineState;
+use jord_hw::noc::Endpoint;
 use jord_hw::types::{CoreId, CoreSet, LineAddr, PdId, Perm, VlbEntry, VteAddr};
 use jord_hw::{CoherenceModel, Machine, MachineConfig, Noc, Vlb, VlbKind};
+use jord_sim::SimDuration;
 
 #[derive(Debug, Clone, Copy)]
 enum Access {
@@ -23,15 +25,117 @@ fn arb_access() -> impl Strategy<Value = Access> {
     ]
 }
 
+/// The seven machine presets, at a clock of `ghz`.
+fn preset(index: usize, ghz: f64) -> MachineConfig {
+    let cfg = match index {
+        0 => MachineConfig::isca25(),
+        1 => MachineConfig::fpga(),
+        2 => MachineConfig::scaled(16),
+        3 => MachineConfig::scaled(64),
+        4 => MachineConfig::scaled(128),
+        5 => MachineConfig::scaled(256),
+        _ => MachineConfig::two_socket(),
+    };
+    MachineConfig {
+        freq_ghz: ghz,
+        ..cfg
+    }
+}
+
+/// Clocks with a whole number of picoseconds per cycle (4 GHz is Table 2's).
+const CLOCKS_GHZ: [f64; 4] = [1.0, 2.0, 4.0, 5.0];
+
+/// Reference NoC latency: XY hops plus serialization, each message's
+/// cycles converted through `f64` nanoseconds, and core `c` on global tile
+/// `c` (true of every preset, which has as many tiles as cores per socket).
+fn reference_message(
+    cfg: &MachineConfig,
+    from: Endpoint,
+    to: Endpoint,
+    payload: u64,
+) -> SimDuration {
+    let tile = |ep| match ep {
+        Endpoint::Core(c) => c.0,
+        Endpoint::LlcSlice(t) => t,
+    };
+    let (a, b) = (tile(from), tile(to));
+    let tps = cfg.tiles_per_socket();
+    let w = cfg.mesh_w;
+    let hops = |p: usize, q: usize| ((p % w).abs_diff(q % w) + (p / w).abs_diff(q / w)) as u64;
+    let ser = payload.div_ceil(cfg.link_bytes);
+    let (la, lb) = (a % tps, b % tps);
+    if a / tps == b / tps {
+        SimDuration::from_ns_f64((hops(la, lb) * cfg.hop_cycles + ser) as f64 / cfg.freq_ghz)
+    } else {
+        let hops = hops(la, 0) + hops(0, lb);
+        SimDuration::from_ns_f64((hops * cfg.hop_cycles + ser) as f64 / cfg.freq_ghz)
+            + SimDuration::from_ns_f64(cfg.inter_socket_ns)
+    }
+}
+
+/// A core (`true`) or an LLC slice, picked by `index` modulo their count.
+fn endpoint(cfg: &MachineConfig, core: bool, index: usize) -> Endpoint {
+    if core {
+        Endpoint::Core(CoreId(index % cfg.cores))
+    } else {
+        Endpoint::LlcSlice(index % (cfg.tiles_per_socket() * cfg.sockets))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential: the NoC, priced once per machine in integer
+    /// picoseconds, charges every message and round trip exactly what the
+    /// float reference charges, on every preset and clock.
+    #[test]
+    fn noc_matches_float_reference(
+        which in 0usize..7,
+        clock in 0usize..4,
+        pairs in proptest::collection::vec(
+            (any::<bool>(), 0usize..256, any::<bool>(), 0usize..256, 0u64..64 * 1024 + 1),
+            1..32,
+        ),
+    ) {
+        let cfg = preset(which, CLOCKS_GHZ[clock]);
+        prop_assert_eq!(cfg.tiles_per_socket(), cfg.cores_per_socket());
+        let noc = Noc::new(&cfg);
+        for (a_core, a, b_core, b, payload) in pairs {
+            let (from, to) = (endpoint(&cfg, a_core, a), endpoint(&cfg, b_core, b));
+            prop_assert_eq!(
+                noc.message(from, to, payload),
+                reference_message(&cfg, from, to, payload),
+                "{:?} -> {:?}, {} B", from, to, payload
+            );
+            prop_assert_eq!(
+                noc.round_trip(from, to, payload),
+                reference_message(&cfg, from, to, 0) + reference_message(&cfg, to, from, payload)
+            );
+        }
+    }
+
+    /// Differential: `Machine::cycles` equals the float conversion
+    /// `from_ns_f64(cycles / freq_ghz)` exactly, for up to 10⁹ cycles on
+    /// every preset and clock.
+    #[test]
+    fn machine_cycles_match_float_reference(
+        which in 0usize..7,
+        clock in 0usize..4,
+        cycles in proptest::collection::vec(0u64..1_000_000_001, 1..64),
+    ) {
+        let cfg = preset(which, CLOCKS_GHZ[clock]);
+        let m = Machine::new(cfg.clone());
+        for c in cycles.into_iter().chain([0, 1, 1_000_000_000]) {
+            prop_assert_eq!(m.cycles(c), SimDuration::from_ns_f64(c as f64 / cfg.freq_ghz));
+        }
+    }
 
     /// MESI safety: a line is either invalid, owned by exactly one core
     /// (E/M), or shared read-only by a non-empty set; and after any write
     /// the writer is the sole owner.
     #[test]
     fn coherence_single_writer_invariant(ops in proptest::collection::vec(arb_access(), 1..200)) {
-        let noc = Noc::new(MachineConfig::isca25());
+        let noc = Noc::new(&MachineConfig::isca25());
         let mut m = CoherenceModel::new();
         for op in ops {
             match op {
@@ -67,7 +171,7 @@ proptest! {
     /// miss that preceded it on the same core.
     #[test]
     fn repeat_access_is_never_slower(core in 0usize..32, line in 0u64..64) {
-        let noc = Noc::new(MachineConfig::isca25());
+        let noc = Noc::new(&MachineConfig::isca25());
         let mut m = CoherenceModel::new();
         let first = m.read_line(&noc, CoreId(core), LineAddr(line));
         let second = m.read_line(&noc, CoreId(core), LineAddr(line));
@@ -146,8 +250,7 @@ proptest! {
     /// strictly increased by payload size.
     #[test]
     fn noc_latency_properties(a in 0usize..32, b in 0usize..32, bytes in 1u64..4096) {
-        use jord_hw::noc::Endpoint;
-        let noc = Noc::new(MachineConfig::isca25());
+        let noc = Noc::new(&MachineConfig::isca25());
         let ab = noc.message(Endpoint::Core(CoreId(a)), Endpoint::Core(CoreId(b)), bytes);
         let ba = noc.message(Endpoint::Core(CoreId(b)), Endpoint::Core(CoreId(a)), bytes);
         prop_assert_eq!(ab, ba);

@@ -5,6 +5,12 @@
 //! in Table 2 (e.g. 3 cycles/NoC hop = 750 ps) and Table 4 (nanosecond-scale
 //! VMA/PD operations). A `u64` of picoseconds covers ~213 days of simulated
 //! time, far beyond any experiment in the paper.
+//!
+//! The hardware model charges cycles as `cycles × cycle_ps` in integers:
+//! `jord_hw::MachineConfig::validate` admits only clocks with a whole number
+//! of picoseconds per cycle, and `jord_hw::Noc` holds that number and every
+//! fixed latency of the machine, priced once. Only latencies given in
+//! fractional nanoseconds go through [`SimDuration::from_ns_f64`].
 
 use core::fmt;
 use core::iter::Sum;
@@ -133,13 +139,6 @@ impl SimDuration {
         }
     }
 
-    /// Constructs a span of `cycles` core clock cycles at `freq_ghz` GHz.
-    ///
-    /// At the paper's 4 GHz this is 250 ps per cycle.
-    pub fn from_cycles(cycles: u64, freq_ghz: f64) -> Self {
-        SimDuration::from_ns_f64(cycles as f64 / freq_ghz)
-    }
-
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -251,12 +250,6 @@ impl Sum for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycle_at_4ghz_is_250ps() {
-        assert_eq!(SimDuration::from_cycles(1, 4.0).as_ps(), 250);
-        assert_eq!(SimDuration::from_cycles(4, 4.0), SimDuration::from_ns(1));
-    }
 
     #[test]
     fn ns_us_conversions_roundtrip() {
