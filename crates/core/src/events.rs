@@ -10,7 +10,11 @@
 //!    warmup-symmetry bookkeeping,
 //! 3. `NoticeSink` — emits cluster [`WorkerNotice`]s for tagged requests,
 //! 4. `TraceSink` — counts the event and folds it into a running
-//!    order-sensitive hash.
+//!    order-sensitive hash: FNV-1a over the event's `Debug` text. A hand
+//!    encoder folds exactly the bytes `format!("{ev:?}")` would write, as
+//!    it produces them, without copying them anywhere; `core::fmt` is left
+//!    only an `f64` or a string field. The fold stays byte-serial because
+//!    it is the hash every pinned trace hash was computed with.
 //!
 //! Every sink sees every event and acts only on the variants it owns; the
 //! `sink_routing_per_variant` test pins which those are. Legality is not a
@@ -719,16 +723,6 @@ struct TraceSink {
     hash: u64,
 }
 
-/// A `fmt::Write` that folds every written byte into an FNV-1a state.
-struct Fnv1a<'a>(&'a mut u64);
-
-impl std::fmt::Write for Fnv1a<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        *self.0 = fnv1a_fold(*self.0, s.as_bytes());
-        Ok(())
-    }
-}
-
 impl TraceSink {
     fn new() -> Self {
         TraceSink {
@@ -738,14 +732,309 @@ impl TraceSink {
     }
 
     fn apply(&mut self, ev: &LifecycleEvent) {
-        // FNV-1a over the Debug encoding: stable for identical event
-        // streams, cheap, and independent of in-memory layout. The bytes
-        // are folded in as the formatter writes them; no string is built.
-        use std::fmt::Write;
-        let _ = write!(Fnv1a(&mut self.hash), "{ev:?}");
+        // FNV-1a over the `Debug` encoding: stable for identical event
+        // streams, and independent of in-memory layout. The encoder folds
+        // exactly `format!("{ev:?}")`'s bytes as it produces them.
+        let mut fnv = Fnv1a(self.hash);
+        ev.debug_bytes(&mut fnv);
         // Record separator so concatenation ambiguities cannot collide.
-        self.hash = fnv1a_fold(self.hash, &[0x1e]);
+        fnv.put(&[0x1e]);
+        self.hash = fnv.0;
         self.count += 1;
+    }
+}
+
+// --- the trace encoder --------------------------------------------------
+//
+// `core::fmt` spends most of a `{ev:?}` in dynamic dispatch and padding
+// logic the derived `Debug` never uses. `DebugBytes` writes the same bytes
+// by hand: literal field names and punctuation, decimal integers, and the
+// derived layouts `Name { a: x, b: y }`, `Name(x)` and `Name`. Only an
+// `f64` (shortest round-trip digits) and a string (escaping) still go
+// through `{:?}`. Tests pin the bytes to `format!("{ev:?}")` for every
+// variant and at edge values.
+
+/// Where [`DebugBytes`] writes.
+trait DebugOut {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// An FNV-1a state that folds every byte written to it. FNV-1a is a
+/// byte-at-a-time fold, so folding the pieces as they come hashes the
+/// same as folding the whole text, and nothing is copied.
+struct Fnv1a(u64);
+
+impl DebugOut for Fnv1a {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_fold(self.0, bytes);
+    }
+}
+
+/// Writes exactly the bytes of `format!("{self:?}")` (the derived
+/// `Debug`) to `out`.
+trait DebugBytes {
+    fn debug_bytes(&self, out: &mut impl DebugOut);
+}
+
+/// Writes `value`'s `Debug` bytes through `core::fmt`.
+fn fmt_debug(out: &mut impl DebugOut, value: &dyn std::fmt::Debug) {
+    struct Adapter<'a, O>(&'a mut O);
+    impl<O: DebugOut> std::fmt::Write for Adapter<'_, O> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.put(s.as_bytes());
+            Ok(())
+        }
+    }
+    let _ = std::fmt::write(&mut Adapter(out), format_args!("{value:?}"));
+}
+
+/// `n` in decimal, four digits per 64-bit division.
+fn put_decimal(out: &mut impl DebugOut, mut n: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let pair = |p: u32| {
+        let i = p as usize * 2;
+        [PAIRS[i], PAIRS[i + 1]]
+    };
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while n >= 10_000 {
+        let four = (n % 10_000) as u32;
+        n /= 10_000;
+        at -= 4;
+        digits[at..at + 2].copy_from_slice(&pair(four / 100));
+        digits[at + 2..at + 4].copy_from_slice(&pair(four % 100));
+    }
+    let mut n = n as u32;
+    if n >= 100 {
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&pair(n % 100));
+        n /= 100;
+    }
+    if n >= 10 {
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&pair(n));
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    out.put(&digits[at..]);
+}
+
+macro_rules! debug_integers {
+    ($($t:ty),+) => {$(
+        impl DebugBytes for $t {
+            fn debug_bytes(&self, out: &mut impl DebugOut) {
+                put_decimal(out, *self as u64);
+            }
+        }
+    )+};
+}
+
+debug_integers!(u16, u32, u64, usize);
+
+impl DebugBytes for bool {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        out.put(if *self { "true" } else { "false" }.as_bytes());
+    }
+}
+
+impl DebugBytes for f64 {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        fmt_debug(out, self);
+    }
+}
+
+/// Only `Crashed` carries a string, and crashes are rare, so the escaping
+/// rules stay with `core::fmt`.
+impl DebugBytes for &str {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        fmt_debug(out, self);
+    }
+}
+
+impl<T: DebugBytes> DebugBytes for Option<T> {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        match self {
+            Some(v) => {
+                out.put(b"Some(");
+                v.debug_bytes(out);
+                out.put(b")");
+            }
+            None => out.put(b"None"),
+        }
+    }
+}
+
+/// A tuple struct with one integer field: `Name(n)`, `open` being `Name(`.
+fn put_newtype(out: &mut impl DebugOut, open: &[u8], n: u64) {
+    out.put(open);
+    put_decimal(out, n);
+    out.put(b")");
+}
+
+impl DebugBytes for FunctionId {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        put_newtype(out, b"FunctionId(", u64::from(self.0));
+    }
+}
+
+impl DebugBytes for InvocationId {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        put_newtype(out, b"InvocationId(", self.0 as u64);
+    }
+}
+
+impl DebugBytes for SimTime {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        put_newtype(out, b"SimTime(", self.as_ps());
+    }
+}
+
+impl DebugBytes for SimDuration {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        put_newtype(out, b"SimDuration(", self.as_ps());
+    }
+}
+
+/// Fieldless enums: the variant's name.
+macro_rules! debug_units {
+    ($($t:ident { $($variant:ident),+ })+) => {$(
+        impl DebugBytes for $t {
+            fn debug_bytes(&self, out: &mut impl DebugOut) {
+                out.put(match self { $($t::$variant => stringify!($variant)),+ }.as_bytes());
+            }
+        }
+    )+};
+}
+
+debug_units! {
+    FaultKind { Unmapped, Permission, Privilege, MissingGate, CsrAccess }
+    RetryKind { Backoff, CrashReadmit }
+    BrownoutLevel { Normal, Degraded, ShedHeavy }
+    MemoryPressure { Normal, Elevated, Critical }
+    RecoveryRung { ExactReplay, TornTail, Quarantine, CheckpointFallback, PristineReboot }
+}
+
+impl DebugBytes for AbortCause {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        match self {
+            AbortCause::Fault(kind) => {
+                out.put(b"Fault(");
+                kind.debug_bytes(out);
+                out.put(b")");
+            }
+            AbortCause::Timeout => out.put(b"Timeout"),
+            AbortCause::ChildFailed => out.put(b"ChildFailed"),
+            AbortCause::Crash => out.put(b"Crash"),
+        }
+    }
+}
+
+/// A struct with named fields, bound to locals of the same names:
+/// `Name { a: x, b: y }`, one literal per field.
+macro_rules! debug_fields {
+    ($out:ident, $name:ident { $first:ident $(, $field:ident)* }) => {{
+        $out.put(concat!(stringify!($name), " { ", stringify!($first), ": ").as_bytes());
+        $first.debug_bytes($out);
+        $(
+            $out.put(concat!(", ", stringify!($field), ": ").as_bytes());
+            $field.debug_bytes($out);
+        )*
+        $out.put(b" }");
+    }};
+}
+
+impl DebugBytes for PendingRetry {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        let PendingRetry {
+            func,
+            bytes,
+            arrival,
+            attempt,
+            tag,
+            due,
+        } = *self;
+        debug_fields!(
+            out,
+            PendingRetry {
+                func,
+                bytes,
+                arrival,
+                attempt,
+                tag,
+                due
+            }
+        );
+    }
+}
+
+impl DebugBytes for Breakdown {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        let Breakdown {
+            exec,
+            isolation,
+            dispatch,
+        } = *self;
+        debug_fields!(
+            out,
+            Breakdown {
+                exec,
+                isolation,
+                dispatch
+            }
+        );
+    }
+}
+
+/// Every variant of [`LifecycleEvent`], each field in declaration order.
+/// The patterns name every field, so adding one fails to compile here.
+macro_rules! debug_events {
+    ($ev:expr, $out:ident; $($name:ident { $($field:ident),+ })+ ; $($unit:ident)+) => {
+        match $ev {
+            $(LifecycleEvent::$name { $($field),+ } => debug_fields!($out, $name { $($field),+ }),)+
+            $(LifecycleEvent::$unit => $out.put(stringify!($unit).as_bytes()),)+
+        }
+    };
+}
+
+impl DebugBytes for LifecycleEvent {
+    fn debug_bytes(&self, out: &mut impl DebugOut) {
+        debug_events!(*self, out;
+            Offered { req, func, bytes, tag, at }
+            Shed { req, func, tag, at, measured }
+            Admitted { req, id, func, bytes, arrival, attempt, tag, orch }
+            ArgBufGranted { req, id, va, bytes }
+            Dispatched { req, id, executor }
+            PdCreated { req, id, pd }
+            Completed { req, id, tag, at, latency, measured }
+            Failed { req, id, tag, at, measured, notify }
+            RetryScheduled { req, id, token, retry, kind, measured }
+            RetryFired { req, token }
+            RetryDropped { req, token, measured }
+            Cancelled { req, id, tag }
+            Crashed { scope }
+            Aborted { cause, measured }
+            Glitched { measured }
+            InvocationFinished { func, service, breakdown, measured }
+            PdSetup { pooled, ns }
+            PdSanitized { repairs }
+            CrashKilled { count }
+            Replayed { records }
+            BrownoutChanged { level, at }
+            PoolEvicted { pds, bytes }
+            TableCompacted { released }
+            MemoryPressureChanged { level, resident }
+            JournalScanned { frames_verified, frames_quarantined, truncated_bytes, duplicates_dropped }
+            CheckpointSealChecked { ok }
+            RecoveryRungTaken { rung }
+            WorkDemoted { req, readmit }
+            ; Spilled
+        )
     }
 }
 
@@ -954,6 +1243,7 @@ impl EventBus {
 mod tests {
     use super::*;
     use crate::lifecycle::{transition, InvocationState, LifecycleEngine};
+    use jord_hw::CrashScope;
 
     fn offered(req: u64) -> LifecycleEvent {
         LifecycleEvent::Offered {
@@ -1041,10 +1331,10 @@ mod tests {
         assert_eq!(notices[0].outcome, NoticeOutcome::Shed);
     }
 
-    /// Every variant, published in a legal order on a journaled bus with
-    /// tagged, measured events: which sinks act on it.
-    #[test]
-    fn sink_routing_per_variant() {
+    /// Every variant, in a legal order with tagged, measured events, each
+    /// with the sinks that act on it: (event, journal record appended,
+    /// notice queued, stats sink untouched).
+    fn routing_steps() -> Vec<(LifecycleEvent, bool, bool, bool)> {
         use LifecycleEvent::*;
         const T: SimTime = SimTime::ZERO;
         const NS: SimDuration = SimDuration::from_ns(9);
@@ -1084,7 +1374,7 @@ mod tests {
         };
         // (event, journal record appended, notice queued, stats sink untouched)
         #[rustfmt::skip]
-        let steps = [
+        let steps = vec![
             (offer(1), false, false, false),
             (admit(1, 0), true, false, true),
             (ArgBufGranted { req: 1, id: id(0), va: 0x1000, bytes: 64 }, true, false, true),
@@ -1129,6 +1419,14 @@ mod tests {
             (RecoveryRungTaken { rung: RecoveryRung::TornTail }, false, false, false),
             (WorkDemoted { req: 7, readmit: true }, false, false, false),
         ];
+        steps
+    }
+
+    /// Every variant, published in a legal order on a journaled bus with
+    /// tagged, measured events: which sinks act on it.
+    #[test]
+    fn sink_routing_per_variant() {
+        let steps = routing_steps();
         let names: std::collections::BTreeSet<_> = steps.iter().map(|s| s.0.name()).collect();
         assert_eq!(names.len(), 29, "every LifecycleEvent variant is covered");
 
@@ -1150,6 +1448,188 @@ mod tests {
             }
         }
         assert!(engine.is_empty(), "every request reached a terminal state");
+    }
+
+    impl DebugOut for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+    }
+
+    fn encoded(ev: &LifecycleEvent) -> String {
+        let mut bytes = Vec::new();
+        ev.debug_bytes(&mut bytes);
+        String::from_utf8(bytes).expect("Debug output is UTF-8")
+    }
+
+    #[test]
+    fn decimals_match_display_at_every_digit_boundary() {
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for n in (0..=10_001).chain(edges).chain([u64::MAX - 1, u64::MAX]) {
+            let mut bytes = Vec::new();
+            put_decimal(&mut bytes, n);
+            assert_eq!(bytes, n.to_string().into_bytes());
+        }
+    }
+
+    /// Every variant at 0 and at the maximum of each field, every
+    /// crash-scope label, every variant of each enum field, both
+    /// `Cancelled` forms and the awkward `f64`s.
+    fn edge_events() -> Vec<LifecycleEvent> {
+        use LifecycleEvent::*;
+        let mut evs = Vec::new();
+        for (n, u, w, t) in [
+            (0, 0, 0, SimTime::ZERO),
+            (u64::MAX, usize::MAX, u32::MAX, SimTime::MAX),
+        ] {
+            let (b, d, f, id) = (
+                n > 0,
+                SimDuration::from_ps(n),
+                FunctionId(w),
+                InvocationId(u),
+            );
+            let retry = PendingRetry {
+                func: f,
+                bytes: n,
+                arrival: t,
+                attempt: w,
+                tag: n,
+                due: t,
+            };
+            #[rustfmt::skip]
+            evs.extend([
+                Offered { req: n, func: f, bytes: n, tag: n, at: t },
+                Shed { req: n, func: f, tag: n, at: t, measured: b },
+                Admitted { req: n, id, func: f, bytes: n, arrival: t, attempt: w, tag: n, orch: u },
+                ArgBufGranted { req: n, id, va: n, bytes: n },
+                Dispatched { req: n, id, executor: u },
+                PdCreated { req: n, id, pd: if b { u16::MAX } else { 0 } },
+                Completed { req: n, id, tag: n, at: t, latency: d, measured: b },
+                Failed { req: n, id, tag: n, at: t, measured: b, notify: !b },
+                RetryScheduled { req: n, id, token: n, retry, kind: RetryKind::Backoff, measured: b },
+                RetryScheduled { req: n, id, token: n, retry, kind: RetryKind::CrashReadmit, measured: !b },
+                RetryFired { req: n, token: n },
+                RetryDropped { req: n, token: n, measured: b },
+                Cancelled { req: n, id: Some(id), tag: n },
+                Cancelled { req: n, id: None, tag: n },
+                Aborted { cause: AbortCause::Timeout, measured: b },
+                Glitched { measured: b },
+                InvocationFinished {
+                    func: f,
+                    service: d,
+                    breakdown: Breakdown { exec: d, isolation: d, dispatch: d },
+                    measured: b,
+                },
+                PdSanitized { repairs: n },
+                CrashKilled { count: n },
+                Replayed { records: n },
+                PoolEvicted { pds: n, bytes: n },
+                TableCompacted { released: n },
+                MemoryPressureChanged { level: MemoryPressure::Critical, resident: n },
+                JournalScanned {
+                    frames_verified: n,
+                    frames_quarantined: n,
+                    truncated_bytes: n,
+                    duplicates_dropped: n,
+                },
+                CheckpointSealChecked { ok: b },
+                WorkDemoted { req: n, readmit: b },
+                BrownoutChanged { level: BrownoutLevel::ShedHeavy, at: t },
+                Spilled,
+            ]);
+        }
+        let nans = [f64::NAN, -f64::NAN];
+        for ns in [0.0, -0.0, 0.1, 1e-7, 1e16, f64::MAX, f64::INFINITY]
+            .into_iter()
+            .chain([f64::NEG_INFINITY, f64::MIN_POSITIVE, 5e-324, 123.456])
+            .chain(nans)
+        {
+            evs.push(LifecycleEvent::PdSetup {
+                pooled: ns > 1.0,
+                ns,
+            });
+        }
+        for scope in [
+            CrashScope::Executor(0),
+            CrashScope::Orchestrator(0),
+            CrashScope::Worker,
+        ] {
+            evs.push(LifecycleEvent::Crashed {
+                scope: scope.label(),
+            });
+        }
+        let causes = FaultKind::ALL.map(AbortCause::Fault);
+        for cause in causes.into_iter().chain([
+            AbortCause::Timeout,
+            AbortCause::ChildFailed,
+            AbortCause::Crash,
+        ]) {
+            evs.push(LifecycleEvent::Aborted {
+                cause,
+                measured: true,
+            });
+        }
+        for level in [
+            BrownoutLevel::Normal,
+            BrownoutLevel::Degraded,
+            BrownoutLevel::ShedHeavy,
+        ] {
+            evs.push(LifecycleEvent::BrownoutChanged {
+                level,
+                at: SimTime::ZERO,
+            });
+        }
+        for level in [
+            MemoryPressure::Normal,
+            MemoryPressure::Elevated,
+            MemoryPressure::Critical,
+        ] {
+            evs.push(LifecycleEvent::MemoryPressureChanged { level, resident: 1 });
+        }
+        for rung in RecoveryRung::ALL {
+            evs.push(LifecycleEvent::RecoveryRungTaken { rung });
+        }
+        evs
+    }
+
+    /// The hand encoder writes exactly `format!("{ev:?}")` for all 29
+    /// variants and at the edges.
+    #[test]
+    fn encoder_matches_debug_for_every_variant_and_edge() {
+        let routed: Vec<_> = routing_steps().into_iter().map(|s| s.0).collect();
+        let names: std::collections::BTreeSet<_> = routed.iter().map(|e| e.name()).collect();
+        assert_eq!(names.len(), 29, "every LifecycleEvent variant is covered");
+        for ev in routed.iter().chain(&edge_events()) {
+            assert_eq!(encoded(ev), format!("{ev:?}"));
+        }
+    }
+
+    /// The trace hash is FNV-1a over each event's `Debug` bytes and a
+    /// `0x1e` separator, also for long labels and labels that need
+    /// escaping.
+    #[test]
+    fn trace_hash_folds_debug_bytes_and_separators() {
+        let long_ascii: &'static str = "shard-".repeat(100).leak();
+        let long_escaped: &'static str = "exécuteur \"7\"\t\\ it's\n".repeat(40).leak();
+        let mut evs: Vec<_> = routing_steps().into_iter().map(|s| s.0).collect();
+        evs.extend(edge_events());
+        for scope in [long_ascii, long_escaped, "", "quote\"d"] {
+            evs.push(LifecycleEvent::Crashed { scope });
+            assert_eq!(
+                encoded(evs.last().unwrap()),
+                format!("{:?}", evs.last().unwrap())
+            );
+        }
+        let mut trace = TraceSink::new();
+        let mut expected = FNV_OFFSET;
+        for ev in &evs {
+            trace.apply(ev);
+            expected = fnv1a_fold(expected, format!("{ev:?}").as_bytes());
+            expected = fnv1a_fold(expected, &[0x1e]);
+            assert_eq!(trace.hash, expected, "{}", ev.name());
+        }
+        assert_eq!(trace.count, evs.len() as u64);
     }
 
     #[test]

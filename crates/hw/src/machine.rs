@@ -179,7 +179,9 @@ impl Machine {
     /// A VTE write (T-bit message): performs the coherent write and the
     /// hardware VLB shootdown of §4.2. Returns the total latency (the
     /// writer observes completion only after the furthest sharer acks) and
-    /// the number of remote VLBs invalidated.
+    /// the number of victim cores messaged: every remote core the VTD or
+    /// the coherence directory names, whether or not its VLBs still held
+    /// the translation.
     pub fn vte_write(&mut self, core: CoreId, vte: VteAddr) -> (SimDuration, usize) {
         let line = LineAddr::containing(vte.0);
         // Sharer lists are read at the home directory when the write

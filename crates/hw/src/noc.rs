@@ -13,9 +13,11 @@
 //! §5 (260 ns, AMD Zen5 Turin).
 //!
 //! [`Noc::new`] prices the machine once: each tile's place, the clock's
-//! whole picoseconds per cycle, and the L1, LLC, DRAM and inter-socket
-//! latencies. A message then costs two table reads and integer arithmetic;
-//! cycles are charged as `cycles × cycle_ps` by [`Noc::cycles`].
+//! whole picoseconds per cycle, one hop, the serialization of the 0- and
+//! 64-byte payloads (the only sizes the hardware model sends), and the L1,
+//! LLC, DRAM and inter-socket latencies. A message then costs two table
+//! reads, a multiply and adds; only another payload size divides by the
+//! link width. Cycles are charged as `cycles × cycle_ps` by [`Noc::cycles`].
 //!
 //! Cache lines are interleaved across all LLC slices of the machine by line
 //! address, which is what spreads the VTD (co-located with the directory in
@@ -24,7 +26,7 @@
 use jord_sim::SimDuration;
 
 use crate::config::MachineConfig;
-use crate::types::{CoreId, LineAddr};
+use crate::types::{CoreId, LineAddr, LINE_BYTES};
 
 /// A tile endpoint in the NoC: either a core's L1 or an LLC slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,8 +53,11 @@ pub struct Noc {
     /// Place of each global core's tile.
     cores: Vec<Place>,
     cycle_ps: u64,
-    hop_cycles: u64,
+    /// One hop, in picoseconds.
+    hop_ps: u64,
     link_bytes: u64,
+    /// Serialization of a 64-byte line, in picoseconds.
+    line_ps: u64,
     l1: SimDuration,
     llc: SimDuration,
     dram: SimDuration,
@@ -83,8 +88,9 @@ impl Noc {
             tiles,
             cores,
             cycle_ps,
-            hop_cycles: cfg.hop_cycles,
+            hop_ps: cfg.hop_cycles * cycle_ps,
             link_bytes: cfg.link_bytes,
+            line_ps: LINE_BYTES.div_ceil(cfg.link_bytes) * cycle_ps,
             l1: SimDuration::from_ps(cfg.l1_cycles * cycle_ps),
             llc: SimDuration::from_ps(cfg.llc_cycles * cycle_ps),
             dram: SimDuration::from_ns_f64(cfg.dram_ns),
@@ -123,6 +129,7 @@ impl Noc {
         (line.0 % self.total_tiles() as u64) as usize
     }
 
+    #[inline]
     fn place(&self, ep: Endpoint) -> Place {
         match ep {
             Endpoint::Core(c) => {
@@ -148,22 +155,28 @@ impl Noc {
 
     /// One-way message latency carrying `payload_bytes` of data (control
     /// headers ride for free in the first flit).
+    #[inline]
     pub fn message(&self, from: Endpoint, to: Endpoint, payload_bytes: u64) -> SimDuration {
         let (a, b) = (self.place(from), self.place(to));
-        let ser_cycles = payload_bytes.div_ceil(self.link_bytes);
+        let ser_ps = match payload_bytes {
+            0 => 0,
+            LINE_BYTES => self.line_ps,
+            n => n.div_ceil(self.link_bytes) * self.cycle_ps,
+        };
         if a.socket == b.socket {
             let hops = a.x.abs_diff(b.x) + a.y.abs_diff(b.y);
-            self.cycles(u64::from(hops) * self.hop_cycles + ser_cycles)
+            SimDuration::from_ps(u64::from(hops) * self.hop_ps + ser_ps)
         } else {
             // Route to the socket edge, cross the inter-socket link, route on.
             // Edge tile: local tile 0 (the I/O corner) on each socket.
             let hops = a.x + a.y + b.x + b.y;
-            self.cycles(u64::from(hops) * self.hop_cycles + ser_cycles) + self.inter_socket
+            SimDuration::from_ps(u64::from(hops) * self.hop_ps + ser_ps) + self.inter_socket
         }
     }
 
     /// Round-trip latency: request (control) out, response with
     /// `payload_bytes` back.
+    #[inline]
     pub fn round_trip(&self, from: Endpoint, to: Endpoint, payload_bytes: u64) -> SimDuration {
         self.message(from, to, 0) + self.message(to, from, payload_bytes)
     }

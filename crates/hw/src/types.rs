@@ -166,8 +166,10 @@ pub struct VlbEntry {
     pub base: Va,
     /// Length of the VMA in bytes.
     pub len: u64,
-    /// The PD this resolution is valid for (`ucid` at fill time); entries
-    /// for a global (G-bit) VMA use [`PdId::RUNTIME`] and match any PD.
+    /// The PD this resolution was filled for (`ucid` at fill time). A
+    /// global (G-bit) entry still records its filling PD, so one global
+    /// VMA can be cached once per PD; the entry matches any PD through
+    /// [`global`](Self::global), and the PD only keys refills.
     pub pd: PdId,
     /// True if the VMA is global (G bit): valid for every PD.
     pub global: bool,

@@ -9,8 +9,19 @@
 //! can find them.
 //!
 //! Table 2 sizes both VLBs at 16 entries; Figure 12 sweeps 1/2/4/16.
+//!
+//! Recency is a stamp, not a position: entries stay in their slots, and
+//! every fill or hit stamps its slot from a per-VLB counter, so the
+//! least-recently-used entry is the one with the smallest stamp. A hit
+//! restamps one slot instead of shifting the entries behind it. Because
+//! PrivLib fills an entry for the requesting PD even when the VMA is
+//! global, one global VMA can be cached once per PD, so two entries can
+//! cover one lookup; [`Vlb::lookup`] returns the least-recently-used of
+//! them, as a scan from the LRU end of a recency-ordered list would. Each
+//! slot starts with its packed `(base, end, pd, global)` bounds, the only
+//! fields a lookup's scan reads besides the stamp of a covering slot.
 
-use crate::types::{PdId, Va, VlbEntry, VteAddr};
+use crate::types::{PdId, Perm, Va, VlbEntry, VteAddr};
 
 /// Which VLB of a core (instruction fetch vs data access).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,6 +41,43 @@ pub struct VlbStats {
     pub misses: u64,
     /// Entries invalidated by shootdowns.
     pub shootdowns: u64,
+}
+
+/// One cached translation: its packed lookup bounds first, then its
+/// recency and the rest of its [`VlbEntry`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// First covered address.
+    base: Va,
+    /// One past the last covered address.
+    end: Va,
+    pd: PdId,
+    global: bool,
+    perm: Perm,
+    privileged: bool,
+    /// Counter value at the last fill or hit; larger is more recent.
+    stamp: u64,
+    vte: VteAddr,
+}
+
+impl Slot {
+    /// Whether this slot translates `va` for `pd`. The operators do not
+    /// short-circuit, so a scan takes no branch per slot.
+    fn covers(&self, va: Va, pd: PdId) -> bool {
+        (va >= self.base) & (va < self.end) & (self.global | (self.pd == pd))
+    }
+
+    fn entry(&self) -> VlbEntry {
+        VlbEntry {
+            vte: self.vte,
+            base: self.base,
+            len: self.end - self.base,
+            pd: self.pd,
+            global: self.global,
+            perm: self.perm,
+            privileged: self.privileged,
+        }
+    }
 }
 
 /// A fully associative, LRU-replaced, range-based translation cache.
@@ -55,8 +103,10 @@ pub struct VlbStats {
 #[derive(Debug, Clone)]
 pub struct Vlb {
     capacity: usize,
-    /// Most recently used last.
-    entries: Vec<VlbEntry>,
+    /// Unordered; recency lives in each slot's stamp.
+    slots: Vec<Slot>,
+    /// The last stamp handed out.
+    clock: u64,
     stats: VlbStats,
 }
 
@@ -70,7 +120,8 @@ impl Vlb {
         assert!(capacity > 0, "VLB needs at least one entry");
         Vlb {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            clock: 0,
             stats: VlbStats::default(),
         }
     }
@@ -82,12 +133,12 @@ impl Vlb {
 
     /// Current number of cached translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if no translations are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Hit/miss counters.
@@ -95,45 +146,82 @@ impl Vlb {
         self.stats
     }
 
-    /// Looks up the translation covering `va` in domain `pd`, refreshing its
-    /// LRU position on a hit.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Looks up the translation covering `va` in domain `pd`, making it the
+    /// most recently used on a hit. When several entries cover `va`, the
+    /// least recently used of them answers.
     pub fn lookup(&mut self, va: Va, pd: PdId) -> Option<VlbEntry> {
-        let pos = self.entries.iter().position(|e| e.covers(va, pd));
-        match pos {
-            Some(i) => {
-                self.stats.hits += 1;
-                let e = self.entries.remove(i);
-                self.entries.push(e);
-                Some(e)
+        // Which slot covers is unpredictable, so the first 64 slots are
+        // tested without branching, into a mask; usually one bit is set,
+        // and only set bits compare stamps. Slots past the 64th (a VLB
+        // larger than any modelled one) are tested one by one.
+        let mut covering = 0u64;
+        for (i, s) in self.slots.iter().take(64).enumerate() {
+            covering |= u64::from(s.covers(va, pd)) << i;
+        }
+        let (mut hit, mut oldest) = (None, u64::MAX);
+        while covering != 0 {
+            let i = covering.trailing_zeros() as usize;
+            if self.slots[i].stamp < oldest {
+                (hit, oldest) = (Some(i), self.slots[i].stamp);
             }
-            None => {
-                self.stats.misses += 1;
-                None
+            covering &= covering - 1;
+        }
+        for (i, s) in self.slots.iter().enumerate().skip(64) {
+            if s.covers(va, pd) && s.stamp < oldest {
+                (hit, oldest) = (Some(i), s.stamp);
             }
         }
+        let Some(i) = hit else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let stamp = self.tick();
+        let slot = &mut self.slots[i];
+        slot.stamp = stamp;
+        Some(slot.entry())
     }
 
     /// Inserts a translation (after a VTW walk), evicting the LRU entry if
     /// full. A refill for an already-cached VTE+PD replaces in place.
     pub fn fill(&mut self, entry: VlbEntry) {
-        if let Some(i) = self
-            .entries
+        let slot = Slot {
+            base: entry.base,
+            end: entry.base + entry.len,
+            pd: entry.pd,
+            global: entry.global,
+            perm: entry.perm,
+            privileged: entry.privileged,
+            stamp: self.tick(),
+            vte: entry.vte,
+        };
+        let refill = self
+            .slots
             .iter()
-            .position(|e| e.vte == entry.vte && e.pd == entry.pd)
-        {
-            self.entries.remove(i);
-        } else if self.entries.len() == self.capacity {
-            self.entries.remove(0); // LRU is at the front
+            .position(|s| s.vte == entry.vte && s.pd == entry.pd);
+        if let Some(i) = refill {
+            self.slots[i] = slot;
+        } else if self.slots.len() < self.capacity {
+            self.slots.push(slot);
+        } else {
+            let lru = (0..self.slots.len())
+                .min_by_key(|&i| self.slots[i].stamp)
+                .expect("a full VLB has entries");
+            self.slots[lru] = slot;
         }
-        self.entries.push(entry);
     }
 
     /// Invalidates every entry backed by `vte` (T-bit shootdown match).
     /// Returns the number of entries dropped.
     pub fn invalidate_vte(&mut self, vte: VteAddr) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.vte != vte);
-        let dropped = before - self.entries.len();
+        let before = self.slots.len();
+        self.slots.retain(|s| s.vte != vte);
+        let dropped = before - self.slots.len();
         self.stats.shootdowns += dropped as u64;
         dropped
     }
@@ -141,12 +229,12 @@ impl Vlb {
     /// Drops every cached translation (e.g. on context switch of the host
     /// process; not used on PD switches, which are tag-matched instead).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
     }
 
     /// True if any cached entry is backed by `vte`.
     pub fn caches_vte(&self, vte: VteAddr) -> bool {
-        self.entries.iter().any(|e| e.vte == vte)
+        self.slots.iter().any(|s| s.vte == vte)
     }
 }
 
@@ -201,6 +289,48 @@ mod tests {
         );
         assert!(v.lookup(0x2000, PdId(1)).is_none(), "LRU was evicted");
         assert!(v.lookup(0x3000, PdId(1)).is_some());
+    }
+
+    #[test]
+    fn a_global_vma_cached_per_pd_answers_from_its_least_recent_entry() {
+        let mut v = Vlb::new(4);
+        let mut a = entry(1, 0x1000, 0x100, 1);
+        a.global = true;
+        let mut b = entry(1, 0x1000, 0x100, 2);
+        b.global = true;
+        b.perm = Perm::READ;
+        v.fill(a);
+        v.fill(b);
+        assert_eq!(v.len(), 2, "one entry per filling PD");
+        // PD 3 is covered by both; the older one answers and becomes the
+        // newest, so the next lookup takes the other.
+        assert_eq!(v.lookup(0x1000, PdId(3)), Some(a));
+        assert_eq!(v.lookup(0x1000, PdId(3)), Some(b));
+        assert_eq!(v.lookup(0x1000, PdId(3)), Some(a));
+    }
+
+    #[test]
+    fn slots_past_the_64th_are_searched_too() {
+        let global = |pd: u16| VlbEntry {
+            global: true,
+            ..entry(1, 0x1000, 0x100, pd)
+        };
+        let mut v = Vlb::new(80);
+        v.fill(global(1)); // slot 0
+        for k in 0..64 {
+            v.fill(entry(100 + k, 0x10_0000 + k * 0x1000, 0x1000, 1));
+        }
+        v.fill(global(2)); // slot 65
+        v.fill(global(3)); // slot 66
+        assert_eq!(v.len(), 67);
+        // Oldest first, across the masked slots and the ones past them.
+        for pd in [1, 2, 3, 1, 2] {
+            assert_eq!(v.lookup(0x1000, PdId(9)), Some(global(pd)));
+        }
+        assert_eq!(
+            v.lookup(0x10_0000 + 63 * 0x1000, PdId(1)).map(|e| e.vte),
+            Some(VteAddr(163))
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use jord_hw::coherence::LineState;
 use jord_hw::noc::Endpoint;
 use jord_hw::types::{CoreId, CoreSet, LineAddr, PdId, Perm, VlbEntry, VteAddr};
+use jord_hw::vlb::VlbStats;
 use jord_hw::{CoherenceModel, Machine, MachineConfig, Noc, Vlb, VlbKind};
 use jord_sim::SimDuration;
 
@@ -82,8 +83,185 @@ fn endpoint(cfg: &MachineConfig, core: bool, index: usize) -> Endpoint {
     }
 }
 
+/// The recency-ordered VLB that recency stamps replaced, kept as the
+/// reference: most recently used last, so a lookup takes the first
+/// covering entry from the LRU end and moves it to the back, and a fill
+/// evicts the front.
+struct ListVlb {
+    capacity: usize,
+    entries: Vec<VlbEntry>,
+    stats: VlbStats,
+}
+
+impl ListVlb {
+    fn new(capacity: usize) -> Self {
+        ListVlb {
+            capacity,
+            entries: Vec::new(),
+            stats: VlbStats::default(),
+        }
+    }
+
+    fn lookup(&mut self, va: u64, pd: PdId) -> Option<VlbEntry> {
+        match self.entries.iter().position(|e| e.covers(va, pd)) {
+            Some(i) => {
+                self.stats.hits += 1;
+                let e = self.entries.remove(i);
+                self.entries.push(e);
+                Some(e)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn fill(&mut self, entry: VlbEntry) {
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| e.vte == entry.vte && e.pd == entry.pd)
+        {
+            self.entries.remove(i);
+        } else if self.entries.len() == self.capacity {
+            self.entries.remove(0);
+        }
+        self.entries.push(entry);
+    }
+
+    fn invalidate_vte(&mut self, vte: VteAddr) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| e.vte != vte);
+        let dropped = before - self.entries.len();
+        self.stats.shootdowns += dropped as u64;
+        dropped
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum VlbOp {
+    /// Fill VTE `vte` over range `range` for `pd`.
+    Fill {
+        vte: u8,
+        range: u8,
+        pd: u8,
+        global: bool,
+        perm: u8,
+    },
+    /// Fill one global VMA for two PDs: two entries of one VTE.
+    FillGlobalTwice {
+        vte: u8,
+        range: u8,
+        pd: u8,
+        other: u8,
+    },
+    Lookup {
+        va: u16,
+        pd: u8,
+    },
+    Invalidate {
+        vte: u8,
+    },
+    Flush,
+}
+
+/// Eight overlapping ranges over `[0, 0x4000)`.
+fn vlb_range(range: u8) -> (u64, u64) {
+    let base = u64::from(range % 4) * 0x800;
+    let len = 0x800 << (range / 4);
+    (base, len)
+}
+
+fn vlb_entry(vte: u8, range: u8, pd: u8, global: bool, perm: u8) -> VlbEntry {
+    let (base, len) = vlb_range(range);
+    VlbEntry {
+        vte: VteAddr(u64::from(vte) * 64),
+        base,
+        len,
+        pd: PdId(u16::from(pd)),
+        global,
+        perm: Perm::from_bits(perm),
+        privileged: perm == 0,
+    }
+}
+
+fn arb_vlb_op() -> impl Strategy<Value = VlbOp> {
+    prop_oneof![
+        (0u8..6, 0u8..8, 0u8..4, any::<bool>(), 0u8..8).prop_map(
+            |(vte, range, pd, global, perm)| VlbOp::Fill {
+                vte,
+                range,
+                pd,
+                global,
+                perm
+            }
+        ),
+        (0u8..6, 0u8..8, 0u8..4, 0u8..4).prop_map(|(vte, range, pd, other)| {
+            VlbOp::FillGlobalTwice {
+                vte,
+                range,
+                pd,
+                other,
+            }
+        }),
+        // Listed twice: lookups come twice as often as each other op.
+        (0u16..0x4400, 0u8..4).prop_map(|(va, pd)| VlbOp::Lookup { va, pd }),
+        (0u16..0x4400, 0u8..4).prop_map(|(va, pd)| VlbOp::Lookup { va, pd }),
+        (0u8..6).prop_map(|vte| VlbOp::Invalidate { vte }),
+        Just(VlbOp::Flush),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential: the stamped VLB makes every decision the
+    /// recency-ordered list makes, at every capacity up to Table 2's 16,
+    /// with overlapping ranges, global and per-PD entries, and one global
+    /// VMA cached under several PDs. After each step the lookup result,
+    /// the counters, the occupancy and the VTE tags agree.
+    #[test]
+    fn vlb_matches_recency_ordered_list(
+        cap in 1usize..17,
+        ops in proptest::collection::vec(arb_vlb_op(), 1..160),
+    ) {
+        let (mut vlb, mut list) = (Vlb::new(cap), ListVlb::new(cap));
+        for op in ops {
+            match op {
+                VlbOp::Fill { vte, range, pd, global, perm } => {
+                    let e = vlb_entry(vte, range, pd, global, perm);
+                    vlb.fill(e);
+                    list.fill(e);
+                }
+                VlbOp::FillGlobalTwice { vte, range, pd, other } => {
+                    for pd in [pd, other] {
+                        let e = vlb_entry(vte, range, pd, true, 3);
+                        vlb.fill(e);
+                        list.fill(e);
+                    }
+                }
+                VlbOp::Lookup { va, pd } => {
+                    let (va, pd) = (u64::from(va), PdId(u16::from(pd)));
+                    prop_assert_eq!(vlb.lookup(va, pd), list.lookup(va, pd), "{:?}", op);
+                }
+                VlbOp::Invalidate { vte } => {
+                    let vte = VteAddr(u64::from(vte) * 64);
+                    prop_assert_eq!(vlb.invalidate_vte(vte), list.invalidate_vte(vte));
+                }
+                VlbOp::Flush => {
+                    vlb.flush();
+                    list.entries.clear();
+                }
+            }
+            prop_assert_eq!(vlb.stats(), list.stats);
+            prop_assert_eq!(vlb.len(), list.entries.len());
+            for vte in 0..6u64 {
+                let vte = VteAddr(vte * 64);
+                prop_assert_eq!(vlb.caches_vte(vte), list.entries.iter().any(|e| e.vte == vte));
+            }
+        }
+    }
 
     /// Differential: the NoC, priced once per machine in integer
     /// picoseconds, charges every message and round trip exactly what the
