@@ -19,7 +19,7 @@
 //!   [`AutoscalerConfig::cooldown_us`] — the fleet must be observed *at*
 //!   the new size before the next move, so decisions never flap.
 //! - **Max-step clamp**: one decision changes the fleet by at most
-//!   [`AutoscalerConfig::max_step`] workers.
+//!   `MAX_STEP` (2) workers.
 //! - **Suspicion freeze**: while any worker is phi-suspected the engine
 //!   never scales down — capacity is not removed while the failure
 //!   detector is unsure how much of it is actually alive.
@@ -27,7 +27,7 @@
 //! Brownout is the fast path: entry is *immediate* (one severe window is
 //! enough — graceful degradation must beat queue collapse, and a scale-up
 //! takes a worker bring-up to help), exit is gradual (one level per
-//! [`BrownoutConfig::exit_windows`] calm windows, down the ladder one
+//! `EXIT_WINDOWS` (3) calm windows, down the ladder one
 //! step at a time). Scale-down is suppressed while browned out: a fleet
 //! shedding load is not an oversized fleet.
 
@@ -37,43 +37,31 @@ use crate::admission::BrownoutLevel;
 use crate::config::ConfigError;
 use crate::memory::MemoryPressure;
 
-/// Brownout entry/exit thresholds (per-worker mean queue depth).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutConfig {
-    /// Mean queue depth at which the fleet enters
-    /// [`BrownoutLevel::Degraded`] (also entered when windowed p99
-    /// exceeds the target).
-    pub degraded_depth: f64,
-    /// Mean queue depth at which the fleet enters
-    /// [`BrownoutLevel::ShedHeavy`] (also entered when windowed p99
-    /// exceeds twice the target).
-    pub shed_heavy_depth: f64,
-    /// Consecutive calm windows required per level of relaxation on the
-    /// way back out.
-    pub exit_windows: u32,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            degraded_depth: 32.0,
-            shed_heavy_depth: 48.0,
-            exit_windows: 3,
-        }
-    }
-}
+/// Workers added or retired per decision, at most.
+const MAX_STEP: usize = 2;
+/// Mean per-worker queue depth marking a window hot.
+const QUEUE_HIGH: f64 = 24.0;
+/// Mean per-worker queue depth below which a window may be cold.
+const QUEUE_LOW: f64 = 4.0;
+/// Shed fraction of a window's offered load marking it hot.
+const SHED_RATE_HIGH: f64 = 0.01;
+/// Mean queue depth at which the fleet enters [`BrownoutLevel::Degraded`]
+/// (also entered when windowed p99 exceeds the target).
+const DEGRADED_DEPTH: f64 = 32.0;
+/// Mean queue depth at which the fleet enters [`BrownoutLevel::ShedHeavy`]
+/// (also entered when windowed p99 exceeds twice the target).
+const SHED_HEAVY_DEPTH: f64 = 48.0;
+/// Consecutive calm windows required per level of brownout relaxation on
+/// the way back out.
+const EXIT_WINDOWS: u32 = 3;
 
 /// Tuning for the [`ClusterAutoscaler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
-    /// Evaluation window length (µs of simulated time).
-    pub evaluate_every_us: f64,
     /// The fleet never shrinks below this.
     pub min_workers: usize,
     /// The fleet never grows beyond this.
     pub max_workers: usize,
-    /// Workers added or retired per decision, at most.
-    pub max_step: usize,
     /// Freeze after any scale event (µs): no further scaling until the
     /// resized fleet has been observed this long.
     pub cooldown_us: f64,
@@ -81,38 +69,19 @@ pub struct AutoscalerConfig {
     pub up_windows: u32,
     /// Consecutive cold windows before a scale-down.
     pub down_windows: u32,
-    /// Mean per-worker queue depth marking a window hot.
-    pub queue_high: f64,
-    /// Mean per-worker queue depth below which a window may be cold.
-    pub queue_low: f64,
     /// The p99 SLO target (µs), if latency should drive decisions.
     pub target_p99_us: Option<f64>,
-    /// Shed fraction of a window's offered load marking it hot.
-    pub shed_rate_high: f64,
-    /// Brownout ladder thresholds.
-    pub brownout: BrownoutConfig,
-    /// Sanitized PDs to pre-fill per function when a scale-up boots a
-    /// worker (Groundhog-style warm pool, so the newcomer's first
-    /// requests skip full PD construction).
-    pub prewarm_pds: usize,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
         AutoscalerConfig {
-            evaluate_every_us: 20.0,
             min_workers: 1,
             max_workers: 8,
-            max_step: 2,
             cooldown_us: 60.0,
             up_windows: 2,
             down_windows: 5,
-            queue_high: 24.0,
-            queue_low: 4.0,
             target_p99_us: None,
-            shed_rate_high: 0.01,
-            brownout: BrownoutConfig::default(),
-            prewarm_pds: 2,
         }
     }
 }
@@ -121,12 +90,6 @@ impl AutoscalerConfig {
     /// Validates the tuning.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let bad = |reason: String| Err(ConfigError::Cluster { reason });
-        if self.evaluate_every_us <= 0.0 || !self.evaluate_every_us.is_finite() {
-            return bad(format!(
-                "evaluate_every_us must be positive and finite, got {}",
-                self.evaluate_every_us
-            ));
-        }
         if self.min_workers == 0 {
             return bad("min_workers must be at least 1".into());
         }
@@ -135,9 +98,6 @@ impl AutoscalerConfig {
                 "max_workers ({}) must be at least min_workers ({})",
                 self.max_workers, self.min_workers
             ));
-        }
-        if self.max_step == 0 {
-            return bad("max_step must be at least 1".into());
         }
         if self.cooldown_us < 0.0 || !self.cooldown_us.is_finite() {
             return bad(format!(
@@ -148,34 +108,12 @@ impl AutoscalerConfig {
         if self.up_windows == 0 || self.down_windows == 0 {
             return bad("up_windows and down_windows must be at least 1".into());
         }
-        if !(self.queue_low >= 0.0 && self.queue_high > self.queue_low) {
-            return bad(format!(
-                "need 0 <= queue_low ({}) < queue_high ({})",
-                self.queue_low, self.queue_high
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.shed_rate_high) {
-            return bad(format!(
-                "shed_rate_high must be in [0, 1], got {}",
-                self.shed_rate_high
-            ));
-        }
         if let Some(t) = self.target_p99_us {
             if t <= 0.0 || !t.is_finite() {
                 return bad(format!(
                     "target_p99_us must be positive and finite, got {t}"
                 ));
             }
-        }
-        let b = &self.brownout;
-        if !(b.degraded_depth > 0.0 && b.shed_heavy_depth > b.degraded_depth) {
-            return bad(format!(
-                "need 0 < degraded_depth ({}) < shed_heavy_depth ({})",
-                b.degraded_depth, b.shed_heavy_depth
-            ));
-        }
-        if b.exit_windows == 0 {
-            return bad("brownout.exit_windows must be at least 1".into());
         }
         Ok(())
     }
@@ -305,14 +243,14 @@ impl ClusterAutoscaler {
             (Some(p99), Some(target)) => p99 > target,
             _ => false,
         };
-        let hot = sig.mean_queue_depth >= self.cfg.queue_high
-            || sig.shed_rate() > self.cfg.shed_rate_high
+        let hot = sig.mean_queue_depth >= QUEUE_HIGH
+            || sig.shed_rate() > SHED_RATE_HIGH
             || target_exceeded;
         // A cold window must be calm on *every* axis: queues short,
         // nothing shed, latency inside target, no suspicion, and no
         // brownout in force (a shedding fleet is not an oversized one).
         let cold = !hot
-            && sig.mean_queue_depth <= self.cfg.queue_low
+            && sig.mean_queue_depth <= QUEUE_LOW
             && sig.shed == 0
             && sig.suspects == 0
             && sig.pressure == MemoryPressure::Normal
@@ -337,19 +275,13 @@ impl ClusterAutoscaler {
             && sig.active_workers < self.cfg.max_workers
             && sig.pressure < MemoryPressure::Critical
         {
-            let step = self
-                .cfg
-                .max_step
-                .min(self.cfg.max_workers - sig.active_workers);
+            let step = MAX_STEP.min(self.cfg.max_workers - sig.active_workers);
             self.applied(sig.at, true);
             ScaleDecision::Up(step)
         } else if self.cold_streak >= self.cfg.down_windows
             && sig.active_workers > self.cfg.min_workers
         {
-            let step = self
-                .cfg
-                .max_step
-                .min(sig.active_workers - self.cfg.min_workers);
+            let step = MAX_STEP.min(sig.active_workers - self.cfg.min_workers);
             self.applied(sig.at, false);
             ScaleDecision::Down(step)
         } else {
@@ -375,18 +307,17 @@ impl ClusterAutoscaler {
     }
 
     /// Advances the brownout ladder: immediate entry on a severe or
-    /// pressured window, one-level exit per `exit_windows` calm windows.
+    /// pressured window, one-level exit per `EXIT_WINDOWS` calm windows.
     fn step_brownout(&mut self, sig: &WindowSignals) {
         let (over_target, over_double) = match (sig.p99_us, self.cfg.target_p99_us) {
             (Some(p99), Some(target)) => (p99 > target, p99 > 2.0 * target),
             _ => (false, false),
         };
-        let b = self.cfg.brownout;
-        let severe = sig.mean_queue_depth >= b.shed_heavy_depth || over_double;
+        let severe = sig.mean_queue_depth >= SHED_HEAVY_DEPTH || over_double;
         // Critical memory pressure degrades admission: the workers have
         // already evicted their warm pools (reclamation before shedding),
         // so shedding load is the only defence left.
-        let pressured = sig.mean_queue_depth >= b.degraded_depth
+        let pressured = sig.mean_queue_depth >= DEGRADED_DEPTH
             || over_target
             || sig.pressure >= MemoryPressure::Critical;
         if severe {
@@ -397,7 +328,7 @@ impl ClusterAutoscaler {
             self.calm_streak = 0;
         } else if self.brownout != BrownoutLevel::Normal {
             self.calm_streak += 1;
-            if self.calm_streak >= b.exit_windows {
+            if self.calm_streak >= EXIT_WINDOWS {
                 self.brownout = self.brownout.relaxed();
                 self.calm_streak = 0;
             }
@@ -672,13 +603,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         for (name, cfg) in [
             (
-                "zero window",
-                AutoscalerConfig {
-                    evaluate_every_us: 0.0,
-                    ..ok
-                },
-            ),
-            (
                 "zero min",
                 AutoscalerConfig {
                     min_workers: 0,
@@ -692,7 +616,6 @@ mod tests {
                     ..ok
                 },
             ),
-            ("zero step", AutoscalerConfig { max_step: 0, ..ok }),
             (
                 "negative cooldown",
                 AutoscalerConfig {
@@ -708,44 +631,9 @@ mod tests {
                 },
             ),
             (
-                "queue bands inverted",
-                AutoscalerConfig {
-                    queue_low: 30.0,
-                    ..ok
-                },
-            ),
-            (
-                "shed rate over 1",
-                AutoscalerConfig {
-                    shed_rate_high: 1.5,
-                    ..ok
-                },
-            ),
-            (
                 "zero target",
                 AutoscalerConfig {
                     target_p99_us: Some(0.0),
-                    ..ok
-                },
-            ),
-            (
-                "brownout ladder inverted",
-                AutoscalerConfig {
-                    brownout: BrownoutConfig {
-                        degraded_depth: 50.0,
-                        shed_heavy_depth: 40.0,
-                        exit_windows: 3,
-                    },
-                    ..ok
-                },
-            ),
-            (
-                "zero exit windows",
-                AutoscalerConfig {
-                    brownout: BrownoutConfig {
-                        exit_windows: 0,
-                        ..BrownoutConfig::default()
-                    },
                     ..ok
                 },
             ),

@@ -54,13 +54,24 @@ use crate::autoscaler::{
     AutoscalerConfig, ClusterAutoscaler, Directive, ScaleDecision, WindowSignals,
 };
 use crate::config::{ConfigError, RuntimeConfig};
+use crate::durability::{fnv1a_fold, FNV_OFFSET};
 use crate::events::{NoticeOutcome, WorkerNotice};
 use crate::function::{FunctionId, FunctionRegistry};
-use crate::health::{DetectorConfig, WorkerHealth};
+use crate::health::{WorkerHealth, EVICT_PHI, HEARTBEAT_EVERY_US, READMIT_AFTER, SUSPECT_PHI};
 use crate::memory::{MemoryLedger, MemoryPressure};
-use crate::recovery::{CrashConfig, CrashSemantics};
+use crate::recovery::{CrashConfig, CrashSemantics, RESTART_PENALTY};
 use crate::server::WorkerServer;
 use crate::stats::{AutoscaleStats, DurabilityStats, FailoverStats, RunReport};
+
+/// How many times one request may be failed over before the dispatcher
+/// gives up and fails it (bounds retry storms).
+const MAX_FAILOVERS: u32 = 3;
+/// Autoscaler evaluation window length (µs of simulated time).
+const EVALUATE_EVERY_US: f64 = 20.0;
+/// Sanitized PDs to pre-fill per function when an autoscaled fleet boots a
+/// worker (Groundhog-style warm pool, so the newcomer's first requests skip
+/// full PD construction).
+const PREWARM_PDS: usize = 2;
 
 /// Hedged-dispatch tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,15 +127,8 @@ pub struct ClusterConfig {
     /// its own — the cluster installs journaling and scripts kills via
     /// [`ClusterConfig::kill`].
     pub template: RuntimeConfig,
-    /// Heartbeat cadence and phi thresholds.
-    pub detector: DetectorConfig,
     /// What a worker death promises about the requests it strands.
     pub semantics: CrashSemantics,
-    /// How many times one request may be failed over before the
-    /// dispatcher gives up and fails it (bounds retry storms).
-    pub max_failovers: u32,
-    /// Downtime of a killed worker before it heartbeats again, µs.
-    pub restart_penalty_us: f64,
     /// Hedged dispatch of slow-tail requests, if enabled.
     pub hedge: Option<HedgeConfig>,
     /// A scripted worker kill, if any.
@@ -155,10 +159,7 @@ impl ClusterConfig {
             workers,
             seed,
             template,
-            detector: DetectorConfig::default(),
             semantics: CrashSemantics::AtLeastOnce,
-            max_failovers: 3,
-            restart_penalty_us: 50.0,
             hedge: None,
             kill: None,
             storage: None,
@@ -184,16 +185,6 @@ impl ClusterConfig {
             );
         }
         self.template.validate()?;
-        self.detector.validate()?;
-        if self.max_failovers == 0 {
-            return bad("max_failovers must be at least 1".into());
-        }
-        if !self.restart_penalty_us.is_finite() || self.restart_penalty_us < 0.0 {
-            return bad(format!(
-                "restart_penalty_us must be finite and non-negative, got {}",
-                self.restart_penalty_us
-            ));
-        }
         if let Some(h) = &self.hedge {
             if h.after_us <= 0.0 || !h.after_us.is_finite() {
                 return bad(format!(
@@ -271,13 +262,13 @@ impl ClusterConfig {
                     e.lookahead_us
                 ));
             }
-            if e.lookahead_us > self.detector.heartbeat_every_us {
+            if e.lookahead_us > HEARTBEAT_EVERY_US {
                 return bad(format!(
                     "engine.lookahead_us ({} µs) must not exceed the heartbeat \
                      interval ({} µs): a window wider than the heartbeat cadence \
                      would let a shard run past detector timers the dispatcher \
                      has yet to arm",
-                    e.lookahead_us, self.detector.heartbeat_every_us
+                    e.lookahead_us, HEARTBEAT_EVERY_US
                 ));
             }
         }
@@ -491,7 +482,7 @@ impl ClusterDispatcher {
             slots.push(WorkerShard::new(&cfg, server, w as u64, SimTime::ZERO));
         }
         let mut events = EventQueue::new();
-        let hb = SimDuration::from_ns_f64(cfg.detector.heartbeat_every_us * 1_000.0);
+        let hb = us_dur(HEARTBEAT_EVERY_US);
         for w in 0..cfg.workers {
             events.push(SimTime::ZERO + hb, ClusterEvent::Heartbeat(w));
         }
@@ -504,8 +495,8 @@ impl ClusterDispatcher {
                 events.push(us(r), ClusterEvent::DrainResume(d.worker));
             }
         }
-        if let Some(a) = &cfg.autoscale {
-            events.push(us(a.evaluate_every_us), ClusterEvent::AutoscaleTick);
+        if cfg.autoscale.is_some() {
+            events.push(us(EVALUATE_EVERY_US), ClusterEvent::AutoscaleTick);
         }
         let next_stream = cfg.workers as u64;
         let autoscale_stats = AutoscaleStats {
@@ -548,7 +539,6 @@ impl ClusterDispatcher {
         rt.crash = Some(CrashConfig {
             plan: None,
             semantics: cfg.semantics,
-            restart_penalty_us: cfg.restart_penalty_us,
             storage: cfg.storage,
             ..CrashConfig::journal_only()
         });
@@ -581,7 +571,7 @@ impl ClusterDispatcher {
     /// ([`EngineConfig`]) produces the bit-identical result in
     /// barrier-synchronized windows.
     pub fn run(&mut self) -> ClusterReport {
-        let prewarm = self.cfg.autoscale.map_or(0, |a| a.prewarm_pds);
+        let prewarm = self.cfg.autoscale.map_or(0, |_| PREWARM_PDS);
         for slot in &mut self.slots {
             slot.server.begin();
             slot.server.prefill_pd_pools(prewarm);
@@ -695,7 +685,7 @@ impl ClusterDispatcher {
         // dispatcher's cadence, not the worker's — until the run winds
         // down.
         if !self.finishing {
-            let hb = us_dur(self.cfg.detector.heartbeat_every_us);
+            let hb = us_dur(HEARTBEAT_EVERY_US);
             self.events.push(t + hb, ClusterEvent::Heartbeat(w));
         }
         let slot = &mut self.slots[w];
@@ -722,7 +712,7 @@ impl ClusterDispatcher {
             }
             WorkerHealth::Evicted => {
                 slot.probation += 1;
-                if slot.probation >= self.cfg.detector.readmit_after {
+                if slot.probation >= READMIT_AFTER {
                     slot.health = WorkerHealth::Healthy;
                     slot.probation = 0;
                     slot.stats.readmissions += 1;
@@ -732,8 +722,8 @@ impl ClusterDispatcher {
         }
         // Arm this epoch's threshold checks; a later heartbeat bumps
         // the epoch and renders them inert.
-        let suspect_at = t + slot.detector.time_to_phi(self.cfg.detector.suspect_phi);
-        let evict_at = t + slot.detector.time_to_phi(self.cfg.detector.evict_phi);
+        let suspect_at = t + slot.detector.time_to_phi(SUSPECT_PHI);
+        let evict_at = t + slot.detector.time_to_phi(EVICT_PHI);
         self.events.push(
             suspect_at,
             ClusterEvent::PhiCheck {
@@ -776,11 +766,8 @@ impl ClusterDispatcher {
                 // The detector's promise: one heartbeat period (the gap
                 // between the last heartbeat and the first missed one)
                 // plus the silence needed to reach the evict phi.
-                let bound_ns = self.cfg.detector.heartbeat_every_us * 1_000.0
-                    + slot
-                        .detector
-                        .time_to_phi(self.cfg.detector.evict_phi)
-                        .as_ns_f64();
+                let bound_ns =
+                    HEARTBEAT_EVERY_US * 1_000.0 + slot.detector.time_to_phi(EVICT_PHI).as_ns_f64();
                 slot.stats.confirm_bound_ns = slot.stats.confirm_bound_ns.max(bound_ns);
                 if slot.crashed {
                     let det_ns = t.saturating_since(slot.crashed_at).as_ns_f64();
@@ -1010,7 +997,7 @@ impl ClusterDispatcher {
                 slot.health = WorkerHealth::Retired;
                 slot.server.release_warm_pool();
             } else {
-                slot.hb_resume_at = t + us_dur(self.cfg.restart_penalty_us);
+                slot.hb_resume_at = t + RESTART_PENALTY;
                 // Health stays Evicted: probation heartbeats after the
                 // restart penalty earn readmission.
             }
@@ -1041,7 +1028,7 @@ impl ClusterDispatcher {
                     self.settle(t, s.tag, Outcome::Failed);
                 }
                 CrashSemantics::AtLeastOnce => {
-                    if self.requests[idx].failovers < self.cfg.max_failovers {
+                    if self.requests[idx].failovers < MAX_FAILOVERS {
                         self.requests[idx].failovers += 1;
                         self.fleet.failovers += 1;
                         let exclude = self.requests[idx].copies.clone();
@@ -1070,10 +1057,8 @@ impl ClusterDispatcher {
         let Some(auto) = self.cfg.autoscale else {
             return;
         };
-        self.events.push(
-            t + us_dur(auto.evaluate_every_us),
-            ClusterEvent::AutoscaleTick,
-        );
+        self.events
+            .push(t + us_dur(EVALUATE_EVERY_US), ClusterEvent::AutoscaleTick);
 
         let active: Vec<usize> = self
             .slots
@@ -1145,7 +1130,7 @@ impl ClusterDispatcher {
                 self.autoscale_stats.scale_ups += 1;
                 self.autoscale_stats.workers_added += n as u64;
                 for _ in 0..n {
-                    self.spawn_worker(t, auto.prewarm_pds);
+                    self.spawn_worker(t);
                 }
             }
             ScaleDecision::Down(n) => {
@@ -1184,20 +1169,21 @@ impl ClusterDispatcher {
     }
 
     /// Boots and registers a fresh worker at `t`: pristine image through
-    /// the normal lifecycle/journal machinery, warm PD pools pre-filled,
-    /// the fleet's brownout level imposed, heartbeat chain started.
-    fn spawn_worker(&mut self, t: SimTime, prewarm: usize) {
+    /// the normal lifecycle/journal machinery, `PREWARM_PDS` warm PDs
+    /// per function pre-filled, the fleet's brownout level imposed,
+    /// heartbeat chain started.
+    fn spawn_worker(&mut self, t: SimTime) {
         let stream = self.next_stream;
         self.next_stream += 1;
         let server = Self::boot_worker(&self.cfg, &self.registry, stream)
             .expect("template already validated at cluster construction");
         let mut slot = WorkerShard::new(&self.cfg, server, stream, t);
         slot.server.begin();
-        slot.server.prefill_pd_pools(prewarm);
+        slot.server.prefill_pd_pools(PREWARM_PDS);
         slot.server.set_brownout(t, self.brownout);
         let w = self.slots.len();
         self.slots.push(slot);
-        let hb = us_dur(self.cfg.detector.heartbeat_every_us);
+        let hb = us_dur(HEARTBEAT_EVERY_US);
         self.events.push(t + hb, ClusterEvent::Heartbeat(w));
     }
 
@@ -1290,7 +1276,7 @@ impl ClusterDispatcher {
         // residency, per-worker lifetimes, and the fleet trace hash
         // (FNV-1a over every worker's own trace hash, in slot order).
         self.fold_brownout(self.finished_at);
-        let mut trace_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut trace_hash = FNV_OFFSET;
         for slot in &self.slots {
             let end = if slot.retired {
                 slot.retired_at
@@ -1299,10 +1285,7 @@ impl ClusterDispatcher {
             };
             self.autoscale_stats.worker_seconds +=
                 end.saturating_since(slot.spawned_at).as_ns_f64() / 1e9;
-            for byte in slot.server.trace_hash().to_le_bytes() {
-                trace_hash ^= u64::from(byte);
-                trace_hash = trace_hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            trace_hash = fnv1a_fold(trace_hash, &slot.server.trace_hash().to_le_bytes());
         }
         let mut report = ClusterReport {
             offered: self.requests.len() as u64,
@@ -1523,7 +1506,7 @@ mod tests {
         });
         assert!(c.validate().is_err(), "NaN lookahead");
         c.engine = Some(EngineConfig {
-            lookahead_us: c.detector.heartbeat_every_us * 2.0,
+            lookahead_us: HEARTBEAT_EVERY_US * 2.0,
             ..EngineConfig::threads(2)
         });
         assert!(
@@ -1796,9 +1779,6 @@ mod tests {
         c = base_cfg(2);
         c.hedge = Some(HedgeConfig { after_us: 0.0 });
         assert!(c.validate().is_err(), "zero hedge delay");
-        c = base_cfg(2);
-        c.max_failovers = 0;
-        assert!(c.validate().is_err(), "zero failover budget");
         c = base_cfg(2);
         c.drains = vec![DrainPlan {
             worker: 0,

@@ -83,7 +83,7 @@ impl WorkerShard {
         let hb_rng = Rng::new(Rng::derive_seed(cfg.seed, HB_STREAM ^ stream));
         WorkerShard {
             server,
-            detector: PhiAccrual::new(cfg.detector),
+            detector: PhiAccrual::new(),
             health: WorkerHealth::Healthy,
             crashed: false,
             crashed_at: SimTime::ZERO,

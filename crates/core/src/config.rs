@@ -271,6 +271,11 @@ impl RecoveryPolicy {
     }
 }
 
+/// The JBSQ bound [`RuntimeConfig::variant_on`] starts from: at most four
+/// outstanding requests per executor queue. The enhanced-NightCore twin
+/// runs the same bound, so its only difference from Jord is the pipes.
+pub const DEFAULT_QUEUE_BOUND: usize = 4;
+
 /// Worker-server runtime parameters.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -285,14 +290,6 @@ pub struct RuntimeConfig {
     pub queue_bound: usize,
     /// RNG seed (experiments are reproducible bit-for-bit from this).
     pub seed: u64,
-    /// Orchestrator work to ingest one external request from the network
-    /// stack, ns (the measurement clock starts at receipt, as in §5).
-    pub ingest_work_ns: f64,
-    /// Orchestrator per-executor work during a JBSQ scan, ns (compare and
-    /// track the minimum).
-    pub scan_work_ns: f64,
-    /// Executor work to pop a request and set up the continuation, ns.
-    pub pickup_work_ns: f64,
     /// Cross-server spill of internal requests (`None` = single server,
     /// the §6 evaluation setup).
     pub spill: Option<SpillConfig>,
@@ -331,11 +328,8 @@ impl RuntimeConfig {
             machine,
             variant,
             orchestrators,
-            queue_bound: 4,
+            queue_bound: DEFAULT_QUEUE_BOUND,
             seed: 42,
-            ingest_work_ns: 60.0,
-            scan_work_ns: 1.0,
-            pickup_work_ns: 15.0,
             spill: None,
             inject: None,
             recovery: RecoveryPolicy::default(),

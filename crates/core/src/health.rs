@@ -1,7 +1,7 @@
 //! Phi-accrual failure detection for cluster workers.
 //!
 //! Each worker sends a heartbeat to the dispatcher every
-//! [`DetectorConfig::heartbeat_every_us`]. The dispatcher runs one
+//! `HEARTBEAT_EVERY_US` (5 µs). The dispatcher runs one
 //! [`PhiAccrual`] detector per worker: instead of a binary alive/dead
 //! timeout, the detector outputs a continuously rising suspicion level
 //! φ (Hayashibara et al., SRDS'04), and the dispatcher acts on two
@@ -27,84 +27,26 @@ use std::collections::VecDeque;
 
 use jord_sim::{SimDuration, SimTime};
 
-use crate::config::ConfigError;
-
 /// `1 / ln 10`: converts a natural-log survival exponent to −log10.
 const LOG10_E: f64 = std::f64::consts::LOG10_E;
 
-/// Failure-detector and heartbeat tuning for a cluster.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Heartbeat period per worker (µs of simulated time).
-    pub heartbeat_every_us: f64,
-    /// φ at which a worker becomes *suspected*: new work prefers other
-    /// workers, but nothing is failed over yet.
-    pub suspect_phi: f64,
-    /// φ at which a worker is *evicted*: declared dead, its stranded
-    /// requests re-routed (at-least-once) or failed (at-most-once).
-    pub evict_phi: f64,
-    /// Sliding-window length (heartbeat intervals) for the mean-gap
-    /// estimate.
-    pub window: usize,
-    /// Below this many observed intervals the detector falls back to
-    /// the configured period instead of the sample mean (a cold
-    /// detector must not evict on its first gap).
-    pub min_samples: usize,
-    /// Consecutive accepted heartbeats an evicted worker must deliver
-    /// before readmission (probation).
-    pub readmit_after: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            heartbeat_every_us: 5.0,
-            suspect_phi: 1.0,
-            evict_phi: 3.0,
-            window: 32,
-            min_samples: 8,
-            readmit_after: 2,
-        }
-    }
-}
-
-impl DetectorConfig {
-    /// Validates the tuning.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let bad = |reason: String| Err(ConfigError::Cluster { reason });
-        if self.heartbeat_every_us <= 0.0 || !self.heartbeat_every_us.is_finite() {
-            return bad(format!(
-                "heartbeat_every_us must be positive and finite, got {}",
-                self.heartbeat_every_us
-            ));
-        }
-        if self.suspect_phi <= 0.0 || !self.suspect_phi.is_finite() {
-            return bad(format!(
-                "suspect_phi must be positive and finite, got {}",
-                self.suspect_phi
-            ));
-        }
-        if self.evict_phi <= self.suspect_phi || !self.evict_phi.is_finite() {
-            return bad(format!(
-                "evict_phi ({}) must exceed suspect_phi ({})",
-                self.evict_phi, self.suspect_phi
-            ));
-        }
-        if self.window == 0 {
-            return bad("window must be at least 1".to_string());
-        }
-        if self.min_samples > self.window {
-            return bad(format!(
-                "min_samples ({}) cannot exceed window ({})",
-                self.min_samples, self.window
-            ));
-        }
-        if self.readmit_after == 0 {
-            return bad("readmit_after must be at least 1".to_string());
-        }
-        Ok(())
-    }
-}
+/// Heartbeat period per worker (µs of simulated time).
+pub(crate) const HEARTBEAT_EVERY_US: f64 = 5.0;
+/// φ at which a worker becomes *suspected*: new work prefers other
+/// workers, but nothing is failed over yet.
+pub(crate) const SUSPECT_PHI: f64 = 1.0;
+/// φ at which a worker is *evicted*: declared dead, its stranded requests
+/// re-routed (at-least-once) or failed (at-most-once).
+pub(crate) const EVICT_PHI: f64 = 3.0;
+/// Sliding-window length (heartbeat intervals) for the mean-gap estimate.
+const PHI_WINDOW: usize = 32;
+/// Below this many observed intervals the detector falls back to
+/// `HEARTBEAT_EVERY_US` instead of the sample mean (a cold detector must
+/// not evict on its first gap).
+const PHI_MIN_SAMPLES: usize = 8;
+/// Consecutive accepted heartbeats an evicted worker must deliver before
+/// readmission (probation).
+pub(crate) const READMIT_AFTER: u32 = 2;
 
 /// The dispatcher's routing view of one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +71,6 @@ pub enum WorkerHealth {
 /// Phi-accrual detector state for one worker (dispatcher side).
 #[derive(Debug, Clone)]
 pub struct PhiAccrual {
-    cfg: DetectorConfig,
     /// Sliding window of observed inter-heartbeat gaps (µs).
     intervals: VecDeque<f64>,
     last_heartbeat: Option<SimTime>,
@@ -138,12 +79,17 @@ pub struct PhiAccrual {
     epoch: u64,
 }
 
+impl Default for PhiAccrual {
+    fn default() -> Self {
+        PhiAccrual::new()
+    }
+}
+
 impl PhiAccrual {
     /// A cold detector (no heartbeats seen).
-    pub fn new(cfg: DetectorConfig) -> Self {
+    pub fn new() -> Self {
         PhiAccrual {
-            cfg,
-            intervals: VecDeque::with_capacity(cfg.window),
+            intervals: VecDeque::with_capacity(PHI_WINDOW),
             last_heartbeat: None,
             epoch: 0,
         }
@@ -154,7 +100,7 @@ impl PhiAccrual {
     pub fn heartbeat(&mut self, at: SimTime) -> u64 {
         if let Some(prev) = self.last_heartbeat {
             let gap_us = at.saturating_since(prev).as_ns_f64() / 1_000.0;
-            if self.intervals.len() == self.cfg.window {
+            if self.intervals.len() == PHI_WINDOW {
                 self.intervals.pop_front();
             }
             self.intervals.push_back(gap_us);
@@ -165,10 +111,10 @@ impl PhiAccrual {
     }
 
     /// The mean inter-heartbeat gap the φ computation assumes (µs):
-    /// the window mean once warm, the configured period while cold.
+    /// the window mean once warm, the nominal period while cold.
     pub fn mean_interval_us(&self) -> f64 {
-        if self.intervals.len() < self.cfg.min_samples {
-            self.cfg.heartbeat_every_us
+        if self.intervals.len() < PHI_MIN_SAMPLES {
+            HEARTBEAT_EVERY_US
         } else {
             self.intervals.iter().sum::<f64>() / self.intervals.len() as f64
         }
@@ -228,7 +174,7 @@ mod tests {
 
     #[test]
     fn phi_rises_with_silence_and_resets_on_heartbeat() {
-        let mut det = PhiAccrual::new(DetectorConfig::default());
+        let mut det = PhiAccrual::new();
         let last = warm(&mut det, 5, 20);
         assert_eq!(det.phi(last), 0.0);
         let p1 = det.phi(last + SimDuration::from_us(5));
@@ -243,7 +189,7 @@ mod tests {
 
     #[test]
     fn time_to_phi_inverts_phi() {
-        let mut det = PhiAccrual::new(DetectorConfig::default());
+        let mut det = PhiAccrual::new();
         let last = warm(&mut det, 5, 20);
         for phi in [1.0, 3.0, 8.0] {
             let at = last + det.time_to_phi(phi);
@@ -257,7 +203,7 @@ mod tests {
 
     #[test]
     fn cold_detector_uses_configured_period() {
-        let det = PhiAccrual::new(DetectorConfig::default());
+        let det = PhiAccrual::new();
         assert_eq!(det.mean_interval_us(), 5.0);
         assert_eq!(det.phi(SimTime::from_us(1_000)), 0.0, "no heartbeat yet");
         // With μ = 5 µs, φ = 3 corresponds to Δ = 3 · 5 · ln10 ≈ 34.5 µs.
@@ -267,15 +213,14 @@ mod tests {
 
     #[test]
     fn window_mean_tracks_observed_cadence() {
-        let cfg = DetectorConfig::default();
-        let mut det = PhiAccrual::new(cfg);
-        // Heartbeats actually arriving every 10 µs (twice the configured
-        // period): once warm, μ must come from observation, not config.
-        warm(&mut det, 10, cfg.min_samples + 1);
+        let mut det = PhiAccrual::new();
+        // Heartbeats actually arriving every 10 µs (twice the nominal
+        // period): once warm, μ must come from observation.
+        warm(&mut det, 10, PHI_MIN_SAMPLES + 1);
         assert_eq!(det.mean_interval_us(), 10.0);
         // And the window slides: switch cadence, mean follows.
-        let mut t = SimTime::from_us(10 * cfg.min_samples as u64);
-        for _ in 0..cfg.window {
+        let mut t = SimTime::from_us(10 * PHI_MIN_SAMPLES as u64);
+        for _ in 0..PHI_WINDOW {
             t += SimDuration::from_us(2);
             det.heartbeat(t);
         }
@@ -284,7 +229,7 @@ mod tests {
 
     #[test]
     fn epochs_invalidate_scheduled_checks() {
-        let mut det = PhiAccrual::new(DetectorConfig::default());
+        let mut det = PhiAccrual::new();
         let e1 = det.heartbeat(SimTime::from_us(5));
         let e2 = det.heartbeat(SimTime::from_us(10));
         assert!(e2 > e1, "each heartbeat must open a fresh epoch");
@@ -293,44 +238,5 @@ mod tests {
         assert!(det.epoch() > e2, "reset must also invalidate old checks");
         assert_eq!(det.last_heartbeat(), None);
         assert_eq!(det.phi(SimTime::from_us(1_000)), 0.0);
-    }
-
-    #[test]
-    fn validate_rejects_bad_tunings() {
-        let ok = DetectorConfig::default();
-        assert!(ok.validate().is_ok());
-        for (name, cfg) in [
-            (
-                "zero period",
-                DetectorConfig {
-                    heartbeat_every_us: 0.0,
-                    ..ok
-                },
-            ),
-            (
-                "evict below suspect",
-                DetectorConfig {
-                    evict_phi: 0.5,
-                    ..ok
-                },
-            ),
-            ("zero window", DetectorConfig { window: 0, ..ok }),
-            (
-                "min_samples over window",
-                DetectorConfig {
-                    min_samples: 64,
-                    ..ok
-                },
-            ),
-            (
-                "zero probation",
-                DetectorConfig {
-                    readmit_after: 0,
-                    ..ok
-                },
-            ),
-        ] {
-            assert!(cfg.validate().is_err(), "{name} must be rejected");
-        }
     }
 }

@@ -66,7 +66,7 @@ pub use admission::{AdmissionPolicy, BrownoutLevel, FailureDisposition};
 pub use argbuf::ArgBuf;
 pub use audit::{AuditError, JournalCheck, LedgerCopy, Violation};
 pub use autoscaler::{
-    AutoscalerConfig, BrownoutConfig, ClusterAutoscaler, Directive, ScaleDecision, WindowSignals,
+    AutoscalerConfig, ClusterAutoscaler, Directive, ScaleDecision, WindowSignals,
 };
 pub use cluster::{
     ClusterConfig, ClusterDispatcher, ClusterReport, DrainPlan, EngineConfig, HedgeConfig,
@@ -77,7 +77,7 @@ pub use durability::{CheckpointSeal, DurableLog, FrameAnomaly, ScanReport, FRAME
 pub use events::{AbortCause, EventBus, LifecycleEvent, NoticeOutcome, RetryKind, WorkerNotice};
 pub use executor::Executor;
 pub use function::{FuncOp, FunctionId, FunctionRegistry, FunctionSpec};
-pub use health::{DetectorConfig, PhiAccrual, WorkerHealth};
+pub use health::{PhiAccrual, WorkerHealth};
 pub use invocation::{Invocation, InvocationId};
 pub use journal::{
     InvocationJournal, JournalRecord, PendingInvocation, PendingRetry, RecoveredState,

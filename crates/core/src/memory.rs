@@ -31,17 +31,18 @@ pub const JOURNAL_RECORD_BYTES: u64 = 64;
 /// checkpoints × this).
 pub const CHECKPOINT_IMAGE_BYTES: u64 = 4096;
 
+/// Fraction of the resident budget at which pressure becomes
+/// [`MemoryPressure::Elevated`] and reclamation starts.
+const ELEVATED_FRAC: f64 = 0.70;
+/// Fraction of the resident budget at which pressure becomes
+/// [`MemoryPressure::Critical`] and scale-up stops.
+const CRITICAL_FRAC: f64 = 0.90;
+
 /// Memory-governor tuning for one worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Resident-byte budget the pressure ladder is anchored to.
     pub resident_budget_bytes: u64,
-    /// Fraction of the budget at which pressure becomes
-    /// [`MemoryPressure::Elevated`].
-    pub elevated_frac: f64,
-    /// Fraction of the budget at which pressure becomes
-    /// [`MemoryPressure::Critical`].
-    pub critical_frac: f64,
     /// Pooled PDs idle longer than this are eviction candidates.
     pub pool_max_idle: SimDuration,
     /// Hard cap on warm PDs retained per function (oldest evicted first).
@@ -57,8 +58,6 @@ impl Default for MemoryConfig {
             // state, so pressure only engages when something actually leaks
             // or hoards.
             resident_budget_bytes: 1 << 30,
-            elevated_frac: 0.70,
-            critical_frac: 0.90,
             pool_max_idle: SimDuration::from_us(10_000),
             pool_max_per_function: 8,
             compact_dead_slots: 256,
@@ -76,14 +75,6 @@ impl MemoryConfig {
         if self.resident_budget_bytes == 0 {
             return Err("resident_budget_bytes must be positive".into());
         }
-        // Written to also reject NaN in either fraction.
-        let ordered = self.elevated_frac > 0.0 && self.critical_frac >= self.elevated_frac;
-        if !ordered {
-            return Err(format!(
-                "pressure fractions must satisfy 0 < elevated ({}) <= critical ({})",
-                self.elevated_frac, self.critical_frac
-            ));
-        }
         Ok(())
     }
 
@@ -91,9 +82,9 @@ impl MemoryConfig {
     pub fn pressure(&self, resident: u64) -> MemoryPressure {
         let budget = self.resident_budget_bytes as f64;
         let r = resident as f64;
-        if r >= budget * self.critical_frac {
+        if r >= budget * CRITICAL_FRAC {
             MemoryPressure::Critical
-        } else if r >= budget * self.elevated_frac {
+        } else if r >= budget * ELEVATED_FRAC {
             MemoryPressure::Elevated
         } else {
             MemoryPressure::Normal
@@ -472,8 +463,6 @@ mod tests {
     fn pressure_ladder_thresholds() {
         let cfg = MemoryConfig {
             resident_budget_bytes: 1000,
-            elevated_frac: 0.7,
-            critical_frac: 0.9,
             ..MemoryConfig::default()
         };
         assert_eq!(cfg.pressure(0), MemoryPressure::Normal);

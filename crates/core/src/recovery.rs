@@ -14,8 +14,15 @@
 //! re-admitted (a `RetryScheduled` event) or terminally failed.
 
 use jord_hw::{CrashPlan, CrashScope, StorageFaultPlan};
+use jord_sim::SimDuration;
 
 use crate::config::ConfigError;
+
+/// Downtime of a crashed component before it serves again (process
+/// restart + journal replay, charged in simulated time). A standalone
+/// worker's crashed executor, orchestrator or process and a cluster's
+/// killed worker all pay it.
+pub(crate) const RESTART_PENALTY: SimDuration = SimDuration::from_us(50);
 
 /// What the recovery path promises about requests in flight at the crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +135,6 @@ pub struct CrashConfig {
     pub semantics: CrashSemantics,
     /// Take a checkpoint every this many journal records.
     pub checkpoint_every: usize,
-    /// Downtime of the crashed component before it serves again, µs
-    /// (process restart + journal replay, charged in simulated time).
-    pub restart_penalty_us: f64,
     /// Storage misbehavior applied to the durable journal between crash
     /// and restart (`None` = the device persists everything byte-perfect,
     /// the pre-durability behavior).
@@ -143,7 +147,6 @@ impl Default for CrashConfig {
             plan: None,
             semantics: CrashSemantics::AtLeastOnce,
             checkpoint_every: 64,
-            restart_penalty_us: 50.0,
             storage: None,
         }
     }
@@ -155,7 +158,7 @@ impl CrashConfig {
         CrashConfig::default()
     }
 
-    /// Crashes per `plan` with `semantics`, default cadence and penalty.
+    /// Crashes per `plan` with `semantics` and the default cadence.
     pub fn new(plan: CrashPlan, semantics: CrashSemantics) -> Self {
         CrashConfig {
             plan: Some(plan),
@@ -167,12 +170,6 @@ impl CrashConfig {
     /// Overrides the checkpoint cadence.
     pub fn checkpoint_every(mut self, records: usize) -> Self {
         self.checkpoint_every = records;
-        self
-    }
-
-    /// Overrides the restart penalty.
-    pub fn restart_penalty_us(mut self, us: f64) -> Self {
-        self.restart_penalty_us = us;
         self
     }
 
@@ -195,13 +192,6 @@ impl CrashConfig {
             // Zero cadence would ask for a checkpoint after every batch of
             // zero records — an infinite loop at the first poll.
             return Err(crash("checkpoint_every must be positive".into()));
-        }
-        // `is_finite` also rejects NaN.
-        if !self.restart_penalty_us.is_finite() || self.restart_penalty_us < 0.0 {
-            return Err(crash(format!(
-                "restart_penalty_us must be finite and non-negative, got {}",
-                self.restart_penalty_us
-            )));
         }
         // `storage` with no crash plan is legal: cluster workers are
         // killed by dispatcher events, not a CrashPlan, and the storage
@@ -262,10 +252,6 @@ mod tests {
     #[test]
     fn validation_rejects_bad_numbers() {
         let c = CrashConfig::default().checkpoint_every(0);
-        assert!(c.validate(4, 28).is_err());
-        let c = CrashConfig::default().restart_penalty_us(f64::NAN);
-        assert!(c.validate(4, 28).is_err());
-        let c = CrashConfig::default().restart_penalty_us(-1.0);
         assert!(c.validate(4, 28).is_err());
         let c = CrashConfig::new(
             CrashPlan::worker_at(f64::INFINITY),

@@ -82,6 +82,14 @@ const RT_BASE: u64 = 0x80_0000_0000;
 /// Orchestrator backoff before re-scanning when all executor queues are
 /// full (a dedicated spinning core in reality).
 const FULL_RETRY: SimDuration = SimDuration::from_ns(100);
+/// Orchestrator work to ingest one external request from the network
+/// stack, ns (the measurement clock starts at receipt, as in §5).
+pub const INGEST_WORK_NS: f64 = 60.0;
+/// Orchestrator work per executor during a JBSQ scan, ns (compare and
+/// track the minimum).
+pub const SCAN_WORK_NS: f64 = 1.0;
+/// Executor work to pop a request and set up the continuation, ns.
+pub const PICKUP_WORK_NS: f64 = 15.0;
 /// Executor work to push one internal request into an orchestrator inbox.
 const INTERNAL_PUSH_NS: f64 = 8.0;
 /// Executor work to assemble a completion notice.
@@ -746,7 +754,7 @@ impl WorkerServer {
         } else if self.slab.get(inv_id).argbuf.va() == 0 {
             // First touch of this external request: network ingest, ArgBuf
             // allocation, payload copy-in.
-            cost += self.machine.work(self.cfg.ingest_work_ns);
+            cost += self.machine.work(INGEST_WORK_NS);
             let bytes = self.slab.get(inv_id).argbuf.len();
             let (va, c) = self
                 .privlib
@@ -786,7 +794,7 @@ impl WorkerServer {
         let scan = worst.max(sum / mlp)
             + self
                 .machine
-                .work(self.cfg.scan_work_ns * self.orchs[i].group.len() as f64);
+                .work(SCAN_WORK_NS * self.orchs[i].group.len() as f64);
         cost += scan;
 
         let target = best.filter(|_| best_depth < self.cfg.queue_bound);
@@ -888,7 +896,7 @@ impl WorkerServer {
 
         // Pop cost: the queue line update is what invalidates the
         // orchestrator's cached depth.
-        exec += self.machine.work(self.cfg.pickup_work_ns);
+        exec += self.machine.work(PICKUP_WORK_NS);
         exec += self.machine.atomic_rmw(core, self.execs[e].queue_line);
 
         let (func, argbuf) = {

@@ -17,7 +17,7 @@ use crate::events::{AbortCause, LifecycleEvent, RetryKind};
 use crate::invocation::{Invocation, InvocationId, Origin, Phase};
 use crate::journal::{InvocationJournal, PendingRetry, RecoveredState, WorkerCheckpoint};
 use crate::lifecycle::InvocationState;
-use crate::recovery::{CrashSemantics, RecoveryRung};
+use crate::recovery::{CrashSemantics, RecoveryRung, RESTART_PENALTY};
 use crate::stats::RunReport;
 
 use super::{Event, StrandedRequest, WorkerServer};
@@ -34,13 +34,6 @@ impl WorkerServer {
             .crash
             .map(|c| c.semantics)
             .unwrap_or(CrashSemantics::AtLeastOnce)
-    }
-
-    /// Downtime of a crashed component before it serves again.
-    fn restart_penalty(&self) -> SimDuration {
-        SimDuration::from_ns_f64(
-            self.cfg.crash.map(|c| c.restart_penalty_us).unwrap_or(0.0) * 1_000.0,
-        )
     }
 
     /// Checkpoints after `checkpoint_every` journal records accumulate.
@@ -115,7 +108,7 @@ impl WorkerServer {
                         // Re-admission is not the request's fault: it keeps
                         // its attempt count and shows up in
                         // `crash.readmitted`, not `faults.retries`.
-                        let due = t + self.restart_penalty();
+                        let due = t + RESTART_PENALTY;
                         let token = self.lifecycle.alloc_token();
                         self.emit(LifecycleEvent::RetryScheduled {
                             req: inv.req,
@@ -203,7 +196,7 @@ impl WorkerServer {
         self.emit(LifecycleEvent::CrashKilled { count: killed });
         self.execs[e].queue.clear();
         self.execs[e].ready.clear();
-        self.execs[e].next_free = t + self.restart_penalty();
+        self.execs[e].next_free = t + RESTART_PENALTY;
     }
 
     /// Kills orchestrator `o`: only its *queued* work dies — requests it
@@ -233,7 +226,7 @@ impl WorkerServer {
             };
             self.deliver_child_result(t, core, parent, id, inv.argbuf, true);
         }
-        self.orchs[o].next_free = t + self.restart_penalty();
+        self.orchs[o].next_free = t + RESTART_PENALTY;
     }
 
     /// Replays the journal suffix over `checkpoint` and compares the
@@ -518,7 +511,7 @@ impl WorkerServer {
         }
 
         // Settle interrupted work.
-        let restart = t + self.restart_penalty();
+        let restart = t + RESTART_PENALTY;
         match cc.semantics {
             CrashSemantics::AtLeastOnce => {
                 // In-flight requests re-enter once the worker restarts;

@@ -16,7 +16,7 @@
 //! wakeup on the receiving side. There are no PDs, no VMA table, no
 //! zero-copy handoffs — and no isolation.
 //!
-//! The [`PipeModel`] constants follow published measurements (NightCore
+//! The [`pipe`] constants follow published measurements (NightCore
 //! reports its internal function-call latencies in the few-microsecond
 //! range; pipe round trips with futex wakeups cost 2–4 µs on current
 //! Linux).
@@ -42,5 +42,4 @@
 pub mod pipe;
 pub mod server;
 
-pub use pipe::PipeModel;
 pub use server::{NightCoreConfig, NightCoreServer};

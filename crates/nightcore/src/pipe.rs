@@ -7,72 +7,47 @@
 //! Jord's whole point is that these per-message microseconds dwarf its
 //! nanosecond-scale VTE operations (§2.1: communication accounts for up to
 //! 70 % of function execution time in pipe/queue-based systems).
+//!
+//! The constants are calibrated against published pipe/futex
+//! microbenchmarks on a current Linux kernel: ~400 ns per syscall, ~1.6 µs
+//! wakeup, ~10 GB/s single-threaded copy.
 
 use jord_sim::SimDuration;
 
-/// Cost constants for one-way pipe messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipeModel {
-    /// One system call (entry + exit + kernel pipe work), ns.
-    pub syscall_ns: f64,
-    /// Waking a blocked receiver thread (futex + scheduler + cache warmup),
-    /// ns.
-    pub wakeup_ns: f64,
-    /// Copy bandwidth through the kernel buffer, bytes per ns (both the
-    /// copy-in and the copy-out pay it).
-    pub copy_bytes_per_ns: f64,
-    /// Serialization/deserialization work per message byte, ns
-    /// (NightCore's message framing; cheap but nonzero).
-    pub serdes_ns_per_byte: f64,
+/// One system call (entry + exit + kernel pipe work), ns.
+pub const SYSCALL_NS: f64 = 400.0;
+/// Waking a blocked receiver thread (futex + scheduler + cache warmup),
+/// ns.
+pub const WAKEUP_NS: f64 = 1600.0;
+/// Copy bandwidth through the kernel buffer, bytes per ns (both the
+/// copy-in and the copy-out pay it).
+pub const COPY_BYTES_PER_NS: f64 = 10.0;
+/// Serialization/deserialization work per message byte, ns (NightCore's
+/// message framing; cheap but nonzero).
+pub const SERDES_NS_PER_BYTE: f64 = 0.05;
+
+/// Cost of one one-way message of `bytes`, with or without a receiver
+/// wakeup (a spinning receiver skips the futex path).
+pub fn message(bytes: u64, wakeup: bool) -> SimDuration {
+    send(bytes, wakeup) + recv(bytes)
 }
 
-impl PipeModel {
-    /// Calibrated against published pipe/futex microbenchmarks on a
-    /// current Linux kernel: ~400 ns per syscall, ~1.6 µs wakeup,
-    /// ~10 GB/s single-threaded copy.
-    pub fn linux_default() -> Self {
-        PipeModel {
-            syscall_ns: 400.0,
-            wakeup_ns: 1600.0,
-            copy_bytes_per_ns: 10.0,
-            serdes_ns_per_byte: 0.05,
-        }
-    }
-
-    /// Cost of one one-way message of `bytes`, receiver blocked.
-    pub fn message(&self, bytes: u64) -> SimDuration {
-        self.message_with_wakeup(bytes, true)
-    }
-
-    /// Cost of one one-way message, with or without a receiver wakeup
-    /// (a spinning receiver skips the futex path).
-    pub fn message_with_wakeup(&self, bytes: u64, wakeup: bool) -> SimDuration {
-        self.send(bytes, wakeup) + self.recv(bytes)
-    }
-
-    /// Sender-side cost: `write(2)`, copy-in, serialization, and — when the
-    /// receiver is blocked — the futex wakeup (paid by the waker).
-    pub fn send(&self, bytes: u64, wakeup: bool) -> SimDuration {
-        let b = bytes as f64;
-        let ns = self.syscall_ns
-            + b / self.copy_bytes_per_ns
-            + b * self.serdes_ns_per_byte
-            + if wakeup { self.wakeup_ns } else { 0.0 };
-        SimDuration::from_ns_f64(ns)
-    }
-
-    /// Receiver-side cost: `read(2)`, copy-out, deserialization.
-    pub fn recv(&self, bytes: u64) -> SimDuration {
-        let b = bytes as f64;
-        let ns = self.syscall_ns + b / self.copy_bytes_per_ns + b * self.serdes_ns_per_byte;
-        SimDuration::from_ns_f64(ns)
-    }
+/// Sender-side cost: `write(2)`, copy-in, serialization, and — when the
+/// receiver is blocked — the futex wakeup (paid by the waker).
+pub fn send(bytes: u64, wakeup: bool) -> SimDuration {
+    let b = bytes as f64;
+    let ns = SYSCALL_NS
+        + b / COPY_BYTES_PER_NS
+        + b * SERDES_NS_PER_BYTE
+        + if wakeup { WAKEUP_NS } else { 0.0 };
+    SimDuration::from_ns_f64(ns)
 }
 
-impl Default for PipeModel {
-    fn default() -> Self {
-        PipeModel::linux_default()
-    }
+/// Receiver-side cost: `read(2)`, copy-out, deserialization.
+pub fn recv(bytes: u64) -> SimDuration {
+    let b = bytes as f64;
+    let ns = SYSCALL_NS + b / COPY_BYTES_PER_NS + b * SERDES_NS_PER_BYTE;
+    SimDuration::from_ns_f64(ns)
 }
 
 #[cfg(test)]
@@ -81,28 +56,25 @@ mod tests {
 
     #[test]
     fn empty_message_costs_two_syscalls_and_a_wakeup() {
-        let p = PipeModel::linux_default();
-        let d = p.message(0).as_ns_f64();
+        let d = message(0, true).as_ns_f64();
         assert!((d - 2400.0).abs() < 1.0, "got {d}");
     }
 
     #[test]
     fn copies_scale_with_size() {
-        let p = PipeModel::linux_default();
-        let small = p.message(64).as_ns_f64();
-        let big = p.message(64 * 1024).as_ns_f64();
+        let small = message(64, true).as_ns_f64();
+        let big = message(64 * 1024, true).as_ns_f64();
         // 64 KiB: 2×6.55 µs copy + 2×3.3 µs serdes + base.
         assert!(big > small + 10_000.0, "small {small} big {big}");
     }
 
     #[test]
     fn spinning_receiver_skips_wakeup() {
-        let p = PipeModel::linux_default();
-        let blocked = p.message(128);
-        let spinning = p.message_with_wakeup(128, false);
+        let blocked = message(128, true);
+        let spinning = message(128, false);
         assert_eq!(
             (blocked - spinning).as_ns_f64(),
-            p.wakeup_ns,
+            WAKEUP_NS,
             "difference must be exactly the wakeup"
         );
     }
@@ -111,8 +83,7 @@ mod tests {
     fn microsecond_scale_matches_nightcore_reports() {
         // NightCore's internal function call: request + response pipes on a
         // ~KB payload land in the 4–6 µs range.
-        let p = PipeModel::linux_default();
-        let rt = (p.message(1024) + p.message(1024)).as_us_f64();
+        let rt = (message(1024, true) + message(1024, true)).as_us_f64();
         assert!((3.0..8.0).contains(&rt), "round trip {rt} µs");
     }
 }

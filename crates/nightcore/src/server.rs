@@ -7,7 +7,9 @@
 //! NightCore workers block their thread on nested calls), so the remaining
 //! difference is exactly the paper's claim: OS pipes.
 
+use jord_core::config::DEFAULT_QUEUE_BOUND;
 use jord_core::invocation::{InvocationSlab, Origin, Phase};
+use jord_core::server::{INGEST_WORK_NS, PICKUP_WORK_NS, SCAN_WORK_NS};
 use jord_core::{
     ArgBuf, ConfigError, Executor, FuncOp, FunctionId, FunctionRegistry, Invocation, InvocationId,
     Orchestrator, RunReport,
@@ -16,7 +18,7 @@ use jord_hw::types::CoreId;
 use jord_hw::{Machine, MachineConfig};
 use jord_sim::{EventQueue, Rng, SimDuration, SimTime};
 
-use crate::pipe::PipeModel;
+use crate::pipe;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -35,25 +37,17 @@ const BLOCK_NS: f64 = 250.0;
 const MALLOC_NS: f64 = 80.0;
 const FREE_NS: f64 = 60.0;
 
-/// NightCore server parameters.
+/// NightCore server parameters. Ingest, JBSQ scan and pickup cost what
+/// they cost Jord, and the JBSQ bound is Jord's default: the twin differs
+/// from Jord only in its [`pipe`] costs.
 #[derive(Debug, Clone)]
 pub struct NightCoreConfig {
     /// The simulated hardware (same Table 2 machine as Jord).
     pub machine: MachineConfig,
     /// Orchestrator (launcher) thread count.
     pub orchestrators: usize,
-    /// JBSQ bound per worker queue.
-    pub queue_bound: usize,
     /// RNG seed.
     pub seed: u64,
-    /// The pipe cost model.
-    pub pipes: PipeModel,
-    /// Network ingest work per external request, ns.
-    pub ingest_work_ns: f64,
-    /// Per-worker JBSQ scan work, ns.
-    pub scan_work_ns: f64,
-    /// Worker pickup work per request, ns.
-    pub pickup_work_ns: f64,
 }
 
 impl NightCoreConfig {
@@ -68,12 +62,7 @@ impl NightCoreConfig {
         NightCoreConfig {
             machine,
             orchestrators,
-            queue_bound: 4,
             seed: 42,
-            pipes: PipeModel::linux_default(),
-            ingest_work_ns: 60.0,
-            scan_work_ns: 1.0,
-            pickup_work_ns: 15.0,
         }
     }
 
@@ -85,7 +74,6 @@ impl NightCoreConfig {
 
 /// The enhanced-NightCore worker server.
 pub struct NightCoreServer {
-    cfg: NightCoreConfig,
     machine: Machine,
     registry: FunctionRegistry,
     orchs: Vec<Orchestrator>,
@@ -156,7 +144,6 @@ impl NightCoreServer {
         let admission = (8 * n_exec / n_orch).max(16);
         let seed = cfg.seed;
         Ok(NightCoreServer {
-            cfg,
             machine,
             registry,
             orchs,
@@ -259,11 +246,11 @@ impl NightCoreServer {
         let core = self.orchs[i].core;
         let mut cost = SimDuration::ZERO;
         if !is_internal {
-            cost += self.machine.work(self.cfg.ingest_work_ns);
+            cost += self.machine.work(INGEST_WORK_NS);
         } else {
             // Internal requests arrive over a pipe from the worker; the
             // receive side is charged here.
-            cost += self.machine.work(self.cfg.pipes.syscall_ns);
+            cost += self.machine.work(pipe::SYSCALL_NS);
         }
 
         // JBSQ scan: identical mechanism to Jord (the enhancement).
@@ -286,9 +273,9 @@ impl NightCoreServer {
         cost += worst.max(sum / mlp)
             + self
                 .machine
-                .work(self.cfg.scan_work_ns * self.orchs[i].group.len() as f64);
+                .work(SCAN_WORK_NS * self.orchs[i].group.len() as f64);
 
-        let target = best.filter(|_| best_depth < self.cfg.queue_bound);
+        let target = best.filter(|_| best_depth < DEFAULT_QUEUE_BOUND);
         match target {
             None => {
                 if is_internal {
@@ -310,7 +297,7 @@ impl NightCoreServer {
                     // … but external request *data* still crosses a pipe
                     // into the worker (no zero-copy in NightCore). Internal
                     // request data was already piped by the caller.
-                    cost += self.cfg.pipes.send(bytes, idle);
+                    cost += pipe::send(bytes, idle);
                 }
                 let buf = self.local_buf(e);
                 self.execs[e].queue.push_back(inv_id);
@@ -343,18 +330,18 @@ impl NightCoreServer {
             let pending = std::mem::take(&mut self.slab.get_mut(id).pending_free);
             let mut d = SimDuration::ZERO;
             for (_, bytes) in pending {
-                d += self.cfg.pipes.recv(bytes);
+                d += pipe::recv(bytes);
             }
             self.slab.get_mut(id).breakdown.exec += d;
             self.slab.get_mut(id).phase = Phase::Running;
             self.run_segment(t, d, e, id);
         } else if let Some(id) = self.execs[e].queue.pop_front() {
-            let mut d = self.machine.work(self.cfg.pickup_work_ns);
+            let mut d = self.machine.work(PICKUP_WORK_NS);
             d += self
                 .machine
                 .atomic_rmw(self.execs[e].core, self.execs[e].queue_line);
             // Receive the request data from the pipe into a local buffer.
-            d += self.cfg.pipes.recv(self.slab.get(id).argbuf.len());
+            d += pipe::recv(self.slab.get(id).argbuf.len());
             let inv = self.slab.get_mut(id);
             inv.phase = Phase::Running;
             inv.started_at = t;
@@ -428,7 +415,7 @@ impl NightCoreServer {
                     // shared-memory inbox.
                     let bytes = arg_bytes.max(64);
                     let orch = self.execs[e].orch;
-                    let mut d = self.cfg.pipes.send(bytes, false);
+                    let mut d = pipe::send(bytes, false);
                     d += self.machine.write(core, self.orchs[orch].inbox_line, 64);
                     acc += d;
                     let child = self.slab.insert(Invocation::new(
@@ -488,7 +475,7 @@ impl NightCoreServer {
             Origin::External { orch, arrival } => {
                 // Result pipe back to the launcher.
                 let idle = !self.orchs[orch].has_work() && self.orchs[orch].next_free <= t + acc;
-                let d = self.cfg.pipes.send(argbuf.len(), idle);
+                let d = pipe::send(argbuf.len(), idle);
                 acc += d;
                 self.slab.get_mut(id).breakdown.exec += d;
                 let done = t + acc;
@@ -505,7 +492,7 @@ impl NightCoreServer {
             }
             Origin::Internal { parent, .. } => {
                 // Result pipe back to the (blocked) parent worker.
-                let d = self.cfg.pipes.send(argbuf.len(), true);
+                let d = pipe::send(argbuf.len(), true);
                 acc += d;
                 self.slab.get_mut(id).breakdown.exec += d;
                 let done = t + acc;

@@ -159,12 +159,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// The larger of two spans (used when parallel hardware actions overlap,
-    /// e.g. a VLB shootdown waits only for the furthest sharer core).
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

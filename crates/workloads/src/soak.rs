@@ -176,7 +176,6 @@ impl SoakCampaign {
                 pool_max_idle: SimDuration::from_us((day_us / 8.0) as u64),
                 pool_max_per_function: 4,
                 compact_dead_slots: 64,
-                ..MemoryConfig::default()
             },
             crash_at_us: span_us * 0.4,
             growth_tolerance: 1.25,

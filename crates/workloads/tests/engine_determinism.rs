@@ -11,6 +11,8 @@
 //! only admissible if all three collide exactly — "same results, faster"
 //! is the contract, and this test is the contract's teeth.
 
+use jord_core::durability::fnv1a;
+use jord_core::WindowRecord;
 use jord_workloads::{AutoscaleCampaign, Workload, WorkloadKind};
 
 /// Recorded under the BinaryHeap queue (commit lineage: PR 6 autoscaler,
@@ -20,13 +22,10 @@ const PINNED_WINDOW_DIGEST: u64 = 0x80300dcf4f0511fa;
 const PINNED_WINDOWS: usize = 22;
 const PINNED_COMPLETED: u64 = 1_500;
 
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// FNV-1a over the debug rendering of every autoscaler window.
+fn window_digest(windows: &[WindowRecord]) -> u64 {
+    let rendered: String = windows.iter().map(|w| format!("{w:?}")).collect();
+    fnv1a(rendered.as_bytes())
 }
 
 #[test]
@@ -42,7 +41,7 @@ fn autoscale_campaign_schedule_is_pinned_across_queue_rebuilds() {
         rep.trace_hash, PINNED_TRACE_HASH,
         "lifecycle trace hash drifted: the cluster event schedule changed"
     );
-    let digest = fnv1a(windows.iter().flat_map(|w| format!("{w:?}").into_bytes()));
+    let digest = window_digest(&windows);
     assert_eq!(
         digest, PINNED_WINDOW_DIGEST,
         "autoscaler window digest drifted: scaling decisions changed"
@@ -60,7 +59,7 @@ fn autoscale_campaign_is_reproducible_within_a_process() {
     assert_eq!(a.trace_hash, b.trace_hash);
     assert_eq!(a.completed, b.completed);
     assert_eq!(wa.len(), wb.len());
-    let da = fnv1a(wa.iter().flat_map(|w| format!("{w:?}").into_bytes()));
-    let db = fnv1a(wb.iter().flat_map(|w| format!("{w:?}").into_bytes()));
+    let da = window_digest(&wa);
+    let db = window_digest(&wb);
     assert_eq!(da, db, "two identically-seeded runs must be bit-identical");
 }

@@ -28,7 +28,10 @@
 use std::time::Instant;
 
 use jord_bench::engine::{cancel_storm, hold_model, transient, MicroResult};
-use jord_core::{ClusterConfig, ClusterDispatcher, EngineConfig, RuntimeConfig, SystemVariant};
+use jord_core::durability::fnv1a;
+use jord_core::{
+    ClusterConfig, ClusterDispatcher, EngineConfig, RuntimeConfig, SystemVariant, WindowRecord,
+};
 use jord_hw::MachineConfig;
 use jord_workloads::{AutoscaleCampaign, LoadGen, SoakCampaign, Workload, WorkloadKind};
 
@@ -43,13 +46,10 @@ const GATE_PARALLEL_SPEEDUP: f64 = 2.0;
 /// Minimum cores for the parallel-speedup gate to be meaningful.
 const GATE_PARALLEL_MIN_CORES: usize = 4;
 
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// FNV-1a over the debug rendering of every autoscaler window.
+fn window_digest(windows: &[WindowRecord]) -> u64 {
+    let rendered: String = windows.iter().map(|w| format!("{w:?}")).collect();
+    fnv1a(rendered.as_bytes())
 }
 
 fn print_micro(r: &MicroResult) {
@@ -131,7 +131,7 @@ fn main() {
         let start = Instant::now();
         let (rep, windows) = campaign.run_cluster(&hotel, &campaign.crowd, true, |_, _| {});
         auto_wall = start.elapsed().as_secs_f64();
-        let digest = fnv1a(windows.iter().flat_map(|w| format!("{w:?}").into_bytes()));
+        let digest = window_digest(&windows);
         auto_hashes.push((rep.trace_hash, digest, rep.completed));
     }
     assert_eq!(auto_hashes[0], auto_hashes[1], "autoscale replay diverged");
@@ -154,11 +154,7 @@ fn main() {
         .engine(EngineConfig::threads(4));
     let (par_rep, par_windows) =
         par_campaign.run_cluster(&hotel, &par_campaign.crowd, true, |_, _| {});
-    let par_digest = fnv1a(
-        par_windows
-            .iter()
-            .flat_map(|w| format!("{w:?}").into_bytes()),
-    );
+    let par_digest = window_digest(&par_windows);
     assert_eq!(
         par_rep.trace_hash, PINNED_TRACE_HASH,
         "parallel engine (4 threads) diverged from the golden trace hash"
