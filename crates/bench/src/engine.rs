@@ -113,12 +113,9 @@ pub fn transient(n: usize, seed: u64) -> MicroResult {
         let mut q = EventQueue::new();
         let mut rng = Rng::new(seed);
         let start = Instant::now();
-        // The burst goes through `schedule_batch`: the exact size hint
-        // pre-sizes the slab, and bucket geometry is computed once from
-        // the whole burst instead of re-growing under the push loop.
-        q.schedule_batch(
-            (0..n).map(|i| (SimTime::from_ps(rng.next_below(GAP_PS * 100)), i as u64)),
-        );
+        for i in 0..n {
+            q.push(SimTime::from_ps(rng.next_below(GAP_PS * 100)), i as u64);
+        }
         let mut sum = 0u64;
         while let Some((t, e)) = q.pop() {
             sum = sum.wrapping_add(t.as_ps()).wrapping_add(e);

@@ -111,12 +111,18 @@ impl AdmissionPolicy {
         AdmissionPolicy {
             policy,
             orchestrators,
-            // Deep enough to keep every executor busy through dispatch
-            // latency, floored so tiny machines still pipeline.
-            window: (8 * executors / orchestrators).max(16),
+            window: Self::window_for(orchestrators, executors),
             rr: 0,
             brownout: BrownoutLevel::Normal,
         }
+    }
+
+    /// The admission window of each of `orchestrators` orchestrators
+    /// sharing `executors` executor cores: deep enough to keep every
+    /// executor busy through dispatch latency, floored so tiny machines
+    /// still pipeline.
+    pub fn window_for(orchestrators: usize, executors: usize) -> usize {
+        (8 * executors / orchestrators).max(16)
     }
 
     /// The per-orchestrator admission window.

@@ -87,7 +87,7 @@ const FULL_RETRY: SimDuration = SimDuration::from_ns(100);
 pub const INGEST_WORK_NS: f64 = 60.0;
 /// Orchestrator work per executor during a JBSQ scan, ns (compare and
 /// track the minimum).
-pub const SCAN_WORK_NS: f64 = 1.0;
+pub(crate) const SCAN_WORK_NS: f64 = 1.0;
 /// Executor work to pop a request and set up the continuation, ns.
 pub const PICKUP_WORK_NS: f64 = 15.0;
 /// Executor work to push one internal request into an orchestrator inbox.
@@ -226,12 +226,8 @@ impl WorkerServer {
         registry: &FunctionRegistry,
     ) -> Result<BootParts, ConfigError> {
         let mut machine = Machine::new(cfg.machine.clone());
-        let (mut privlib, boot_vmas) = os::boot_full(
-            &mut machine,
-            cfg.variant.table(),
-            cfg.variant.isolation(),
-            jord_privlib::CostModel::calibrated(),
-        )?;
+        let (mut privlib, boot_vmas) =
+            os::boot_full(&mut machine, cfg.variant.table(), cfg.variant.isolation())?;
 
         // One code VMA per deployed function.
         let mut code_vmas = Vec::with_capacity(registry.len());
@@ -772,29 +768,8 @@ impl WorkerServer {
             });
         }
 
-        // JBSQ: read every managed executor's queue depth, pick the
-        // shallowest (§3.3). Loads to different executors overlap up to
-        // the core's MLP.
-        let group = self.orchs[i].group.clone();
-        let mlp = self.machine.config().mlp as u64;
-        let mut sum = SimDuration::ZERO;
-        let mut worst = SimDuration::ZERO;
-        let mut best: Option<usize> = None;
-        let mut best_depth = usize::MAX;
-        for e in group {
-            let lat = self.machine.read(core, self.execs[e].queue_line, 8);
-            sum += lat;
-            worst = worst.max(lat);
-            let depth = self.execs[e].observed_depth(t);
-            if depth < best_depth {
-                best_depth = depth;
-                best = Some(e);
-            }
-        }
-        let scan = worst.max(sum / mlp)
-            + self
-                .machine
-                .work(SCAN_WORK_NS * self.orchs[i].group.len() as f64);
+        // JBSQ: pick the shallowest managed executor (§3.3).
+        let (scan, best, best_depth) = self.orchs[i].scan(&mut self.machine, &self.execs, t);
         cost += scan;
 
         let target = best.filter(|_| best_depth < self.cfg.queue_bound);

@@ -9,10 +9,10 @@
 
 use jord_core::config::DEFAULT_QUEUE_BOUND;
 use jord_core::invocation::{InvocationSlab, Origin, Phase};
-use jord_core::server::{INGEST_WORK_NS, PICKUP_WORK_NS, SCAN_WORK_NS};
+use jord_core::server::{INGEST_WORK_NS, PICKUP_WORK_NS};
 use jord_core::{
-    ArgBuf, ConfigError, Executor, FuncOp, FunctionId, FunctionRegistry, Invocation, InvocationId,
-    Orchestrator, RunReport,
+    AdmissionPolicy, ArgBuf, ConfigError, Executor, FuncOp, FunctionId, FunctionRegistry,
+    Invocation, InvocationId, Orchestrator, RunReport,
 };
 use jord_hw::types::CoreId;
 use jord_hw::{Machine, MachineConfig};
@@ -141,7 +141,7 @@ impl NightCoreServer {
                 )
             })
             .collect();
-        let admission = (8 * n_exec / n_orch).max(16);
+        let admission = AdmissionPolicy::window_for(n_orch, n_exec);
         let seed = cfg.seed;
         Ok(NightCoreServer {
             machine,
@@ -254,26 +254,8 @@ impl NightCoreServer {
         }
 
         // JBSQ scan: identical mechanism to Jord (the enhancement).
-        let group = self.orchs[i].group.clone();
-        let mlp = self.machine.config().mlp as u64;
-        let mut sum = SimDuration::ZERO;
-        let mut worst = SimDuration::ZERO;
-        let mut best = None;
-        let mut best_depth = usize::MAX;
-        for e in group {
-            let lat = self.machine.read(core, self.execs[e].queue_line, 8);
-            sum += lat;
-            worst = worst.max(lat);
-            let depth = self.execs[e].observed_depth(t);
-            if depth < best_depth {
-                best_depth = depth;
-                best = Some(e);
-            }
-        }
-        cost += worst.max(sum / mlp)
-            + self
-                .machine
-                .work(SCAN_WORK_NS * self.orchs[i].group.len() as f64);
+        let (scan, best, best_depth) = self.orchs[i].scan(&mut self.machine, &self.execs, t);
+        cost += scan;
 
         let target = best.filter(|_| best_depth < DEFAULT_QUEUE_BOUND);
         match target {

@@ -7,66 +7,38 @@
 //! once so that the *simulator* column of Table 4 is reproduced on the
 //! Table 2 machine with warm caches; the FPGA column then follows from the
 //! config's `ipc_factor` alone (the Table 4 footnote: identical SRAM/raw
-//! latencies, lower IPC on instruction execution).
+//! latencies, lower IPC on instruction execution). The paper reports one
+//! latency per operation, so there is one constant per operation; the
+//! `table4_op_latency` bench and `tests/latency.rs` verify the fit.
 //!
-//! Instruction work scales with `ipc_factor`; hardware FSM work (the VTW)
-//! and memory latencies do not.
+//! Instruction work (nanoseconds at IPC factor 1.0) scales with
+//! `ipc_factor`; hardware FSM work (the VTW) and memory latencies do not.
 
-/// Nanoseconds of instruction work per PrivLib routine (at IPC factor 1.0).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// VTW finite-state-machine overhead per walk (hardware; never scaled
-    /// by `ipc_factor`). Table 4: lookup = 2 ns with the VTE in L1D.
-    pub vtw_fsm_ns: f64,
-    /// `mmap`: size-class selection, free-list bookkeeping, VTE setup.
-    pub mmap_ns: f64,
-    /// `munmap`: unlink, sharer teardown, free-list return.
-    pub munmap_ns: f64,
-    /// `mprotect` / permission update.
-    pub mprotect_ns: f64,
-    /// `pmove`/`pcopy` permission transfer.
-    pub ptransfer_ns: f64,
-    /// `cget` PD creation.
-    pub cget_ns: f64,
-    /// `cput` PD destruction.
-    pub cput_ns: f64,
-    /// `ccall`/`center`/`cexit` context switch (register file save/restore
-    /// plus the `ucid` update).
-    pub cswitch_ns: f64,
-    /// Mandatory security policy checks at every gated entry (§3.2).
-    pub policy_check_ns: f64,
-    /// Front-end restart after an I-VLB miss: the fetch stage stalls for
-    /// the walk and the pipeline refills behind it.
-    pub ifetch_restart_ns: f64,
-    /// The `uat_config` syscall round trip (OS refill path, §4.4).
-    pub uat_config_syscall_ns: f64,
-}
-
-impl CostModel {
-    /// The calibrated model (see module docs and the
-    /// `table4_op_latency` bench that verifies it).
-    pub fn calibrated() -> Self {
-        CostModel {
-            vtw_fsm_ns: 1.5,
-            mmap_ns: 12.5,
-            munmap_ns: 23.0,
-            mprotect_ns: 13.0,
-            ptransfer_ns: 13.0,
-            cget_ns: 8.5,
-            cput_ns: 12.0,
-            cswitch_ns: 10.0,
-            policy_check_ns: 1.0,
-            ifetch_restart_ns: 3.0,
-            uat_config_syscall_ns: 1200.0,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::calibrated()
-    }
-}
+/// VTW finite-state-machine overhead per walk, ns (hardware; never scaled
+/// by `ipc_factor`). Table 4: lookup = 2 ns with the VTE in L1D.
+pub(crate) const VTW_FSM_NS: f64 = 1.5;
+/// `mmap`: size-class selection, free-list bookkeeping, VTE setup, ns.
+pub(crate) const MMAP_NS: f64 = 12.5;
+/// `munmap`: unlink, sharer teardown, free-list return, ns.
+pub(crate) const MUNMAP_NS: f64 = 23.0;
+/// `mprotect` / permission update, ns.
+pub(crate) const MPROTECT_NS: f64 = 13.0;
+/// `pmove`/`pcopy` permission transfer, ns.
+pub(crate) const PTRANSFER_NS: f64 = 13.0;
+/// `cget` PD creation, ns.
+pub(crate) const CGET_NS: f64 = 8.5;
+/// `cput` PD destruction, ns.
+pub(crate) const CPUT_NS: f64 = 12.0;
+/// `ccall`/`center`/`cexit` context switch (register file save/restore
+/// plus the `ucid` update), ns.
+pub(crate) const CSWITCH_NS: f64 = 10.0;
+/// Mandatory security policy checks at every gated entry (§3.2), ns.
+pub(crate) const POLICY_CHECK_NS: f64 = 1.0;
+/// Front-end restart after an I-VLB miss: the fetch stage stalls for the
+/// walk and the pipeline refills behind it, ns.
+pub(crate) const IFETCH_RESTART_NS: f64 = 3.0;
+/// The `uat_config` syscall round trip (OS refill path, §4.4), ns.
+pub(crate) const UAT_CONFIG_SYSCALL_NS: f64 = 1200.0;
 
 #[cfg(test)]
 mod tests {
@@ -74,24 +46,23 @@ mod tests {
 
     #[test]
     fn calibrated_values_are_nanosecond_scale() {
-        let c = CostModel::calibrated();
         for v in [
-            c.vtw_fsm_ns,
-            c.mmap_ns,
-            c.munmap_ns,
-            c.mprotect_ns,
-            c.ptransfer_ns,
-            c.cget_ns,
-            c.cput_ns,
-            c.cswitch_ns,
-            c.policy_check_ns,
-            c.ifetch_restart_ns,
+            VTW_FSM_NS,
+            MMAP_NS,
+            MUNMAP_NS,
+            MPROTECT_NS,
+            PTRANSFER_NS,
+            CGET_NS,
+            CPUT_NS,
+            CSWITCH_NS,
+            POLICY_CHECK_NS,
+            IFETCH_RESTART_NS,
         ] {
             assert!(
                 v > 0.0 && v < 50.0,
                 "PrivLib op work must be ns-scale, got {v}"
             );
         }
-        assert!(c.uat_config_syscall_ns > 500.0, "syscalls are µs-scale");
+        const { assert!(UAT_CONFIG_SYSCALL_NS > 500.0, "syscalls are µs-scale") };
     }
 }

@@ -47,13 +47,12 @@
 //! # }
 //! ```
 
-pub mod cost;
+mod cost;
 pub mod error;
 pub mod os;
 pub mod privlib;
 pub mod stats;
 
-pub use cost::CostModel;
 pub use error::PrivError;
 pub use privlib::{Gate, IsolationMode, PrivLib, TableChoice};
 pub use stats::{MemoryCounters, OpKind, PrivLibStats};

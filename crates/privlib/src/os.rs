@@ -17,9 +17,8 @@
 use jord_hw::types::{CoreId, PdId, Perm};
 use jord_hw::{Csr, Machine};
 
-use crate::cost::CostModel;
 use crate::error::PrivError;
-use crate::privlib::{IsolationMode, Layout, PrivLib, TableChoice};
+use crate::privlib::{IsolationMode, PrivLib, TableChoice, TABLE_BASE};
 
 /// Addresses of the initial VMAs installed at boot.
 #[derive(Debug, Clone, Copy)]
@@ -32,39 +31,18 @@ pub struct BootVmas {
     pub function_code: u64,
 }
 
-/// Boots PrivLib in full-isolation mode with the standard layout.
-///
-/// # Errors
-///
-/// Propagates allocation failures from the initial privileged mappings
-/// (which only occur with pathological layouts).
-pub fn boot(machine: &mut Machine, choice: TableChoice) -> Result<PrivLib, PrivError> {
-    boot_with(
-        machine,
-        choice,
-        IsolationMode::Full,
-        CostModel::calibrated(),
-    )
-}
-
-/// Boots PrivLib with explicit isolation mode and cost model; returns the
-/// library ready for runtime use.
+/// Boots PrivLib in full-isolation mode.
 ///
 /// # Errors
 ///
 /// Propagates allocation failures from the initial privileged mappings.
-pub fn boot_with(
-    machine: &mut Machine,
-    choice: TableChoice,
-    mode: IsolationMode,
-    costs: CostModel,
-) -> Result<PrivLib, PrivError> {
-    boot_full(machine, choice, mode, costs).map(|(p, _)| p)
+pub fn boot(machine: &mut Machine, choice: TableChoice) -> Result<PrivLib, PrivError> {
+    boot_full(machine, choice, IsolationMode::Full).map(|(p, _)| p)
 }
 
-/// Like [`boot_with`] but also returns the initial VMA addresses (the
-/// runtime needs PrivLib's code VMA to model call-gate instruction
-/// fetches).
+/// Boots PrivLib in isolation mode `mode` and also returns the initial VMA
+/// addresses (the runtime needs PrivLib's code VMA to model call-gate
+/// instruction fetches).
 ///
 /// # Errors
 ///
@@ -73,21 +51,19 @@ pub fn boot_full(
     machine: &mut Machine,
     choice: TableChoice,
     mode: IsolationMode,
-    costs: CostModel,
 ) -> Result<(PrivLib, BootVmas), PrivError> {
-    let layout = Layout::standard();
-    let codec = jord_vma::VaCodec::isca25();
-    let mut privlib = PrivLib::new(codec, choice, mode, layout, costs);
+    let mut privlib = PrivLib::new(choice, mode);
+    let uatc = privlib.codec().to_uatc();
     let boot_core = CoreId(0);
 
     // Program uatp (table base | enable) and uatc on every core; the OS
     // treats them as process context.
     for c in 0..machine.config().cores {
         machine
-            .csr_write(CoreId(c), Csr::Uatp, layout.table_base | 1, true)
+            .csr_write(CoreId(c), Csr::Uatp, TABLE_BASE | 1, true)
             .expect("boot runs privileged");
         machine
-            .csr_write(CoreId(c), Csr::Uatc, codec.to_uatc(), true)
+            .csr_write(CoreId(c), Csr::Uatc, uatc, true)
             .expect("boot runs privileged");
     }
 
@@ -159,7 +135,7 @@ mod tests {
         for c in 0..m.config().cores {
             let (uatp, _) = m.csr_read(CoreId(c), Csr::Uatp, true).unwrap();
             assert_eq!(uatp & 1, 1, "translation enabled on core {c}");
-            assert_eq!(uatp & !0xFFF, privlib.layout().table_base);
+            assert_eq!(uatp & !0xFFF, TABLE_BASE);
         }
         assert!(privlib.live_vmas() >= 3, "boot installs initial VMAs");
     }
@@ -167,13 +143,7 @@ mod tests {
     #[test]
     fn boot_vmas_have_expected_attributes() {
         let mut m = Machine::new(MachineConfig::isca25());
-        let mut privlib = PrivLib::new(
-            jord_vma::VaCodec::isca25(),
-            TableChoice::PlainList,
-            IsolationMode::Full,
-            crate::privlib::Layout::standard(),
-            CostModel::calibrated(),
-        );
+        let mut privlib = PrivLib::new(TableChoice::PlainList, IsolationMode::Full);
         let vmas = bootstrap_vmas(&mut privlib, &mut m, CoreId(0)).unwrap();
         let (_, _, code) = privlib.peek_vma(vmas.privlib_code).unwrap();
         assert!(code.attr.privileged && code.attr.global);
@@ -189,13 +159,9 @@ mod tests {
         let bt = boot(&mut m, TableChoice::BTree).unwrap();
         assert_eq!(bt.table_choice(), TableChoice::BTree);
         let mut m2 = Machine::new(MachineConfig::isca25());
-        let ni = boot_with(
-            &mut m2,
-            TableChoice::PlainList,
-            IsolationMode::Bypassed,
-            CostModel::calibrated(),
-        )
-        .unwrap();
+        let ni = boot_full(&mut m2, TableChoice::PlainList, IsolationMode::Bypassed)
+            .unwrap()
+            .0;
         assert_eq!(ni.isolation_mode(), IsolationMode::Bypassed);
     }
 }

@@ -8,7 +8,7 @@ use jord_vma::{
     SnapshotDiff, TableAccess, VaCodec, VmaTable, VteAttr,
 };
 
-use crate::cost::CostModel;
+use crate::cost;
 use crate::error::PrivError;
 use crate::stats::{MemoryCounters, OpKind, PrivLibStats};
 
@@ -48,41 +48,24 @@ impl Gate {
     }
 }
 
-/// Memory layout of PrivLib-managed regions (addresses the hardware model
-/// charges traffic at). Built by [`crate::os::boot`].
-#[derive(Debug, Clone, Copy)]
-pub struct Layout {
-    /// VMA table base (programmed into `uatp`).
-    pub table_base: u64,
-    /// B-tree index-node region (Jord_BT only).
-    pub node_base: u64,
-    /// B-tree VTE arena (Jord_BT only).
-    pub arena_base: u64,
-    /// Free-list head cache lines.
-    pub freelist_base: u64,
-    /// PD configuration records (one cache line per PD), stored in a
-    /// privileged VMA only PrivLib can touch (§3.2).
-    pub pd_config_base: u64,
-    /// PD free-list head cache line.
-    pub pd_freelist_addr: u64,
-    /// Reserved physical region base.
-    pub phys_base: u64,
-}
+// The one region map the OS shim reserves at boot (§4.4): the addresses
+// the hardware model charges PrivLib's own traffic at.
 
-impl Layout {
-    /// The default region layout used by `os::boot`.
-    pub fn standard() -> Layout {
-        Layout {
-            table_base: 0x10_0000_0000,
-            node_base: 0x20_0000_0000,
-            arena_base: 0x30_0000_0000,
-            freelist_base: 0x40_0000_0000,
-            pd_config_base: 0x50_0000_0000,
-            pd_freelist_addr: 0x60_0000_0000,
-            phys_base: 0x100_0000_0000,
-        }
-    }
-}
+/// VMA table base (programmed into `uatp`).
+pub(crate) const TABLE_BASE: u64 = 0x10_0000_0000;
+/// B-tree index-node region (Jord_BT only).
+const NODE_BASE: u64 = 0x20_0000_0000;
+/// B-tree VTE arena (Jord_BT only).
+const ARENA_BASE: u64 = 0x30_0000_0000;
+/// Free-list head cache lines.
+const FREELIST_BASE: u64 = 0x40_0000_0000;
+/// PD configuration records (one cache line per PD), stored in a
+/// privileged VMA only PrivLib can touch (§3.2).
+const PD_CONFIG_BASE: u64 = 0x50_0000_0000;
+/// PD free-list head cache line.
+const PD_FREELIST_ADDR: u64 = 0x60_0000_0000;
+/// Reserved physical region base.
+const PHYS_BASE: u64 = 0x100_0000_0000;
 
 /// Maximum number of simultaneously live PDs (the `ucid` CSR is 16-bit;
 /// 1024 is far beyond any worker server's concurrent function count).
@@ -98,44 +81,34 @@ pub struct PrivLib {
     phys: PhysAllocator,
     pd_free: Vec<u16>,
     pd_live: Vec<bool>,
-    costs: CostModel,
     stats: PrivLibStats,
     mem: MemoryCounters,
-    layout: Layout,
     acc: Vec<TableAccess>,
 }
 
 impl PrivLib {
-    /// Builds a PrivLib instance over an already-reserved memory layout.
-    /// Use [`crate::os::boot`] for the full bootstrap (which also charges
-    /// the OS-side initialization).
-    pub fn new(
-        codec: VaCodec,
-        choice: TableChoice,
-        mode: IsolationMode,
-        layout: Layout,
-        costs: CostModel,
-    ) -> Self {
+    /// Builds a PrivLib instance over the reserved region map, with the
+    /// experiments' VA scheme ([`VaCodec::isca25`]). Use
+    /// [`crate::os::boot`] for the full bootstrap (which also charges the
+    /// OS-side initialization).
+    pub fn new(choice: TableChoice, mode: IsolationMode) -> Self {
+        let codec = VaCodec::isca25();
         let table: Box<dyn VmaTable + Send> = match choice {
-            TableChoice::PlainList => Box::new(PlainListTable::new(codec, layout.table_base)),
-            TableChoice::BTree => {
-                Box::new(BTreeTable::new(codec, layout.node_base, layout.arena_base))
-            }
+            TableChoice::PlainList => Box::new(PlainListTable::new(codec, TABLE_BASE)),
+            TableChoice::BTree => Box::new(BTreeTable::new(codec, NODE_BASE, ARENA_BASE)),
         };
         PrivLib {
             codec,
             table,
             choice,
             mode,
-            free: FreeLists::new(&codec, layout.freelist_base),
+            free: FreeLists::new(&codec, FREELIST_BASE),
             // 64 GiB reserved, 256 MiB initial grant.
-            phys: PhysAllocator::new(layout.phys_base, 64 << 30, 256 << 20),
+            phys: PhysAllocator::new(PHYS_BASE, 64 << 30, 256 << 20),
             pd_free: (1..=MAX_PDS).rev().collect(),
             pd_live: vec![false; MAX_PDS as usize + 1],
-            costs,
             stats: PrivLibStats::new(),
             mem: MemoryCounters::default(),
-            layout,
             acc: Vec::with_capacity(16),
         }
     }
@@ -170,11 +143,6 @@ impl PrivLib {
     /// reclaim (plain-list tombstones, B-tree trailing free slots).
     pub fn dead_slots(&self) -> usize {
         self.table.dead_slots()
-    }
-
-    /// The memory layout in effect.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
     }
 
     /// Number of live protection domains.
@@ -229,14 +197,11 @@ impl PrivLib {
         via_gate: bool,
     ) -> Result<(Gate, SimDuration), PrivError> {
         if !via_gate {
-            return Err(Fault::MissingGate {
-                va: self.layout.table_base,
-            }
-            .into());
+            return Err(Fault::MissingGate { va: TABLE_BASE }.into());
         }
         // uatg itself is one instruction; the mandatory policy checks are
         // a short privileged prologue.
-        let cost = machine.work(self.costs.policy_check_ns);
+        let cost = machine.work(cost::POLICY_CHECK_NS);
         Ok((Gate { core }, cost))
     }
 
@@ -263,7 +228,7 @@ impl PrivLib {
         if self.full() && pd != PdId::RUNTIME && !self.pd_live[pd.0 as usize] {
             return Err(PrivError::BadPd { pd });
         }
-        let mut cost = machine.work(self.costs.mmap_ns);
+        let mut cost = machine.work(cost::MMAP_NS);
         // Atomic pop from the class free list.
         cost += machine.atomic_rmw(core, self.free.head_addr(sc));
         let index = self.free.pop(sc).ok_or(PrivError::OutOfVmas { len })?;
@@ -272,7 +237,7 @@ impl PrivLib {
             match self.phys.alloc(sc) {
                 Ok(p) => break p,
                 Err(true) => {
-                    cost += machine.work(self.costs.uat_config_syscall_ns);
+                    cost += machine.work(cost::UAT_CONFIG_SYSCALL_NS);
                     if !self.phys.refill() {
                         self.free.push(sc, index);
                         return Err(PrivError::OutOfMemory);
@@ -321,7 +286,7 @@ impl PrivLib {
         if self.full() && pd != PdId::RUNTIME && vte.perm_for(pd).is_none() {
             return Err(PrivError::NotOwner { va, pd });
         }
-        let mut cost = machine.work(self.costs.munmap_ns);
+        let mut cost = machine.work(cost::MUNMAP_NS);
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let removed = self.table.remove(sc, index, &mut acc);
@@ -341,7 +306,7 @@ impl PrivLib {
     /// the Figure-13 VMA-management accounting like any other op. Returns
     /// the charged duration and the number of entries released.
     pub fn compact_tables(&mut self, machine: &mut Machine, core: CoreId) -> (SimDuration, usize) {
-        let mut cost = machine.work(self.costs.policy_check_ns);
+        let mut cost = machine.work(cost::POLICY_CHECK_NS);
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let released = self.table.compact(&mut acc);
@@ -374,7 +339,7 @@ impl PrivLib {
             self.stats.record(OpKind::Mprotect, cost);
             return Ok(cost);
         }
-        let mut cost = machine.work(self.costs.mprotect_ns);
+        let mut cost = machine.work(cost::MPROTECT_NS);
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let ok = self.table.set_perm(sc, index, pd, prot, &mut acc);
@@ -415,7 +380,7 @@ impl PrivLib {
         if self.full() && pd != PdId::RUNTIME && vte.perm_for(pd).is_none() {
             return Err(PrivError::NotOwner { va, pd });
         }
-        let mut cost = machine.work(self.costs.mprotect_ns);
+        let mut cost = machine.work(cost::MPROTECT_NS);
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let ok = self.table.set_len(sc, index, len, &mut acc);
@@ -483,7 +448,7 @@ impl PrivLib {
         if to != PdId::RUNTIME && !self.pd_live[to.0 as usize] {
             return Err(PrivError::BadPd { pd: to });
         }
-        let mut cost = machine.work(self.costs.ptransfer_ns);
+        let mut cost = machine.work(cost::PTRANSFER_NS);
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let moved = self
@@ -518,7 +483,7 @@ impl PrivLib {
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
         let ok = self.table.set_attr(sc, index, attr, &mut acc);
-        let cost = machine.work(self.costs.mprotect_ns) + Self::charge(machine, core, &acc);
+        let cost = machine.work(cost::MPROTECT_NS) + Self::charge(machine, core, &acc);
         self.acc = acc;
         if !ok {
             return Err(PrivError::BadAddress { va });
@@ -549,10 +514,10 @@ impl PrivLib {
             self.stats.record(OpKind::Cget, cost);
             return Ok((PdId(id), cost));
         }
-        let mut cost = machine.work(self.costs.cget_ns);
-        cost += machine.atomic_rmw(core, self.layout.pd_freelist_addr);
+        let mut cost = machine.work(cost::CGET_NS);
+        cost += machine.atomic_rmw(core, PD_FREELIST_ADDR);
         // Initialize the PD's configuration record (in the privileged VMA).
-        cost += machine.write(core, self.layout.pd_config_base + id as u64 * 64, 64);
+        cost += machine.write(core, PD_CONFIG_BASE + id as u64 * 64, 64);
         self.stats.record(OpKind::Cget, cost);
         Ok((PdId(id), cost))
     }
@@ -580,7 +545,7 @@ impl PrivLib {
             self.stats.record(OpKind::Cput, cost);
             return Ok(cost);
         }
-        let mut cost = machine.work(self.costs.cput_ns);
+        let mut cost = machine.work(cost::CPUT_NS);
         // Teardown normally leaves nothing, but a parent that aborts while
         // async children run still holds RW on their ArgBufs; the LIFO
         // free list would hand those grants to the next `cget`.
@@ -591,8 +556,8 @@ impl PrivLib {
         }
         cost += Self::charge(machine, core, &acc);
         self.acc = acc;
-        cost += machine.atomic_rmw(core, self.layout.pd_freelist_addr);
-        cost += machine.write(core, self.layout.pd_config_base + pd.0 as u64 * 64, 64);
+        cost += machine.atomic_rmw(core, PD_FREELIST_ADDR);
+        cost += machine.write(core, PD_CONFIG_BASE + pd.0 as u64 * 64, 64);
         self.stats.record(OpKind::Cput, cost);
         Ok(cost)
     }
@@ -650,7 +615,7 @@ impl PrivLib {
             self.stats.record(OpKind::Cswitch, cost);
             return Ok(cost);
         }
-        let mut cost = machine.work(self.costs.cswitch_ns);
+        let mut cost = machine.work(cost::CSWITCH_NS);
         cost += machine
             .csr_write(core, Csr::Ucid, pd.0 as u64, true)
             .expect("PrivLib runs privileged");
@@ -753,9 +718,9 @@ impl PrivLib {
         }
         // Miss: the VTW walks the table; instruction-side misses also
         // stall the fetch stage and refill the pipeline behind the walk.
-        let mut cost = SimDuration::from_ns_f64(self.costs.vtw_fsm_ns);
+        let mut cost = SimDuration::from_ns_f64(cost::VTW_FSM_NS);
         if matches!(kind, VlbKind::Instr) {
-            cost += machine.work(self.costs.ifetch_restart_ns);
+            cost += machine.work(cost::IFETCH_RESTART_NS);
         }
         self.acc.clear();
         let mut acc = std::mem::take(&mut self.acc);
@@ -859,7 +824,7 @@ impl PrivLib {
         if pd == PdId::RUNTIME || !self.pd_live[pd.0 as usize] {
             return Err(PrivError::BadPd { pd });
         }
-        let mut cost = machine.work(self.costs.policy_check_ns);
+        let mut cost = machine.work(cost::POLICY_CHECK_NS);
         for e in &snapshot.entries {
             cost += machine.vte_read(core, self.table.vte_addr(e.sc, e.index));
         }

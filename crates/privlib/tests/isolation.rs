@@ -329,13 +329,13 @@ fn non_owner_cannot_munmap_or_transfer() {
 #[test]
 fn bypassed_mode_skips_isolation_but_tracks_memory() {
     let mut m = Machine::new(MachineConfig::isca25());
-    let mut p = os::boot_with(
+    let mut p = os::boot_full(
         &mut m,
         TableChoice::PlainList,
         jord_privlib::IsolationMode::Bypassed,
-        jord_privlib::CostModel::calibrated(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let core = CoreId(1);
     let (pd_a, c1) = p.cget(&mut m, core).unwrap();
     assert!(c1.is_zero(), "Jord_NI pays nothing for PD creation");

@@ -11,7 +11,7 @@
 //!   speedup; the golden-trace tests prove both produce identical schedules.
 //! * [`HeapOracle`] — [`BaselineHeap`] plus id bookkeeping so the
 //!   differential proptest can drive both queues through identical
-//!   schedule/pop/cancel/batch interleavings and assert the full
+//!   schedule/pop/cancel interleavings and assert the full
 //!   `(time, seq, payload)` pop sequence matches. The bookkeeping
 //!   (two `BTreeSet`s) is kept out of [`BaselineHeap`] so the measured
 //!   baseline stays honest.
@@ -158,7 +158,7 @@ impl<E> Default for BaselineHeap<E> {
 pub struct OracleId(u64);
 
 /// [`BaselineHeap`] with id bookkeeping: supports the same
-/// schedule/cancel/batch surface as the calendar queue so the differential
+/// schedule/cancel surface as the calendar queue so the differential
 /// proptest can drive both through identical op sequences. Cancellation is
 /// modelled exactly like the calendar queue's tombstones — the entry stays
 /// in the heap and is skipped at pop, and surviving events keep their
@@ -187,17 +187,6 @@ impl<E> HeapOracle<E> {
         self.inner.push(time, event);
         self.live.insert(seq);
         OracleId(seq)
-    }
-
-    /// Schedules a batch in iteration order (consecutive seqs).
-    pub fn schedule_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = (SimTime, E)>,
-    ) -> Vec<OracleId> {
-        batch
-            .into_iter()
-            .map(|(t, e)| self.schedule(t, e))
-            .collect()
     }
 
     /// Cancels a pending event; a stale handle is a no-op returning `false`.

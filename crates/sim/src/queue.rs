@@ -93,7 +93,7 @@ impl CancelOutcome {
 /// to prove cancellation stopped paying a full drain-and-rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueProbe {
-    /// Events accepted by `push`/`schedule`/`schedule_batch`.
+    /// Events accepted by `push`/`schedule`.
     pub scheduled: u64,
     /// Events returned by `pop`.
     pub popped: u64,
@@ -245,65 +245,6 @@ impl<E> EventQueue<E> {
         let id = self.schedule_unsettled(time, event);
         self.settle();
         id
-    }
-
-    /// Schedules a batch of events with consecutive sequence numbers,
-    /// deferring cursor bookkeeping until the whole batch is placed.
-    /// Equivalent to (and bit-identical in pop order with) pushing each
-    /// `(time, event)` in iteration order.
-    ///
-    /// Unlike a push loop, the batch sizes the queue once: the slab is
-    /// reserved from the iterator's size hint, and bucket geometry is
-    /// computed *after* the whole batch is slab-resident — so the live
-    /// count and pending span are both exact — instead of growing
-    /// incrementally (each growth re-bucketing everything scheduled so
-    /// far). A pure-push burst therefore pays one bucket allocation and
-    /// places every key exactly once.
-    pub fn schedule_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = (SimTime, E)>,
-    ) -> Vec<EventId> {
-        let batch = batch.into_iter();
-        let hint = batch.size_hint().0;
-        self.slots.reserve(hint.saturating_sub(self.free.len()));
-        let mut ids = Vec::with_capacity(hint);
-        // Pass 1: slab inserts only; key placement waits until the batch
-        // has taught `live`/`max_pending` the true burst size and span.
-        let mut staged: Vec<Key> = Vec::with_capacity(hint);
-        for (time, event) in batch {
-            assert!(
-                time >= self.last_popped,
-                "event scheduled in the past: {time} < {}",
-                self.last_popped
-            );
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = self.alloc_slot(time, seq, event);
-            self.live += 1;
-            self.probe.scheduled += 1;
-            self.max_pending = self.max_pending.max(time.as_ps());
-            staged.push(Key {
-                time_ps: time.as_ps(),
-                seq,
-                slot,
-            });
-            ids.push(EventId {
-                slot,
-                gen: self.slots[slot as usize].gen,
-            });
-        }
-        // One growth decision for the whole burst, made with exact
-        // knowledge (no staged key is bucketed yet, so re-anchoring
-        // moves only the previously pending keys).
-        if self.live >= self.buckets.len() * GROW_OCCUPANCY && self.buckets.len() < MAX_BUCKETS {
-            self.grow();
-        }
-        // Pass 2: place the keys under the final geometry.
-        for key in staged {
-            self.place(key);
-        }
-        self.settle();
-        ids
     }
 
     fn schedule_unsettled(&mut self, time: SimTime, event: E) -> EventId {
@@ -888,30 +829,6 @@ mod tests {
         q.push(SimTime::from_ns(2), 'b');
         assert_eq!(q.cancel(id), CancelOutcome::Expired);
         assert_eq!(q.pop().unwrap().1, 'b');
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_pushes() {
-        let times: Vec<u64> = vec![30, 10, 10, 99, 2, 10];
-        let mut a = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            a.push(SimTime::from_ns(t), i);
-        }
-        let mut b = EventQueue::new();
-        let ids = b.schedule_batch(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_ns(t), i)),
-        );
-        assert_eq!(ids.len(), times.len());
-        loop {
-            let (x, y) = (a.pop_entry(), b.pop_entry());
-            assert_eq!(x, y, "batch scheduling must not perturb pop order");
-            if x.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! binary-heap oracle.
 //!
 //! Both queues are driven through identical randomized interleavings of
-//! schedule / batch / pop / cancel / remove-first / drain, and after every
-//! operation the observable state must match exactly — full
-//! `(time, seq, payload)` pop triples, `peek_time`, `len`, and `now`. The
-//! generators bias hard toward the regimes where a calendar queue can get
-//! ordering wrong: same-timestamp clusters (FIFO tie-breaking), far-future
-//! outliers (overflow-heap handoff and horizon advances), and the
-//! [`SimTime::MAX`] edge (saturating arithmetic at the end of time).
+//! schedule / pop / cancel / drain, and after every operation the
+//! observable state must match exactly — full `(time, seq, payload)` pop
+//! triples, `peek_time`, `len`, and `now`. The generators bias hard
+//! toward the regimes where a calendar queue can get ordering wrong:
+//! same-timestamp clusters (FIFO tie-breaking), far-future outliers
+//! (overflow-heap handoff and horizon advances), and the [`SimTime::MAX`]
+//! edge (saturating arithmetic at the end of time).
 //!
 //! The oracle is [`HeapOracle`]: the old `BinaryHeap` implementation plus
 //! just enough id bookkeeping to honor cancellation handles with the same
@@ -28,7 +28,6 @@ use jord_sim::{EventQueue, SimTime};
 #[derive(Debug, Clone)]
 enum Op {
     Schedule(u64),
-    Batch(Vec<u64>),
     Pop,
     Cancel(usize),
     Drain,
@@ -53,7 +52,6 @@ fn op() -> impl Strategy<Value = Op> {
         offset().prop_map(Op::Schedule),
         offset().prop_map(Op::Schedule),
         offset().prop_map(Op::Schedule),
-        proptest::collection::vec(offset(), 1..12).prop_map(Op::Batch),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -80,24 +78,6 @@ fn run_script(ops: &[Op]) {
                 let oid = oracle.schedule(t, payload);
                 ids.push((qid, oid));
                 payload += 1;
-            }
-            Op::Batch(offs) => {
-                let now = q.now().as_ps();
-                let batch: Vec<(SimTime, u32)> = offs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, off)| {
-                        (
-                            SimTime::from_ps(now.saturating_add(*off)),
-                            payload + i as u32,
-                        )
-                    })
-                    .collect();
-                payload += offs.len() as u32;
-                let qids = q.schedule_batch(batch.iter().copied());
-                let oids = oracle.schedule_batch(batch);
-                assert_eq!(qids.len(), oids.len());
-                ids.extend(qids.into_iter().zip(oids));
             }
             Op::Pop => {
                 assert_eq!(

@@ -14,12 +14,14 @@ use jord_sim::{EventQueue, QueueProbe, SimTime};
 /// calendar buckets (no overflow traffic to muddy the counters).
 fn populated() -> (EventQueue<u32>, Vec<jord_sim::EventId>) {
     let mut q = EventQueue::new();
-    let ids = q.schedule_batch((0..100_000u32).map(|i| {
-        // 97 is coprime to the range: every instant in 0..50_000ns gets
-        // ~2 events, scheduled in shuffled order.
-        let t = (i as u64 * 97) % 50_000;
-        (SimTime::from_ns(t), i)
-    }));
+    let ids = (0..100_000u32)
+        .map(|i| {
+            // 97 is coprime to the range: every instant in 0..50_000ns
+            // gets ~2 events, scheduled in shuffled order.
+            let t = (i as u64 * 97) % 50_000;
+            q.schedule(SimTime::from_ns(t), i)
+        })
+        .collect();
     (q, ids)
 }
 

@@ -31,9 +31,9 @@ fn main() {
         workload.name(),
         campaign.requests,
         campaign.rate_rps / 1e6,
-        campaign.workers,
-        campaign.victim,
-        campaign.kill_at_us,
+        FailoverCampaign::WORKERS,
+        FailoverCampaign::VICTIM,
+        campaign.kill_at_us(),
     );
     println!();
 

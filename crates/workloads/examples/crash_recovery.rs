@@ -28,7 +28,7 @@ fn main() {
         workload.name(),
         campaign.requests,
         campaign.rate_rps / 1e6,
-        campaign.crash_at_us,
+        campaign.crash_at_us(),
     );
     println!();
 

@@ -33,6 +33,27 @@ use jord_hw::MachineConfig;
 use crate::apps::Workload;
 use crate::loadgen::{ArrivalProcess, LoadGen};
 
+/// Initial fleet size of the autoscale and soak campaigns (the pinned size
+/// of the autoscale baseline).
+pub const INITIAL_WORKERS: usize = 2;
+/// Per-worker admission queue bound of the autoscale and soak campaigns
+/// (brownout tightens it).
+pub(crate) const SHED_BOUND: usize = 64;
+/// Peak-to-mean swing of the diurnal sinusoid (0..1) of the autoscale and
+/// soak campaigns.
+pub(crate) const DIURNAL_AMPLITUDE: f64 = 0.8;
+
+/// The autoscaler of the autoscale and soak campaigns: a fleet of 1 to 6
+/// workers aimed at a 60 µs p99, otherwise the default tuning.
+pub fn fleet_autoscaler() -> AutoscalerConfig {
+    AutoscalerConfig {
+        min_workers: 1,
+        max_workers: 6,
+        target_p99_us: Some(60.0),
+        ..AutoscalerConfig::default()
+    }
+}
+
 /// One measured run of an autoscale campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalePoint {
@@ -101,19 +122,6 @@ pub struct AutoscaleCampaign {
     pub shed_bound: usize,
     /// The flash-crowd shape for the crowd points.
     pub crowd: ArrivalProcess,
-    /// The diurnal shape.
-    pub diurnal: ArrivalProcess,
-    /// The Markov-burst shape.
-    pub burst: ArrivalProcess,
-    /// When the scripted drain of the race point starts, µs (aim it
-    /// inside the crowd, when queues are deep and the autoscaler is
-    /// actively scaling).
-    pub drain_at_us: f64,
-    /// When the kill lands on the draining worker, µs (shortly after the
-    /// drain starts: heartbeat loss mid-drain).
-    pub kill_at_us: f64,
-    /// Which worker the race point drains and then kills.
-    pub victim: usize,
     /// Cluster engine every point runs on: `None` for the sequential
     /// engine, `Some` for the conservative parallel engine. The results
     /// are bit-identical either way — this knob exists so campaigns can
@@ -123,6 +131,11 @@ pub struct AutoscaleCampaign {
 }
 
 impl AutoscaleCampaign {
+    /// Which worker the race point drains and then kills. Scale-down
+    /// retires the highest-index idle slot first, so worker 0 is the one
+    /// guaranteed to still be routing when the race fires.
+    pub const VICTIM: usize = 0;
+
     /// A default campaign: two initial Jord workers on the Table 2
     /// machine, a ×4 flash crowd over the middle half of the arrival
     /// span, and a drain+kill race landing just after the crowd hits
@@ -135,43 +148,58 @@ impl AutoscaleCampaign {
     /// step.
     pub fn new(rate_rps: f64, requests: usize) -> Self {
         let span_us = requests as f64 / rate_rps * 1e6;
-        let autoscale = AutoscalerConfig {
-            min_workers: 1,
-            max_workers: 6,
-            target_p99_us: Some(60.0),
-            ..AutoscalerConfig::default()
-        };
         AutoscaleCampaign {
             variant: SystemVariant::Jord,
             machine: MachineConfig::isca25(),
-            workers: 2,
+            workers: INITIAL_WORKERS,
             rate_rps,
             requests,
             seed: 42,
-            autoscale,
-            shed_bound: 64,
+            autoscale: fleet_autoscaler(),
+            shed_bound: SHED_BOUND,
             crowd: ArrivalProcess::FlashCrowd {
                 at_us: span_us / 4.0,
                 factor: 4.0,
                 duration_us: span_us / 2.0,
             },
-            diurnal: ArrivalProcess::Diurnal {
-                period_us: span_us / 2.0,
-                amplitude: 0.8,
-            },
-            burst: ArrivalProcess::MarkovBurst {
-                burst_factor: 4.0,
-                mean_normal_us: span_us / 10.0,
-                mean_burst_us: span_us / 20.0,
-            },
-            drain_at_us: span_us * 0.29,
-            kill_at_us: span_us * 0.2905,
-            // Scale-down retires the highest-index idle slot first, so
-            // worker 0 is the one guaranteed to still be routing when the
-            // race fires.
-            victim: 0,
             engine: None,
         }
+    }
+
+    /// The simulated arrival span, µs.
+    fn span_us(&self) -> f64 {
+        self.requests as f64 / self.rate_rps * 1e6
+    }
+
+    /// The diurnal shape: two periods across the arrival span.
+    pub fn diurnal(&self) -> ArrivalProcess {
+        ArrivalProcess::Diurnal {
+            period_us: self.span_us() / 2.0,
+            amplitude: DIURNAL_AMPLITUDE,
+        }
+    }
+
+    /// The Markov-burst shape: ×4 bursts, a tenth of the span normal and
+    /// a twentieth bursting on average.
+    pub fn burst(&self) -> ArrivalProcess {
+        let span_us = self.span_us();
+        ArrivalProcess::MarkovBurst {
+            burst_factor: 4.0,
+            mean_normal_us: span_us / 10.0,
+            mean_burst_us: span_us / 20.0,
+        }
+    }
+
+    /// When the scripted drain of the race point starts, µs: inside the
+    /// crowd, when queues are deep and the autoscaler is actively scaling.
+    pub fn drain_at_us(&self) -> f64 {
+        self.span_us() * 0.29
+    }
+
+    /// When the kill lands on the draining worker, µs: shortly after the
+    /// drain starts (heartbeat loss mid-drain).
+    pub fn kill_at_us(&self) -> f64 {
+        self.span_us() * 0.2905
     }
 
     /// Overrides the seed.
@@ -217,8 +245,7 @@ impl AutoscaleCampaign {
             scaled.completed >= pinned.completed,
             "elastic fleet must complete at least as much as the pinned one"
         );
-        let span_us = self.requests as f64 / self.rate_rps * 1e6;
-        let reversal_bound = (span_us / self.autoscale.cooldown_us).ceil() as u64;
+        let reversal_bound = (self.span_us() / self.autoscale.cooldown_us).ceil() as u64;
         assert!(
             scaled.reversals <= reversal_bound,
             "reversals ({}) exceed one per cooldown window ({})",
@@ -232,13 +259,13 @@ impl AutoscaleCampaign {
         // growing and shrinking the rest of the fleet.
         let killed = self.run_point(workload, "scale+kill", &self.crowd, true, |cfg, c| {
             cfg.drains = vec![DrainPlan {
-                worker: c.victim,
-                at_us: c.drain_at_us,
+                worker: Self::VICTIM,
+                at_us: c.drain_at_us(),
                 resume_at_us: None,
             }];
             cfg.kill = Some(WorkerKill {
-                worker: c.victim,
-                at_us: c.kill_at_us,
+                worker: Self::VICTIM,
+                at_us: c.kill_at_us(),
             });
         });
         assert!(
@@ -250,8 +277,8 @@ impl AutoscaleCampaign {
             "scale events must actually race the crash"
         );
 
-        let diurnal = self.run_point(workload, "scale", &self.diurnal, true, |_, _| {});
-        let burst = self.run_point(workload, "scale", &self.burst, true, |_, _| {});
+        let diurnal = self.run_point(workload, "scale", &self.diurnal(), true, |_, _| {});
+        let burst = self.run_point(workload, "scale", &self.burst(), true, |_, _| {});
 
         AutoscaleReport {
             points: vec![pinned, scaled, killed, diurnal, burst],
@@ -392,6 +419,7 @@ impl AutoscaleReport {
 mod tests {
     use super::*;
     use crate::apps::WorkloadKind;
+    use jord_core::durability::fnv1a;
 
     fn quick_campaign() -> AutoscaleCampaign {
         AutoscaleCampaign::new(2.0e6, 4_000)
@@ -415,6 +443,9 @@ mod tests {
         let b = c.run_point(&w, "scale", &c.crowd, true, |_, _| {});
         assert_eq!(a, b, "same seed must reproduce the whole point");
         assert_eq!(a.trace_hash, b.trace_hash);
+        // The exact campaign, pinned: a change that moves any simulated
+        // value fails here, not only one that breaks determinism.
+        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x2d3443fc39f6e660);
     }
 
     #[test]

@@ -21,13 +21,28 @@
 //! (ledger-audit mode), so the table also shows what journaling alone
 //! costs in record volume.
 
-use jord_core::{
-    CrashConfig, CrashSemantics, RecoveryPolicy, RuntimeConfig, SystemVariant, WorkerServer,
-};
-use jord_hw::{CrashPlan, CrashScope, MachineConfig};
+use jord_core::{CrashConfig, CrashSemantics, RecoveryPolicy, RuntimeConfig, WorkerServer};
+use jord_hw::{CrashPlan, CrashScope};
 
 use crate::apps::Workload;
 use crate::loadgen::LoadGen;
+
+/// Retry budget of every crash and storage-chaos point: 5, against the
+/// default policy's 2, since these campaigns fail whole executors or
+/// workers under deep queues rather than single invocations.
+pub(crate) const MAX_RETRIES: u32 = 5;
+/// Journal checkpoint cadence of every crash and storage-chaos point
+/// (records per checkpoint). Small enough that a mid-run crash always has
+/// a previous checkpoint generation to fall back to.
+pub const CHECKPOINT_EVERY: usize = 64;
+
+/// The recovery policy of every crash and storage-chaos point.
+pub(crate) fn recovery() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_retries: MAX_RETRIES,
+        ..RecoveryPolicy::default()
+    }
+}
 
 /// One measured run of a crash campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,31 +80,22 @@ pub struct CrashPoint {
     pub goodput: f64,
 }
 
-/// A crash-campaign recipe: one workload, one crash instant, a grid of
-/// crash scopes × crash semantics, always compared against a crash-free
-/// journaled baseline on the same seed.
+/// A crash-campaign recipe: one workload on Jord
+/// ([`RuntimeConfig::jord_32`]), one crash instant, a grid of crash scopes
+/// × crash semantics, always compared against a crash-free journaled
+/// baseline on the same seed.
 #[derive(Debug, Clone)]
 pub struct CrashCampaign {
-    /// Jord variant under test.
-    pub variant: SystemVariant,
-    /// Hardware configuration.
-    pub machine: MachineConfig,
     /// Offered load, requests/second.
     pub rate_rps: f64,
     /// Requests per point (no warm-up: parity is exact-count).
     pub requests: usize,
     /// Seed shared by the load generator and every server.
     pub seed: u64,
-    /// Simulated crash instant, µs from run start.
-    pub crash_at_us: f64,
     /// Components to kill, one point each per semantics.
     pub scopes: Vec<CrashScope>,
     /// In-flight semantics to sweep.
     pub semantics: Vec<CrashSemantics>,
-    /// Recovery policy applied at every point.
-    pub recovery: RecoveryPolicy,
-    /// Journal checkpoint cadence (records per checkpoint).
-    pub checkpoint_every: usize,
 }
 
 impl CrashCampaign {
@@ -97,32 +103,24 @@ impl CrashCampaign {
     /// middle of the arrival span, sweeping every scope under both
     /// semantics.
     pub fn new(rate_rps: f64, requests: usize) -> Self {
-        let span_us = requests as f64 / rate_rps * 1e6;
         CrashCampaign {
-            variant: SystemVariant::Jord,
-            machine: MachineConfig::isca25(),
             rate_rps,
             requests,
             seed: 42,
-            crash_at_us: span_us / 2.0,
             scopes: vec![
                 CrashScope::Executor(0),
                 CrashScope::Orchestrator(0),
                 CrashScope::Worker,
             ],
             semantics: vec![CrashSemantics::AtLeastOnce, CrashSemantics::AtMostOnce],
-            recovery: RecoveryPolicy {
-                max_retries: 5,
-                ..RecoveryPolicy::default()
-            },
-            checkpoint_every: 64,
         }
     }
 
-    /// Overrides the crash instant.
-    pub fn crash_at_us(mut self, at_us: f64) -> Self {
-        self.crash_at_us = at_us;
-        self
+    /// Simulated crash instant, µs from run start: the middle of the
+    /// arrival span.
+    pub fn crash_at_us(&self) -> f64 {
+        let span_us = self.requests as f64 / self.rate_rps * 1e6;
+        span_us / 2.0
     }
 
     /// Overrides the scope ladder.
@@ -157,10 +155,10 @@ impl CrashCampaign {
         for &scope in &self.scopes {
             for &semantics in &self.semantics {
                 let plan = CrashPlan {
-                    at_us: self.crash_at_us,
+                    at_us: self.crash_at_us(),
                     scope,
                 };
-                let cfg = CrashConfig::new(plan, semantics).checkpoint_every(self.checkpoint_every);
+                let cfg = CrashConfig::new(plan, semantics).checkpoint_every(CHECKPOINT_EVERY);
                 let point = self.run_point(workload, cfg, scope.label());
                 assert_eq!(
                     point.crashes, 1,
@@ -187,9 +185,9 @@ impl CrashCampaign {
         crash: CrashConfig,
         scope: &'static str,
     ) -> CrashPoint {
-        let cfg = RuntimeConfig::variant_on(self.variant, self.machine.clone())
+        let cfg = RuntimeConfig::jord_32()
             .with_seed(self.seed)
-            .with_recovery(self.recovery)
+            .with_recovery(recovery())
             .with_crash(crash);
         let mut server =
             WorkerServer::new(cfg, workload.registry.clone()).expect("valid crash config");
@@ -281,6 +279,7 @@ impl CrashReport {
 mod tests {
     use super::*;
     use crate::apps::WorkloadKind;
+    use jord_core::durability::fnv1a;
 
     fn quick_campaign() -> CrashCampaign {
         // A burst well beyond instantaneous capacity keeps queues deep at
@@ -329,6 +328,9 @@ mod tests {
         let a = quick_campaign().run(&w);
         let b = quick_campaign().run(&w);
         assert_eq!(a, b, "same seed must reproduce the whole campaign");
+        // The exact campaign, pinned: a change that moves any simulated
+        // value fails here, not only one that breaks determinism.
+        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x7bdcc1d91f81a6e0);
     }
 
     #[test]

@@ -25,9 +25,8 @@
 
 use jord_core::{
     ClusterConfig, ClusterDispatcher, CrashSemantics, EngineConfig, HedgeConfig, PartitionPlan,
-    RuntimeConfig, SystemVariant, WorkerKill,
+    RuntimeConfig, WorkerKill,
 };
-use jord_hw::MachineConfig;
 
 use crate::apps::Workload;
 use crate::loadgen::LoadGen;
@@ -71,33 +70,18 @@ pub struct FailoverPoint {
     pub goodput: f64,
 }
 
-/// A failover-campaign recipe: one workload on a fixed-size cluster, a
-/// kill-free baseline, a worker kill under both crash semantics, a
-/// heartbeat blackout, and a hedged re-run of the kill (the with/without
-/// tail-latency pair).
+/// A failover-campaign recipe: one workload on a fixed cluster of four
+/// Jord workers ([`RuntimeConfig::jord_32`]), a kill-free baseline, a
+/// worker kill under both crash semantics, a heartbeat blackout, and a
+/// hedged re-run of the kill (the with/without tail-latency pair).
 #[derive(Debug, Clone)]
 pub struct FailoverCampaign {
-    /// Jord variant every worker runs.
-    pub variant: SystemVariant,
-    /// Hardware configuration of every worker.
-    pub machine: MachineConfig,
-    /// Cluster size.
-    pub workers: usize,
     /// Offered load at the dispatcher, requests/second.
     pub rate_rps: f64,
     /// Requests per point (no warm-up: parity is exact-count).
     pub requests: usize,
     /// Cluster seed (workers derive per-worker streams from it).
     pub seed: u64,
-    /// When the scripted kill fires, µs from run start.
-    pub kill_at_us: f64,
-    /// Which worker the kill and the blackout target.
-    pub victim: usize,
-    /// Heartbeat blackout window for the partition point, µs.
-    pub partition_us: (f64, f64),
-    /// Hedge trigger for the hedged point: a request unanswered this
-    /// long gets a second copy elsewhere, µs.
-    pub hedge_after_us: f64,
     /// Cluster engine every point runs on: `None` for the sequential
     /// engine, `Some` for the conservative parallel engine (bit-identical
     /// results by contract — campaigns differential-test that).
@@ -105,27 +89,45 @@ pub struct FailoverCampaign {
 }
 
 impl FailoverCampaign {
-    /// A default campaign: four Jord workers on the Table 2 machine, the
-    /// kill at the middle of the arrival span, the blackout straddling
-    /// the first half, both long enough for the default detector
-    /// (5 µs heartbeats, evict at φ = 3 ≈ 34.5 µs of silence) to convict.
+    /// Cluster size.
+    pub const WORKERS: usize = 4;
+    /// Which worker the kill and the blackout target.
+    pub const VICTIM: usize = 1;
+    /// Hedge trigger for the hedged point: a request unanswered this long
+    /// gets a second copy elsewhere, µs. Well under the ~34.5 µs evict
+    /// horizon: a hedge must rescue a stranded request before the
+    /// detector would.
+    pub const HEDGE_AFTER_US: f64 = 10.0;
+
+    /// A default campaign: the kill at the middle of the arrival span, the
+    /// blackout straddling the first half, both long enough for the
+    /// default detector (5 µs heartbeats, evict at φ = 3 ≈ 34.5 µs of
+    /// silence) to convict.
     pub fn new(rate_rps: f64, requests: usize) -> Self {
-        let span_us = requests as f64 / rate_rps * 1e6;
         FailoverCampaign {
-            variant: SystemVariant::Jord,
-            machine: MachineConfig::isca25(),
-            workers: 4,
             rate_rps,
             requests,
             seed: 42,
-            kill_at_us: span_us / 2.0,
-            victim: 1,
-            partition_us: (span_us / 4.0, span_us / 4.0 + 60.0),
-            // Well under the ~34.5 µs evict horizon: a hedge must rescue
-            // a stranded request before the detector would.
-            hedge_after_us: 10.0,
             engine: None,
         }
+    }
+
+    /// The simulated arrival span, µs.
+    fn span_us(&self) -> f64 {
+        self.requests as f64 / self.rate_rps * 1e6
+    }
+
+    /// When the scripted kill fires, µs from run start: the middle of the
+    /// arrival span.
+    pub fn kill_at_us(&self) -> f64 {
+        self.span_us() / 2.0
+    }
+
+    /// Heartbeat blackout window for the partition point, µs: 60 µs from
+    /// a quarter of the way into the arrival span.
+    pub fn partition_us(&self) -> (f64, f64) {
+        let span_us = self.span_us();
+        (span_us / 4.0, span_us / 4.0 + 60.0)
     }
 
     /// Runs every point on the conservative parallel engine.
@@ -134,21 +136,9 @@ impl FailoverCampaign {
         self
     }
 
-    /// Overrides the cluster size.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Overrides the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the kill instant.
-    pub fn kill_at_us(mut self, at_us: f64) -> Self {
-        self.kill_at_us = at_us;
         self
     }
 
@@ -175,8 +165,8 @@ impl FailoverCampaign {
             let point = self.run_point(workload, "kill", |c| {
                 c.semantics = semantics;
                 c.kill = Some(WorkerKill {
-                    worker: self.victim,
-                    at_us: self.kill_at_us,
+                    worker: Self::VICTIM,
+                    at_us: self.kill_at_us(),
                 });
             });
             assert!(point.evictions >= 1, "the detector must convict the kill");
@@ -208,11 +198,12 @@ impl FailoverCampaign {
             points.push(point);
         }
 
+        let (from_us, until_us) = self.partition_us();
         let partition = self.run_point(workload, "partition", |c| {
             c.partition = Some(PartitionPlan {
-                worker: self.victim,
-                from_us: self.partition_us.0,
-                until_us: self.partition_us.1,
+                worker: Self::VICTIM,
+                from_us,
+                until_us,
             });
         });
         assert!(
@@ -233,11 +224,11 @@ impl FailoverCampaign {
         // kill for a with/without-hedging tail comparison.
         let hedged = self.run_point(workload, "kill+hedge", |c| {
             c.kill = Some(WorkerKill {
-                worker: self.victim,
-                at_us: self.kill_at_us,
+                worker: Self::VICTIM,
+                at_us: self.kill_at_us(),
             });
             c.hedge = Some(HedgeConfig {
-                after_us: self.hedge_after_us,
+                after_us: Self::HEDGE_AFTER_US,
             });
         });
         assert_eq!(
@@ -260,9 +251,8 @@ impl FailoverCampaign {
         incident: &'static str,
         mutate: impl FnOnce(&mut ClusterConfig),
     ) -> FailoverPoint {
-        let template =
-            RuntimeConfig::variant_on(self.variant, self.machine.clone()).with_seed(self.seed);
-        let mut cfg = ClusterConfig::new(self.workers, self.seed, template);
+        let template = RuntimeConfig::jord_32().with_seed(self.seed);
+        let mut cfg = ClusterConfig::new(Self::WORKERS, self.seed, template);
         cfg.engine = self.engine;
         mutate(&mut cfg);
         let semantics = cfg.semantics.label();
@@ -353,6 +343,7 @@ impl FailoverReport {
 mod tests {
     use super::*;
     use crate::apps::WorkloadKind;
+    use jord_core::durability::fnv1a;
 
     fn quick_campaign() -> FailoverCampaign {
         // A burst well beyond four workers' instantaneous capacity keeps
@@ -380,6 +371,9 @@ mod tests {
         let a = quick_campaign().run(&w);
         let b = quick_campaign().run(&w);
         assert_eq!(a, b, "same seed must reproduce the whole campaign");
+        // The exact campaign, pinned: a change that moves any simulated
+        // value fails here, not only one that breaks determinism.
+        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x8be6a69a2bb56efd);
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //!    identical lifecycle trace, memory ledger, and live VMA/PD tables.
 
 use jord_core::{
-    AutoscalerConfig, ClusterConfig, ClusterDispatcher, ClusterReport, CrashConfig, MemoryConfig,
-    MemoryLedger, RecoveryPolicy, RunReport, RuntimeConfig, SystemVariant, WindowRecord,
-    WorkerServer,
+    ClusterConfig, ClusterDispatcher, ClusterReport, CrashConfig, MemoryConfig, MemoryLedger,
+    RecoveryPolicy, RunReport, RuntimeConfig, WindowRecord, WorkerServer,
 };
-use jord_hw::{CrashPlan, MachineConfig};
+use jord_hw::CrashPlan;
 use jord_sim::SimDuration;
 
 use crate::apps::Workload;
+use crate::autoscale::{fleet_autoscaler, DIURNAL_AMPLITUDE, INITIAL_WORKERS, SHED_BOUND};
 use crate::loadgen::{ArrivalProcess, LoadGen};
 
 /// One simulated "day" of the soak, folded from the autoscaler windows
@@ -102,17 +102,12 @@ impl SoakReport {
     }
 }
 
-/// A soak recipe: one workload, `days` diurnal periods of arrivals, the
-/// autoscaler and memory governor both engaged, plus a crash-mid-reclaim
-/// replay probe on a single worker.
+/// A soak recipe: one workload on a fleet of Jord workers
+/// ([`RuntimeConfig::jord_32`]), [`SoakCampaign::DAYS`] diurnal periods of
+/// arrivals, the autoscaler and memory governor both engaged, plus a
+/// crash-mid-reclaim replay probe on a single worker.
 #[derive(Debug, Clone)]
 pub struct SoakCampaign {
-    /// Jord variant every worker runs.
-    pub variant: SystemVariant,
-    /// Hardware configuration of every worker.
-    pub machine: MachineConfig,
-    /// Initial fleet size.
-    pub workers: usize,
     /// Base offered load, requests/second; the diurnal sinusoid moves
     /// around it.
     pub rate_rps: f64,
@@ -120,25 +115,18 @@ pub struct SoakCampaign {
     pub requests: usize,
     /// Cluster seed.
     pub seed: u64,
-    /// Diurnal periods packed into the arrival span.
-    pub days: usize,
-    /// Peak-to-mean swing of the diurnal sinusoid (0..1).
-    pub amplitude: f64,
-    /// Autoscaler tuning.
-    pub autoscale: AutoscalerConfig,
-    /// Per-worker admission queue bound.
-    pub shed_bound: usize,
     /// Memory-governor tuning shared by every worker.
     pub memory: MemoryConfig,
-    /// When the crash-mid-reclaim probe kills its worker, µs.
-    pub crash_at_us: f64,
-    /// Day-over-day growth tolerance for the no-leak assertion.
-    pub growth_tolerance: f64,
-    /// Late-vs-early tail-latency tolerance factor.
-    pub tail_tolerance: f64,
 }
 
 impl SoakCampaign {
+    /// Diurnal periods packed into the arrival span: a week.
+    pub const DAYS: usize = 7;
+    /// Day-over-day growth tolerance for the no-leak assertion.
+    const GROWTH_TOLERANCE: f64 = 1.25;
+    /// Late-vs-early tail-latency tolerance factor.
+    const TAIL_TOLERANCE: f64 = 2.0;
+
     /// A default week: two initial Jord workers on the Table 2 machine,
     /// seven diurnal periods, and a governor tuned so reclamation is
     /// actually exercised — warm PDs idle out during every trough
@@ -146,24 +134,11 @@ impl SoakCampaign {
     /// sustained churn.
     pub fn new(rate_rps: f64, requests: usize) -> Self {
         let span_us = requests as f64 / rate_rps * 1e6;
-        let days = 7;
-        let day_us = span_us / days as f64;
+        let day_us = span_us / Self::DAYS as f64;
         SoakCampaign {
-            variant: SystemVariant::Jord,
-            machine: MachineConfig::isca25(),
-            workers: 2,
             rate_rps,
             requests,
             seed: 42,
-            days,
-            amplitude: 0.8,
-            autoscale: AutoscalerConfig {
-                min_workers: 1,
-                max_workers: 6,
-                target_p99_us: Some(60.0),
-                ..AutoscalerConfig::default()
-            },
-            shed_bound: 64,
             memory: MemoryConfig {
                 // Tight enough that a worker's diurnal-peak working set
                 // (~23 MiB under the DeathStarBench apps) crosses the
@@ -177,10 +152,18 @@ impl SoakCampaign {
                 pool_max_per_function: 4,
                 compact_dead_slots: 64,
             },
-            crash_at_us: span_us * 0.4,
-            growth_tolerance: 1.25,
-            tail_tolerance: 2.0,
         }
+    }
+
+    /// The simulated arrival span, µs.
+    fn span_us(&self) -> f64 {
+        self.requests as f64 / self.rate_rps * 1e6
+    }
+
+    /// When the crash-mid-reclaim probe kills its worker, µs: 40 % of the
+    /// way into the arrival span.
+    pub fn crash_at_us(&self) -> f64 {
+        self.span_us() * 0.4
     }
 
     /// Overrides the seed.
@@ -191,10 +174,9 @@ impl SoakCampaign {
 
     /// The week's arrival shape.
     pub fn arrival(&self) -> ArrivalProcess {
-        let span_us = self.requests as f64 / self.rate_rps * 1e6;
         ArrivalProcess::Diurnal {
-            period_us: span_us / self.days as f64,
-            amplitude: self.amplitude,
+            period_us: self.span_us() / Self::DAYS as f64,
+            amplitude: DIURNAL_AMPLITUDE,
         }
     }
 
@@ -243,10 +225,10 @@ impl SoakCampaign {
                 .max()
                 .unwrap_or(0);
             assert!(
-                (late as f64) <= (early as f64) * self.growth_tolerance,
+                (late as f64) <= (early as f64) * Self::GROWTH_TOLERANCE,
                 "soak: late-week peak residency ({late}) drifted past \
                  {:.2}x the early week's ({early}) — a reclamation leak",
-                self.growth_tolerance
+                Self::GROWTH_TOLERANCE
             );
             let strictly_climbing = measured
                 .windows(2)
@@ -269,10 +251,10 @@ impl SoakCampaign {
                 (mean_p99(&measured[..half]), mean_p99(&measured[half..]))
             {
                 assert!(
-                    late_p99 <= early_p99 * self.tail_tolerance,
+                    late_p99 <= early_p99 * Self::TAIL_TOLERANCE,
                     "soak: late-week p99 ({late_p99:.3} µs) drifted past \
                      {:.1}x the early week's ({early_p99:.3} µs)",
-                    self.tail_tolerance
+                    Self::TAIL_TOLERANCE
                 );
             }
         }
@@ -302,16 +284,16 @@ impl SoakCampaign {
     pub fn run_cluster(&self, workload: &Workload) -> (ClusterReport, Vec<WindowRecord>) {
         // Sanitize-and-pool on: the warm pool, working-set records, and
         // idle eviction are the machinery this campaign soaks.
-        let template = RuntimeConfig::variant_on(self.variant, self.machine.clone())
+        let template = RuntimeConfig::jord_32()
             .with_seed(self.seed)
             .with_sanitize(true)
             .with_recovery(RecoveryPolicy {
-                shed_bound: Some(self.shed_bound),
+                shed_bound: Some(SHED_BOUND),
                 ..RecoveryPolicy::default()
             })
             .with_memory(self.memory);
-        let mut cfg = ClusterConfig::new(self.workers, self.seed, template);
-        cfg.autoscale = Some(self.autoscale);
+        let mut cfg = ClusterConfig::new(INITIAL_WORKERS, self.seed, template);
+        cfg.autoscale = Some(fleet_autoscaler());
         let mut cluster =
             ClusterDispatcher::new(cfg, workload.registry.clone()).expect("valid cluster config");
         let mut gen = LoadGen::new(workload, self.seed).expect("workload mix is sampleable");
@@ -336,7 +318,7 @@ impl SoakCampaign {
     /// must rebuild the *identical* address space.
     pub fn crash_replay(&self, workload: &Workload) -> RunReport {
         let run = || -> (RunReport, u64, (usize, usize)) {
-            let cfg = RuntimeConfig::variant_on(self.variant, self.machine.clone())
+            let cfg = RuntimeConfig::jord_32()
                 .with_seed(self.seed)
                 .with_sanitize(true)
                 .with_memory(MemoryConfig {
@@ -347,7 +329,7 @@ impl SoakCampaign {
                     ..self.memory
                 })
                 .with_crash(CrashConfig::new(
-                    CrashPlan::worker_at(self.crash_at_us),
+                    CrashPlan::worker_at(self.crash_at_us()),
                     jord_core::CrashSemantics::AtLeastOnce,
                 ));
             let mut server =
@@ -388,9 +370,8 @@ impl SoakCampaign {
 
     /// Folds the window sequence into per-day residency records.
     fn fold(&self, rep: &ClusterReport, windows: &[WindowRecord]) -> SoakReport {
-        let span_us = self.requests as f64 / self.rate_rps * 1e6;
-        let day_us = span_us / self.days as f64;
-        let mut days: Vec<SoakDay> = (0..self.days)
+        let day_us = self.span_us() / Self::DAYS as f64;
+        let mut days: Vec<SoakDay> = (0..Self::DAYS)
             .map(|day| SoakDay {
                 day,
                 windows: 0,
@@ -402,7 +383,7 @@ impl SoakCampaign {
             })
             .collect();
         for w in windows {
-            let idx = ((w.at.as_us_f64() / day_us) as usize).min(self.days - 1);
+            let idx = ((w.at.as_us_f64() / day_us) as usize).min(Self::DAYS - 1);
             let d = &mut days[idx];
             d.windows += 1;
             d.offered += w.offered;
@@ -437,6 +418,7 @@ impl SoakCampaign {
 mod tests {
     use super::*;
     use crate::apps::WorkloadKind;
+    use jord_core::durability::fnv1a;
 
     fn quick_soak() -> SoakCampaign {
         // Half-length week: the residency profile is set by the rate
@@ -470,6 +452,10 @@ mod tests {
         assert_eq!(win_a, win_b);
         assert_eq!(rep_a.trace_hash, rep_b.trace_hash);
         assert_eq!(rep_a.memory, rep_b.memory);
+        // The exact week, pinned: a change that moves any simulated value
+        // fails here, not only one that breaks determinism.
+        assert_eq!(rep_a.trace_hash, 0x2fec7b35bb9b8f08);
+        assert_eq!(fnv1a(format!("{win_a:?}").as_bytes()), 0xd40337636073d911);
     }
 
     #[test]

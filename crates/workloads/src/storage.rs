@@ -45,13 +45,17 @@
 //!    journal could not prove.
 
 use jord_core::{
-    ClusterConfig, ClusterDispatcher, CrashConfig, CrashSemantics, DurabilityStats, RecoveryPolicy,
-    RecoveryRung, RuntimeConfig, SystemVariant, WorkerKill, WorkerServer,
+    ClusterConfig, ClusterDispatcher, CrashConfig, CrashSemantics, DurabilityStats, RecoveryRung,
+    RuntimeConfig, WorkerKill, WorkerServer,
 };
-use jord_hw::{CrashPlan, MachineConfig, StorageFaultKind, StorageFaultPlan};
+use jord_hw::{CrashPlan, StorageFaultKind, StorageFaultPlan};
 
 use crate::apps::Workload;
+use crate::crash::{recovery, CHECKPOINT_EVERY};
 use crate::loadgen::LoadGen;
+
+/// Cluster size for the cluster sweep.
+const WORKERS: usize = 4;
 
 /// The recovery rung a run's durability counters record, if exactly one
 /// recovery happened. `None` when no recovery ran (baseline) or the
@@ -137,16 +141,12 @@ pub struct ClusterStoragePoint {
     pub seal_failures: u64,
 }
 
-/// A storage-chaos recipe: one workload, a grid of storage fault kinds ×
-/// crash instants × crash semantics on a single worker, a crash-free
-/// baseline, a storage-fault-free crash control, and a cluster kill per
-/// fault kind.
+/// A storage-chaos recipe: one workload on Jord
+/// ([`RuntimeConfig::jord_32`]), a grid of storage fault kinds × crash
+/// instants × crash semantics on a single worker, a crash-free baseline, a
+/// storage-fault-free crash control, and a cluster kill per fault kind.
 #[derive(Debug, Clone)]
 pub struct StorageChaosCampaign {
-    /// Jord variant under test.
-    pub variant: SystemVariant,
-    /// Hardware configuration.
-    pub machine: MachineConfig,
     /// Offered load, requests/second.
     pub rate_rps: f64,
     /// Requests per point (no warm-up: parity is exact-count).
@@ -159,14 +159,6 @@ pub struct StorageChaosCampaign {
     pub faults: Vec<StorageFaultKind>,
     /// In-flight semantics to sweep.
     pub semantics: Vec<CrashSemantics>,
-    /// Recovery policy applied at every point.
-    pub recovery: RecoveryPolicy,
-    /// Journal checkpoint cadence (records per checkpoint). Small enough
-    /// that a mid-run crash always has a previous checkpoint generation
-    /// to fall back to.
-    pub checkpoint_every: usize,
-    /// Cluster size for the cluster sweep.
-    pub workers: usize,
 }
 
 impl StorageChaosCampaign {
@@ -175,20 +167,12 @@ impl StorageChaosCampaign {
     /// semantics.
     pub fn new(rate_rps: f64, requests: usize) -> Self {
         StorageChaosCampaign {
-            variant: SystemVariant::Jord,
-            machine: MachineConfig::isca25(),
             rate_rps,
             requests,
             seed: 42,
             instants: vec![0.35, 0.65],
             faults: StorageFaultKind::ALL.to_vec(),
             semantics: vec![CrashSemantics::AtLeastOnce, CrashSemantics::AtMostOnce],
-            recovery: RecoveryPolicy {
-                max_retries: 5,
-                ..RecoveryPolicy::default()
-            },
-            checkpoint_every: 64,
-            workers: 4,
         }
     }
 
@@ -264,7 +248,7 @@ impl StorageChaosCampaign {
             CrashPlan::worker_at(self.span_us() * at),
             CrashSemantics::AtLeastOnce,
         )
-        .checkpoint_every(self.checkpoint_every);
+        .checkpoint_every(CHECKPOINT_EVERY);
         let control = self.run_point(workload, control_cfg, "none", at);
         assert_eq!(control.crashes, 1, "the control crash must fire");
         assert_eq!(
@@ -285,7 +269,7 @@ impl StorageChaosCampaign {
                 for &semantics in &self.semantics {
                     let cfg =
                         CrashConfig::new(CrashPlan::worker_at(self.span_us() * frac), semantics)
-                            .checkpoint_every(self.checkpoint_every)
+                            .checkpoint_every(CHECKPOINT_EVERY)
                             .with_storage(StorageFaultPlan::new(kind));
                     let point = self.run_point(workload, cfg, kind.label(), frac);
                     self.audit_fault_point(kind, semantics, &point);
@@ -383,9 +367,9 @@ impl StorageChaosCampaign {
         fault: &'static str,
         instant: f64,
     ) -> StoragePoint {
-        let cfg = RuntimeConfig::variant_on(self.variant, self.machine.clone())
+        let cfg = RuntimeConfig::jord_32()
             .with_seed(self.seed)
-            .with_recovery(self.recovery)
+            .with_recovery(recovery())
             .with_crash(crash);
         let mut server =
             WorkerServer::new(cfg, workload.registry.clone()).expect("valid storage-chaos config");
@@ -435,10 +419,10 @@ impl StorageChaosCampaign {
     pub fn run_cluster(&self, workload: &Workload) -> Vec<ClusterStoragePoint> {
         let mut points = Vec::new();
         for &kind in &self.faults {
-            let template = RuntimeConfig::variant_on(self.variant, self.machine.clone())
+            let template = RuntimeConfig::jord_32()
                 .with_seed(self.seed)
-                .with_recovery(self.recovery);
-            let mut cfg = ClusterConfig::new(self.workers, self.seed, template);
+                .with_recovery(recovery());
+            let mut cfg = ClusterConfig::new(WORKERS, self.seed, template);
             cfg.kill = Some(WorkerKill {
                 worker: 1,
                 at_us: self.span_us() / 2.0,
@@ -536,6 +520,7 @@ impl StorageReport {
 mod tests {
     use super::*;
     use crate::apps::WorkloadKind;
+    use jord_core::durability::fnv1a;
 
     fn quick_campaign() -> StorageChaosCampaign {
         // A burst well beyond instantaneous capacity keeps the journal
@@ -599,6 +584,9 @@ mod tests {
         let a = spec.run(&w);
         let b = spec.run(&w);
         assert_eq!(a, b, "same seed must reproduce the whole campaign");
+        // The exact campaign, pinned: a change that moves any simulated
+        // value fails here, not only one that breaks determinism.
+        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x13ceed0dcbe841d1);
     }
 
     #[test]

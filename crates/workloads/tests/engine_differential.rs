@@ -135,8 +135,8 @@ fn crash_mid_scale_matches_oracle_on_every_thread_count() {
     let c = AutoscaleCampaign::new(2.0e6, 4_000);
     let script = |cfg: &mut ClusterConfig, c: &AutoscaleCampaign| {
         cfg.kill = Some(WorkerKill {
-            worker: c.victim,
-            at_us: c.kill_at_us,
+            worker: AutoscaleCampaign::VICTIM,
+            at_us: c.kill_at_us(),
         });
     };
     let (oracle, win_oracle) = c.run_cluster(&w, &c.crowd, true, script);
@@ -161,11 +161,11 @@ fn hedged_pullbacks_match_oracle_on_every_thread_count() {
     let c = FailoverCampaign::new(4.0e6, 2_000);
     let script = |c: &FailoverCampaign| {
         let kill = WorkerKill {
-            worker: c.victim,
-            at_us: c.kill_at_us,
+            worker: FailoverCampaign::VICTIM,
+            at_us: c.kill_at_us(),
         };
         let hedge = HedgeConfig {
-            after_us: c.hedge_after_us,
+            after_us: FailoverCampaign::HEDGE_AFTER_US,
         };
         move |cfg: &mut ClusterConfig| {
             cfg.kill = Some(kill);

@@ -219,7 +219,7 @@ fn main() {
     let soak_krps = soak_rep.completed as f64 / soak_wall / 1e3;
     println!(
         "soak: {} requests over {} diurnal days in {soak_wall:.2}s wall ({soak_krps:.1} k simulated req/s)",
-        soak_rep.completed, soak.days,
+        soak_rep.completed, SoakCampaign::DAYS,
     );
 
     let json = format!(

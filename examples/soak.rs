@@ -16,11 +16,13 @@
 //! cargo run --release --example soak
 //! ```
 
+use jord_workloads::autoscale::{fleet_autoscaler, INITIAL_WORKERS};
 use jord_workloads::{SoakCampaign, Workload, WorkloadKind};
 
 fn main() {
     let hotel = Workload::build(WorkloadKind::Hotel);
     let campaign = SoakCampaign::new(2.0e6, 14_000).seed(42);
+    let autoscale = fleet_autoscaler();
 
     println!(
         "Soak campaign: {} x {} requests at {:.1} MRPS base, {} diurnal days, \
@@ -28,10 +30,10 @@ fn main() {
         hotel.name(),
         campaign.requests,
         campaign.rate_rps / 1e6,
-        campaign.days,
-        campaign.workers,
-        campaign.autoscale.min_workers,
-        campaign.autoscale.max_workers,
+        SoakCampaign::DAYS,
+        INITIAL_WORKERS,
+        autoscale.min_workers,
+        autoscale.max_workers,
         campaign.memory.resident_budget_bytes >> 20,
         campaign.seed,
     );

@@ -15,6 +15,7 @@
 //! cargo run --release --example storage_chaos
 //! ```
 
+use jord_workloads::crash::CHECKPOINT_EVERY;
 use jord_workloads::{StorageChaosCampaign, Workload, WorkloadKind};
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
         campaign.faults.len(),
         campaign.instants.len(),
         campaign.semantics.len(),
-        campaign.checkpoint_every,
+        CHECKPOINT_EVERY,
         campaign.seed,
     );
     println!();
