@@ -1,5 +1,5 @@
-//! Engine microbenchmarks: the calendar [`EventQueue`] against the
-//! recorded [`BaselineHeap`] it replaced.
+//! Engine microbenchmarks: the slab-backed [`EventQueue`] against the
+//! recorded [`BaselineHeap`] whose payload-carrying entries it replaced.
 //!
 //! Three synthetic workloads bracket the DES hot path:
 //!
@@ -11,7 +11,7 @@
 //!   pattern of campaign setup (`push_request` loops) and teardown.
 //! * **Cancel storm** — schedule, cancel half, pop the rest. The heap
 //!   side cancels through its pre-refactor `remove_first`
-//!   (scan + drain-and-rebuild); the calendar side cancels by
+//!   (scan + drain-and-rebuild); the queue side cancels by
 //!   [`EventId`](jord_sim::EventId) tombstone.
 //!
 //! Both sides of every pair consume identical RNG streams and fold every
@@ -29,25 +29,23 @@ use jord_sim::{EventQueue, Rng, SimTime};
 /// the same order as the cluster's heartbeat/window cadence.
 const GAP_PS: u64 = 10_000_000;
 
-/// One heap-vs-calendar measurement.
+/// One baseline-vs-queue measurement.
 #[derive(Debug, Clone)]
 pub struct MicroResult {
-    /// Workload name (`hold`, `transient`, `cancel`).
-    pub name: &'static str,
     /// Queue operations performed per side (schedules + pops + cancels).
     pub events: u64,
     /// Baseline heap throughput, operations per second.
     pub heap_eps: f64,
-    /// Calendar queue throughput, operations per second.
-    pub calendar_eps: f64,
+    /// [`EventQueue`] throughput, operations per second.
+    pub queue_eps: f64,
     /// Both sides produced the same pop checksum (they must).
     pub checksums_match: bool,
 }
 
 impl MicroResult {
-    /// Calendar speedup over the heap baseline.
+    /// [`EventQueue`] speedup over the heap baseline.
     pub fn speedup(&self) -> f64 {
-        self.calendar_eps / self.heap_eps
+        self.queue_eps / self.heap_eps
     }
 }
 
@@ -70,7 +68,7 @@ pub fn hold_model(prefill: usize, ops: u64, seed: u64) -> MicroResult {
         }
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
-    let (cal_s, cal_sum) = {
+    let (queue_s, queue_sum) = {
         let mut q = EventQueue::new();
         let mut rng = Rng::new(seed);
         for i in 0..prefill {
@@ -86,11 +84,10 @@ pub fn hold_model(prefill: usize, ops: u64, seed: u64) -> MicroResult {
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
     MicroResult {
-        name: "hold",
         events: ops * 2,
         heap_eps: ops as f64 * 2.0 / heap_s,
-        calendar_eps: ops as f64 * 2.0 / cal_s,
-        checksums_match: heap_sum == cal_sum,
+        queue_eps: ops as f64 * 2.0 / queue_s,
+        checksums_match: heap_sum == queue_sum,
     }
 }
 
@@ -109,7 +106,7 @@ pub fn transient(n: usize, seed: u64) -> MicroResult {
         }
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
-    let (cal_s, cal_sum) = {
+    let (queue_s, queue_sum) = {
         let mut q = EventQueue::new();
         let mut rng = Rng::new(seed);
         let start = Instant::now();
@@ -123,17 +120,16 @@ pub fn transient(n: usize, seed: u64) -> MicroResult {
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
     MicroResult {
-        name: "transient",
         events: n as u64 * 2,
         heap_eps: n as f64 * 2.0 / heap_s,
-        calendar_eps: n as f64 * 2.0 / cal_s,
-        checksums_match: heap_sum == cal_sum,
+        queue_eps: n as f64 * 2.0 / queue_s,
+        checksums_match: heap_sum == queue_sum,
     }
 }
 
 /// Cancel storm: schedule `n`, cancel every other event, pop the
 /// survivors. The heap cancels through the pre-refactor predicate
-/// `remove_first` (linear scan + full drain-and-rebuild); the calendar
+/// `remove_first` (linear scan + full drain-and-rebuild); the queue
 /// cancels by handle in O(1).
 pub fn cancel_storm(n: usize, seed: u64) -> MicroResult {
     let cancels = n / 2;
@@ -154,7 +150,7 @@ pub fn cancel_storm(n: usize, seed: u64) -> MicroResult {
         }
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
-    let (cal_s, cal_sum) = {
+    let (queue_s, queue_sum) = {
         let mut q = EventQueue::new();
         let mut rng = Rng::new(seed);
         let start = Instant::now();
@@ -171,11 +167,10 @@ pub fn cancel_storm(n: usize, seed: u64) -> MicroResult {
         (start.elapsed().as_secs_f64(), black_box(sum))
     };
     MicroResult {
-        name: "cancel",
         events: ops,
         heap_eps: ops as f64 / heap_s,
-        calendar_eps: ops as f64 / cal_s,
-        checksums_match: heap_sum == cal_sum,
+        queue_eps: ops as f64 / queue_s,
+        checksums_match: heap_sum == queue_sum,
     }
 }
 

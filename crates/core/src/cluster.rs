@@ -402,9 +402,9 @@ pub struct ClusterReport {
     /// recovery-ladder stats merged.
     pub durability: DurabilityStats,
     /// Event-queue op counters: the dispatcher's own queue merged with
-    /// every shard's ([`QueueProbe::merge`]). The sums are partition-
-    /// invariant, so O(1)-cancel regressions stay assertable whatever
-    /// the engine's thread count.
+    /// every shard's ([`QueueProbe::merge`]). Each counter sums per-event
+    /// operations, so the totals are the same at any engine thread count
+    /// and O(1)-cancel regressions stay assertable on the fleet.
     pub probe: QueueProbe,
 }
 
@@ -1427,8 +1427,7 @@ mod tests {
             assert_eq!(rep.finished_at, oracle.finished_at, "@{threads} threads");
             assert_eq!(rep.p99(), oracle.p99(), "@{threads} threads");
             assert_eq!(rep.windows, oracle.windows, "@{threads} threads");
-            // The op-count sums are partition-invariant even though the
-            // per-queue geometry is not.
+            // The op-count sums are partition-invariant.
             assert_eq!(
                 rep.probe.scheduled, oracle.probe.scheduled,
                 "@{threads} threads"

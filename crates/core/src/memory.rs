@@ -592,7 +592,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest-tests"))]
+#[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 

@@ -13,8 +13,6 @@
 //!    journaled, which is what makes replay-after-corruption safe to
 //!    feed into the ledger.
 
-#![cfg(feature = "proptest-tests")]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 

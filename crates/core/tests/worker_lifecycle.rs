@@ -808,7 +808,7 @@ fn cancel_tagged_unoffers_an_undelivered_arrival() {
 #[test]
 fn cancel_tagged_unoffers_each_tag_exactly_once() {
     // Same fixture as above, but withdrawing a batch: every cancel must
-    // remove exactly one arrival (the calendar queue tombstones the
+    // remove exactly one arrival (the event queue tombstones the
     // handle recorded at schedule time), a re-cancel is a typed no-op,
     // and the survivors' schedule is untouched.
     let (r, f) = registry_leaf();

@@ -5,7 +5,8 @@
 //! These tests measure the same operations on the modelled Table 2 machine
 //! with warm caches and assert we land near the paper (the bench
 //! `table4_op_latency` prints the full table). Tolerances are deliberately
-//! tight — the constants in `CostModel::calibrated()` were fitted to these.
+//! tight — the constants in `crates/privlib/src/cost.rs` were fitted to
+//! these.
 
 use jord_hw::types::{CoreId, PdId, Perm};
 use jord_hw::{Machine, MachineConfig};

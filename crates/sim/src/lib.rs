@@ -11,11 +11,11 @@
 //!   (one 4 GHz cycle = 250 ps), so every latency in the paper's Table 2/4 is
 //!   representable exactly.
 //! * [`EventQueue`] — a total-order event queue with deterministic FIFO
-//!   tie-breaking for simultaneous events. Implemented as a slab-backed
-//!   calendar queue with a far-future overflow heap and O(1) tombstone
+//!   tie-breaking for simultaneous events. Implemented as a binary heap of
+//!   `(time, seq, slot)` keys over a payload slab, with O(1) tombstone
 //!   cancellation ([`EventId`]/[`CancelOutcome`]); the pre-refactor binary
 //!   heap survives in [`oracle`] as the differential-test oracle and the
-//!   recorded bench baseline.
+//!   cancel-storm bench baseline.
 //! * [`Rng`] (xoshiro256++) and [`dist`] — seeded, reproducible random number
 //!   generation and the distributions used by the load generator and workload
 //!   models (exponential inter-arrivals for Poisson processes, log-normal

@@ -1,14 +1,16 @@
 //! Reference queue implementations kept for proof and measurement.
 //!
-//! [`EventQueue`](crate::EventQueue) was rebuilt as a slab-backed calendar
-//! queue for throughput; everything downstream (crash replay, golden trace
+//! [`EventQueue`](crate::EventQueue) keeps its payloads in a slab and
+//! cancels by handle; everything downstream (crash replay, golden trace
 //! hashes, ledger parity) leans on bit-for-bit determinism per seed, so the
-//! replaced implementation stays in-tree in two roles:
+//! heap it replaced stays in-tree in two roles:
 //!
 //! * [`BaselineHeap`] — the old comparison-based `BinaryHeap` queue,
-//!   byte-for-byte the pre-refactor hot path. The engine bench harness
-//!   measures it side by side with the calendar queue and gates on the
-//!   speedup; the golden-trace tests prove both produce identical schedules.
+//!   byte-for-byte the pre-refactor hot path, cancelling by scan and
+//!   rebuild. The engine bench harness measures it side by side with
+//!   [`EventQueue`](crate::EventQueue) and gates on the cancel-storm
+//!   speedup; the golden-trace tests prove both produce identical
+//!   schedules.
 //! * [`HeapOracle`] — [`BaselineHeap`] plus id bookkeeping so the
 //!   differential proptest can drive both queues through identical
 //!   schedule/pop/cancel interleavings and assert the full
@@ -53,8 +55,8 @@ impl<E> Ord for Entry<E> {
 }
 
 /// The pre-refactor event queue: a comparison-based binary heap with FIFO
-/// tie-breaking by insertion sequence. Recorded baseline for
-/// `BENCH_engine.json`; do not "optimize" it.
+/// tie-breaking by insertion sequence. Baseline of `engine_bench`'s
+/// microbenches (`BENCH_engine.json`); do not "optimize" it.
 pub struct BaselineHeap<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -158,11 +160,13 @@ impl<E> Default for BaselineHeap<E> {
 pub struct OracleId(u64);
 
 /// [`BaselineHeap`] with id bookkeeping: supports the same
-/// schedule/cancel surface as the calendar queue so the differential
-/// proptest can drive both through identical op sequences. Cancellation is
-/// modelled exactly like the calendar queue's tombstones — the entry stays
-/// in the heap and is skipped at pop, and surviving events keep their
-/// original sequence numbers.
+/// schedule/cancel surface as [`EventQueue`](crate::EventQueue) so the
+/// differential proptest can drive both through identical op sequences.
+/// Cancellation is modelled exactly like the queue's tombstones — the
+/// entry stays in the heap and is skipped at pop, and surviving events
+/// keep their original sequence numbers. The bookkeeping is `BTreeSet`s,
+/// not a slab, so the proptest checks the queue's slot, generation and
+/// tombstone logic against an independent implementation.
 pub struct HeapOracle<E> {
     inner: BaselineHeap<E>,
     /// Seqs of still-pending (not popped, not cancelled) events.
@@ -203,7 +207,7 @@ impl<E> HeapOracle<E> {
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         // Physically popping a tombstone advances the inner clock; if no
         // live event follows, restore it — a fruitless pop must leave
-        // `now` untouched, exactly like the calendar queue.
+        // `now` untouched, exactly like `EventQueue`.
         let prev_now = self.inner.last_popped;
         while let Some((t, seq, e)) = self.inner.pop_entry() {
             if self.tombstones.remove(&seq) {

@@ -5,60 +5,30 @@
 //! reproducible from a seed, so ties in simulated time are broken by insertion
 //! order (FIFO), never by container internals.
 //!
-//! # Design: slab-backed calendar queue with a far-future overflow heap
-//!
-//! Serving the paper's millions-of-users scenarios means billions of
-//! simulated events, so the queue is built for throughput rather than for
-//! the comparison-based `BinaryHeap` it replaces:
+//! # Design: a slab-backed binary heap
 //!
 //! * **Slab arena.** Every payload lives in a slot of a free-listed slab and
 //!   is addressed by a compact [`EventId`] (slot index + generation). The
-//!   ordering structures move 24-byte `(time, seq, slot)` keys, never the
-//!   payloads themselves.
-//! * **Calendar buckets.** A power-of-two array of buckets, each a
-//!   power-of-two number of picoseconds wide (so placement is a shift, not
-//!   a division), covers the *horizon* — the near future starting at
-//!   `horizon_start`. An event inside the horizon is appended to its bucket
-//!   in O(1). A bucket is sorted by `(time, seq)` exactly once, lazily, when
-//!   the pop cursor arms it; same-timestamp events therefore pop in exactly
-//!   the FIFO order the old seq-numbered heap produced.
-//! * **Overflow heap.** Events beyond the horizon go to a far-future min-heap.
-//!   When the horizon's buckets are exhausted the clock advances: the horizon
-//!   re-anchors at the overflow minimum and everything now inside it is
-//!   re-bucketed lazily — far-future events pay the heap only while they stay
-//!   far-future.
+//!   heap moves 24-byte `(time, seq, slot)` keys, never the payloads.
+//! * **Binary heap.** A std [`BinaryHeap`] of reversed keys pops the total
+//!   order `(time, seq)`: each schedule takes the next sequence number, so
+//!   same-timestamp events pop FIFO.
 //! * **Tombstone cancellation.** [`EventQueue::cancel`] frees the slab slot
-//!   in O(1) and leaves the ordering key behind as a tombstone; pops and
-//!   re-bucketing skip stale keys by comparing the key's `seq` against the
-//!   slot's. Generation counters make a stale [`EventId`] a typed no-op.
-//! * **Geometry adaptation.** The bucket count grows with the live-event
-//!   count and the bucket width tracks an EWMA of observed pop gaps, keeping
-//!   mean bucket occupancy small. Geometry only decides *placement*; the pop
-//!   order is always the total order `(time, seq)`, so schedules are
-//!   bit-identical to the heap implementation regardless of tuning.
+//!   in O(1) and leaves the key behind as a tombstone; pops skip stale keys
+//!   by comparing the key's `seq` against the slot's. Generation counters
+//!   make a stale [`EventId`] a typed no-op.
 //!
-//! The old binary-heap implementation survives as
-//! [`oracle::BaselineHeap`](crate::oracle::BaselineHeap) — the recorded
-//! baseline for `BENCH_engine.json` and the differential-test oracle proving
-//! pop-order equivalence.
+//! The heap this replaced, with payloads inside its entries and cancellation
+//! by scan and rebuild, survives as
+//! [`oracle::BaselineHeap`](crate::oracle::BaselineHeap): the baseline of
+//! `engine_bench`'s cancel-storm gate and, behind
+//! [`oracle::HeapOracle`](crate::oracle::HeapOracle), the differential
+//! test's reference for pop order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Smallest bucket-array size (kept tiny: a fleet boots many queues).
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket-array size the geometry may grow to. A million-event
-/// burst (campaign setup) fits its whole span in the horizon at ~2 events
-/// per bucket; the empty-`Vec` headers cost ~24 MiB only at full growth.
-const MAX_BUCKETS: usize = 1 << 20;
-/// Grow the bucket array when live events exceed `buckets × GROW_OCCUPANCY`.
-const GROW_OCCUPANCY: usize = 4;
-/// Bucket width as a multiple of the observed mean pop gap.
-const WIDTH_GAPS: u64 = 4;
-/// EWMA clamp so `width = gap × WIDTH_GAPS` can never overflow.
-const GAP_EWMA_MAX: u64 = 1 << 55;
 
 /// A stable handle to a scheduled event, returned by
 /// [`EventQueue::schedule`] and consumed by [`EventQueue::cancel`].
@@ -90,7 +60,7 @@ impl CancelOutcome {
 }
 
 /// Always-on operation counters — the op-count probe regression tests use
-/// to prove cancellation stopped paying a full drain-and-rebuild.
+/// to prove cancellation pops and re-schedules nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueProbe {
     /// Events accepted by `push`/`schedule`.
@@ -99,59 +69,37 @@ pub struct QueueProbe {
     pub popped: u64,
     /// Events removed by `cancel`.
     pub cancelled: u64,
-    /// Keys moved between buckets and the overflow heap (horizon advances,
-    /// geometry growth, re-anchors). A cancel must never add to this.
+    /// Always 0: a heap key stays where it was pushed until it pops.
+    /// perfbench still reads the field; it goes once perfbench stops.
     pub rebucketed: u64,
-    /// Keys sent to the far-future overflow heap at schedule time.
+    /// Always 0, like [`rebucketed`](Self::rebucketed): the queue has no
+    /// far-future overflow.
     pub overflowed: u64,
-    /// Bucket arming sorts performed.
-    pub sorts: u64,
 }
 
 impl QueueProbe {
     /// Folds another probe's counters into this one. The parallel cluster
-    /// engine runs one queue per shard; merging the per-shard probes into
-    /// the cluster report keeps op-count regressions (a cancel paying a
-    /// drain-and-rebuild again, say) assertable regardless of thread
-    /// count — the sums are partition-invariant even though each shard's
-    /// own geometry counters are not.
+    /// engine runs one queue per shard; every counter is a per-event sum,
+    /// so the merged probe is the same at any thread count, and op-count
+    /// regressions (a cancel paying a drain-and-rebuild again, say) stay
+    /// assertable on the cluster report.
     pub fn merge(&mut self, other: &QueueProbe) {
         self.scheduled += other.scheduled;
         self.popped += other.popped;
         self.cancelled += other.cancelled;
         self.rebucketed += other.rebucketed;
         self.overflowed += other.overflowed;
-        self.sorts += other.sorts;
     }
 }
 
 /// One slab slot. `event == None` means the slot is free (or tombstoned —
-/// the states are identical: cancellation frees immediately and the ordering
+/// the states are identical: cancellation frees immediately and the heap
 /// key left behind is recognized as stale by its `seq`).
 struct Slot<E> {
     time: SimTime,
     seq: u64,
     gen: u32,
     event: Option<E>,
-}
-
-/// A 24-byte ordering key: everything a bucket sort needs without touching
-/// the slab.
-#[derive(Clone, Copy)]
-struct Key {
-    time_ps: u64,
-    seq: u64,
-    slot: u32,
-}
-
-/// Where a timestamp falls relative to the current horizon.
-enum Placement {
-    /// Before `horizon_start` — the horizon must re-anchor backward.
-    Below,
-    /// Inside the horizon, in this bucket.
-    In(usize),
-    /// Beyond the horizon — far-future overflow.
-    Beyond,
 }
 
 /// A future-event list ordered by simulated time with FIFO tie-breaking.
@@ -173,36 +121,15 @@ enum Placement {
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
+    /// `(time_ps, seq, slot)` keys, min-ordered; live events plus
+    /// tombstones. Settled: empty, or its front is live.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     live: usize,
     next_seq: u64,
     last_popped: SimTime,
-    /// Calendar buckets; length is a power of two.
-    buckets: Vec<Vec<Key>>,
-    /// log2 of the bucket width in picoseconds: widths are powers of two
-    /// so placement is a shift, not a division.
-    width_shift: u32,
-    /// Absolute time of `buckets[0]`'s left edge.
-    horizon_start: u64,
-    /// The bucket the pop cursor is at (`== buckets.len()` when the horizon
-    /// is exhausted).
-    cursor: usize,
-    /// Next un-popped entry of the armed cursor bucket.
-    drain_pos: usize,
-    /// True once the cursor bucket has been sorted for draining.
-    armed: bool,
-    /// Far-future events, min-ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// EWMA of pop-to-pop gaps, steering the bucket width.
-    gap_ewma: u64,
-    /// High-water mark of scheduled timestamps: lets a re-anchor size the
-    /// width to cover the whole pending span even before any pop has
-    /// taught the gap EWMA anything (a pure-push burst).
-    max_pending: u64,
-    /// Exact count of tombstoned keys still physically present in the
-    /// buckets or the overflow heap. While zero — the overwhelmingly
-    /// common case — every staleness check (one random slab access each)
-    /// is skipped, so uncancelled traffic pays nothing for the
-    /// cancellation feature.
+    /// Exact count of tombstoned keys still in the heap. While zero — the
+    /// overwhelmingly common case — settling is skipped, so uncancelled
+    /// traffic pays nothing for the cancellation feature.
     stale_keys: usize,
     probe: QueueProbe,
 }
@@ -213,18 +140,10 @@ impl<E> EventQueue<E> {
         EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
+            heap: BinaryHeap::new(),
             live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_shift: 12, // 4096 ps ≈ 4 ns until pops teach us better
-            horizon_start: 0,
-            cursor: 0,
-            drain_pos: 0,
-            armed: false,
-            overflow: BinaryHeap::new(),
-            gap_ewma: 1_000,
-            max_pending: 0,
             stale_keys: 0,
             probe: QueueProbe::default(),
         }
@@ -242,31 +161,19 @@ impl<E> EventQueue<E> {
 
     /// [`push`](Self::push) returning a cancellation handle.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
-        let id = self.schedule_unsettled(time, event);
-        self.settle();
-        id
-    }
-
-    fn schedule_unsettled(&mut self, time: SimTime, event: E) -> EventId {
         assert!(
             time >= self.last_popped,
             "event scheduled in the past: {time} < {}",
             self.last_popped
         );
-        if self.live >= self.buckets.len() * GROW_OCCUPANCY && self.buckets.len() < MAX_BUCKETS {
-            self.grow();
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.alloc_slot(time, seq, event);
         self.live += 1;
         self.probe.scheduled += 1;
-        self.max_pending = self.max_pending.max(time.as_ps());
-        self.place(Key {
-            time_ps: time.as_ps(),
-            seq,
-            slot,
-        });
+        // A live key never unsettles the front: it is either behind the
+        // live front or becomes the front itself.
+        self.heap.push(Reverse((time.as_ps(), seq, slot)));
         EventId {
             slot,
             gen: self.slots[slot as usize].gen,
@@ -281,34 +188,23 @@ impl<E> EventQueue<E> {
     /// [`pop`](Self::pop) exposing the tie-breaking sequence number — the
     /// differential test suite compares full `(time, seq, event)` triples.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.live == 0 {
-            return None;
-        }
-        // The settle invariant holds after every mutating call, so the
-        // cursor points at the live front.
-        let key = self.buckets[self.cursor][self.drain_pos];
-        self.drain_pos += 1;
-        let slot = &mut self.slots[key.slot as usize];
-        debug_assert_eq!(slot.seq, key.seq, "settled front must be live");
-        let event = slot
-            .event
-            .take()
-            .expect("settled front must hold a payload");
-        let time = slot.time;
-        self.retire_slot(key.slot);
+        // Settled after every mutating call, so the front is live.
+        let Reverse((_, seq, slot)) = self.heap.pop()?;
+        let s = &mut self.slots[slot as usize];
+        debug_assert_eq!(s.seq, seq, "settled front must be live");
+        let event = s.event.take().expect("settled front must hold a payload");
+        let time = s.time;
+        self.retire_slot(slot);
         self.live -= 1;
         self.probe.popped += 1;
-        let gap = time.as_ps() - self.last_popped.as_ps();
-        self.gap_ewma =
-            (((self.gap_ewma as u128 * 7 + gap as u128) / 8) as u64).clamp(1, GAP_EWMA_MAX);
         self.last_popped = time;
         self.settle();
-        Some((time, key.seq, event))
+        Some((time, seq, event))
     }
 
     /// Cancels a pending event in O(1): the slab slot is freed immediately
-    /// and the ordering key it leaves behind is skipped as a tombstone when
-    /// the schedule reaches it. A stale handle (already popped, already
+    /// and the heap key it leaves behind is skipped as a tombstone when it
+    /// reaches the front. A stale handle (already popped, already
     /// cancelled, or foreign) is a typed no-op.
     pub fn cancel(&mut self, id: EventId) -> CancelOutcome {
         let Some(slot) = self.slots.get_mut(id.slot as usize) else {
@@ -322,19 +218,17 @@ impl<E> EventQueue<E> {
         self.live -= 1;
         self.stale_keys += 1;
         self.probe.cancelled += 1;
-        // If the cancelled event was the settled front, re-settle so
-        // `peek_time` never reports a tombstone.
+        // If the cancelled event was the front, re-settle so `peek_time`
+        // never reports a tombstone.
         self.settle();
         CancelOutcome::Cancelled
     }
 
     /// The timestamp of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
-        }
-        let key = self.buckets[self.cursor][self.drain_pos];
-        Some(SimTime::from_ps(key.time_ps))
+        self.heap
+            .peek()
+            .map(|&Reverse((t, _, _))| SimTime::from_ps(t))
     }
 
     /// Number of pending events.
@@ -386,14 +280,7 @@ impl<E> EventQueue<E> {
         }
         entries.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
         self.live = 0;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.drain_pos = 0;
-        self.armed = false;
-        self.max_pending = 0;
+        self.heap.clear();
         self.stale_keys = 0;
         entries.into_iter().map(|(t, _, e)| (t, e)).collect()
     }
@@ -429,229 +316,22 @@ impl<E> EventQueue<E> {
         self.free.push(slot);
     }
 
-    /// True if `key` no longer names a live event (cancelled, popped, or
-    /// its slot was reused — the globally unique `seq` discriminates).
-    fn is_stale(&self, key: &Key) -> bool {
-        let s = &self.slots[key.slot as usize];
-        s.event.is_none() || s.seq != key.seq
-    }
-
-    fn placement(&self, time_ps: u64) -> Placement {
-        if time_ps < self.horizon_start {
-            return Placement::Below;
-        }
-        let idx = ((time_ps - self.horizon_start) >> self.width_shift) as usize;
-        if idx < self.buckets.len() {
-            Placement::In(idx)
-        } else {
-            Placement::Beyond
-        }
-    }
-
-    fn place(&mut self, key: Key) {
-        match self.placement(key.time_ps) {
-            Placement::Below => {
-                // A push landed before the (forward-jumped) horizon: pull
-                // the bucketed keys back into the overflow heap and
-                // re-anchor the horizon at the newcomer.
-                self.unbucket_all();
-                self.anchor(key.time_ps);
-                let idx = ((key.time_ps - self.horizon_start) >> self.width_shift) as usize;
-                self.buckets[idx].push(key);
-                self.refill();
-            }
-            Placement::In(idx) => {
-                if idx < self.cursor {
-                    // The drained prefix of the armed cursor bucket is
-                    // necessarily all tombstone skips: a live pop from it
-                    // would have pinned `last_popped` inside the bucket,
-                    // forcing `idx >= cursor`. Those skips were already
-                    // discounted from `stale_keys`, so drop them for real
-                    // before the rewind — re-arming must not see (and
-                    // re-discount) them.
-                    debug_assert!(
-                        self.drain_pos == 0
-                            || self.buckets[self.cursor][..self.drain_pos]
-                                .iter()
-                                .all(|k| self.is_stale(k))
-                    );
-                    if self.drain_pos > 0 {
-                        self.buckets[self.cursor].drain(..self.drain_pos);
-                        self.drain_pos = 0;
-                    }
-                    self.cursor = idx;
-                    self.armed = false;
-                    self.buckets[idx].push(key);
-                } else if idx == self.cursor && self.armed {
-                    // The draining bucket stays sorted: binary-insert
-                    // among the not-yet-popped keys.
-                    let v = &mut self.buckets[idx];
-                    let pos = v[self.drain_pos..]
-                        .partition_point(|k| (k.time_ps, k.seq) < (key.time_ps, key.seq));
-                    v.insert(self.drain_pos + pos, key);
-                } else {
-                    self.buckets[idx].push(key);
-                }
-            }
-            Placement::Beyond => {
-                self.overflow
-                    .push(Reverse((key.time_ps, key.seq, key.slot)));
-                self.probe.overflowed += 1;
-            }
-        }
-    }
-
-    /// Restores the settle invariant: either the queue is empty or
-    /// `buckets[cursor][drain_pos]` is the live front. All lazy work —
-    /// arming sorts, tombstone skipping, horizon advances — happens here.
+    /// Restores the settle invariant — the heap is empty or its front is
+    /// live — by dropping tombstones off the front. A key is stale once
+    /// its slot is empty or holds a later event (the globally unique `seq`
+    /// discriminates).
     fn settle(&mut self) {
-        loop {
-            if self.live == 0 {
+        while self.stale_keys > 0 {
+            let Some(&Reverse((_, seq, slot))) = self.heap.peek() else {
+                return;
+            };
+            let s = &self.slots[slot as usize];
+            if s.event.is_some() && s.seq == seq {
                 return;
             }
-            if self.cursor == self.buckets.len() {
-                // Horizon exhausted but events remain: they are all in
-                // the overflow heap. Advance the clock's horizon to the
-                // overflow minimum and re-bucket lazily.
-                debug_assert!(!self.overflow.is_empty());
-                let &Reverse((min_t, _, _)) = self.overflow.peek().expect("live > 0");
-                self.unarm();
-                self.anchor(min_t);
-                self.refill();
-                continue;
-            }
-            if !self.armed {
-                if self.buckets[self.cursor].is_empty() {
-                    self.cursor += 1;
-                    continue;
-                }
-                self.buckets[self.cursor].sort_unstable_by_key(|k| (k.time_ps, k.seq));
-                self.probe.sorts += 1;
-                self.armed = true;
-                self.drain_pos = 0;
-            }
-            if self.drain_pos == self.buckets[self.cursor].len() {
-                self.buckets[self.cursor].clear();
-                self.armed = false;
-                self.drain_pos = 0;
-                self.cursor += 1;
-                continue;
-            }
-            if self.stale_keys > 0 {
-                let key = self.buckets[self.cursor][self.drain_pos];
-                if self.is_stale(&key) {
-                    self.drain_pos += 1;
-                    self.stale_keys -= 1;
-                    continue;
-                }
-            }
-            return;
+            self.heap.pop();
+            self.stale_keys -= 1;
         }
-    }
-
-    /// Re-anchors the horizon so `buckets[0]` starts at `time_ps`'s bucket,
-    /// with a power-of-two width covering whichever is larger: the pop-gap
-    /// EWMA's occupancy target, or the whole pending span (so a pure-push
-    /// burst — which has no pop gaps to learn from — never thrashes the
-    /// overflow heap).
-    fn anchor(&mut self, time_ps: u64) {
-        let target = if self.probe.popped == 0 {
-            // Pure-push burst: no pop gaps to learn from yet, so assume
-            // the pending events are roughly uniform over their span.
-            let span = self.max_pending.saturating_sub(time_ps);
-            (span / self.live.max(1) as u64)
-                .max(1)
-                .saturating_mul(WIDTH_GAPS)
-        } else {
-            // Trained: target ~WIDTH_GAPS events per bucket and let true
-            // outliers overflow rather than stretching every bucket.
-            self.gap_ewma.saturating_mul(WIDTH_GAPS).max(1)
-        };
-        // Round up to the next power of two; the clamp keeps the shift
-        // well below 64 (and `next_power_of_two` from overflowing) even
-        // when a `SimTime::MAX` outlier stretches the span estimate.
-        let target = target.clamp(1, GAP_EWMA_MAX);
-        self.width_shift = 64 - target.next_power_of_two().leading_zeros() - 1;
-        self.horizon_start = time_ps & (u64::MAX << self.width_shift);
-        self.cursor = 0;
-        self.drain_pos = 0;
-        self.armed = false;
-    }
-
-    /// Drops armed-cursor state without touching bucket contents.
-    fn unarm(&mut self) {
-        self.armed = false;
-        self.drain_pos = 0;
-    }
-
-    /// Moves every bucketed key back to the overflow heap (dropping
-    /// tombstones on the way) so the horizon can re-anchor.
-    fn unbucket_all(&mut self) {
-        for b in 0..self.buckets.len() {
-            // The portion before `drain_pos` of an armed cursor bucket was
-            // already popped; everything else is pending or tombstoned.
-            let start = if self.armed && b == self.cursor {
-                self.drain_pos
-            } else {
-                0
-            };
-            let mut keys = std::mem::take(&mut self.buckets[b]);
-            for key in keys.drain(..).skip(start) {
-                if self.stale_keys > 0 && self.is_stale(&key) {
-                    self.stale_keys -= 1;
-                    continue;
-                }
-                self.overflow
-                    .push(Reverse((key.time_ps, key.seq, key.slot)));
-                self.probe.rebucketed += 1;
-            }
-            self.buckets[b] = keys; // keep the allocation
-        }
-        self.unarm();
-    }
-
-    /// Pulls every overflow event inside the current horizon into its
-    /// bucket — the lazy re-bucketing step of a clock advance.
-    fn refill(&mut self) {
-        while let Some(&Reverse((t, seq, slot))) = self.overflow.peek() {
-            let key = Key {
-                time_ps: t,
-                seq,
-                slot,
-            };
-            if self.stale_keys > 0 && self.is_stale(&key) {
-                self.overflow.pop();
-                self.stale_keys -= 1;
-                continue;
-            }
-            debug_assert!(t >= self.horizon_start, "heap min precedes horizon");
-            let idx = ((t - self.horizon_start) >> self.width_shift) as usize;
-            if idx >= self.buckets.len() {
-                break;
-            }
-            self.overflow.pop();
-            self.buckets[idx].push(key);
-            self.probe.rebucketed += 1;
-        }
-    }
-
-    /// Doubles-and-more the bucket array to track the live-event count,
-    /// then re-anchors so occupancy stays near constant.
-    fn grow(&mut self) {
-        let target = (self.live / 2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if target <= self.buckets.len() {
-            return;
-        }
-        self.unbucket_all();
-        self.buckets.resize_with(target, Vec::new);
-        let anchor_at = self
-            .overflow
-            .peek()
-            .map_or(self.last_popped.as_ps(), |&Reverse((t, _, _))| t);
-        self.anchor(anchor_at);
-        self.refill();
     }
 }
 
@@ -675,9 +355,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.live)
             .field("now", &self.last_popped)
-            .field("buckets", &self.buckets.len())
-            .field("width_ps", &(1u64 << self.width_shift))
-            .field("overflow", &self.overflow.len())
+            .field("tombstones", &self.stale_keys)
             .finish()
     }
 }
@@ -857,8 +535,8 @@ mod tests {
         q.push(SimTime::from_ns(1), 1u32);
         q.push(SimTime::from_us(500_000), 3);
         assert_eq!(q.pop().unwrap().1, 1);
-        // The horizon may now sit at the far event; a near push must still
-        // order before it.
+        // A near push after the clock moved must still order before the
+        // far event.
         q.push(SimTime::from_ns(2), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
         assert_eq!(q.pop().unwrap().1, 2);
@@ -880,8 +558,8 @@ mod tests {
 
     #[test]
     fn geometry_growth_preserves_total_order() {
-        // Push far more events than MIN_BUCKETS × GROW_OCCUPANCY so the
-        // calendar grows mid-stream, with colliding timestamps throughout.
+        // Thousands of pushes with colliding timestamps throughout: the
+        // pop order is `(time, seq)` however large the queue grows.
         let mut q = EventQueue::new();
         let mut rng = crate::rng::Rng::new(7);
         let mut expected: Vec<(u64, usize)> = Vec::new();

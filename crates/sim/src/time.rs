@@ -44,8 +44,8 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// The last representable instant (~213 days in). Scheduling an event
-    /// here is legal; the calendar queue's far-future overflow handles it
-    /// without arithmetic overflow.
+    /// here is legal: the event queue compares instants and never adds to
+    /// them.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Constructs an instant `ps` picoseconds after simulation start.

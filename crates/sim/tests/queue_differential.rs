@@ -1,20 +1,21 @@
-//! Differential tests: the calendar [`EventQueue`] against the pre-refactor
-//! binary-heap oracle.
+//! Differential tests: the slab-backed [`EventQueue`] against the
+//! pre-refactor binary-heap oracle.
 //!
 //! Both queues are driven through identical randomized interleavings of
 //! schedule / pop / cancel / drain, and after every operation the
 //! observable state must match exactly — full `(time, seq, payload)` pop
-//! triples, `peek_time`, `len`, and `now`. The generators bias hard
-//! toward the regimes where a calendar queue can get ordering wrong:
-//! same-timestamp clusters (FIFO tie-breaking), far-future outliers
-//! (overflow-heap handoff and horizon advances), and the [`SimTime::MAX`]
-//! edge (saturating arithmetic at the end of time).
+//! triples, `peek_time`, `len`, and `now`. The generators bias toward
+//! inputs that stress the queue's own bookkeeping: same-timestamp
+//! clusters (FIFO tie-breaking), cancels of popped, cancelled and
+//! reused-slot handles, far-future outliers, and the [`SimTime::MAX`] edge
+//! (saturating arithmetic at the end of time).
 //!
 //! The oracle is [`HeapOracle`]: the old `BinaryHeap` implementation plus
-//! just enough id bookkeeping to honor cancellation handles with the same
-//! tombstone semantics the calendar queue uses (survivors keep their
-//! sequence numbers). Any divergence is a bug in the calendar queue — the
-//! heap's ordering is the specification.
+//! just enough id bookkeeping (two `BTreeSet`s, no slab) to honor
+//! cancellation handles with the same tombstone semantics the queue uses
+//! (survivors keep their sequence numbers). Any divergence is a bug in the
+//! queue's slot, generation or tombstone logic — the heap's ordering is
+//! the specification.
 
 use proptest::prelude::*;
 
@@ -121,10 +122,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The headline property: any interleaving of the queue's public
-    /// operations is observationally identical between the calendar queue
-    /// and the heap oracle.
+    /// operations is observationally identical between the event queue and
+    /// the heap oracle.
     #[test]
-    fn calendar_queue_matches_heap_oracle(ops in proptest::collection::vec(op(), 1..400)) {
+    fn event_queue_matches_heap_oracle(ops in proptest::collection::vec(op(), 1..400)) {
         run_script(&ops);
     }
 
@@ -143,9 +144,9 @@ proptest! {
         run_script(&ops);
     }
 
-    /// Far-future heavy: most events overflow the horizon at schedule time
-    /// and must re-bucket lazily as the clock advances toward them,
-    /// finishing at the `SimTime::MAX` edge.
+    /// Far-future heavy: offsets spread across 2^40..2^55 picoseconds,
+    /// popped as the clock jumps between them, finishing at the
+    /// `SimTime::MAX` edge.
     #[test]
     fn far_future_heavy_schedules_match(
         offs in proptest::collection::vec((1u64 << 40)..(1u64 << 55), 1..100),
