@@ -51,7 +51,7 @@ fn autoscale_campaign_schedule_is_pinned_across_queue_rebuilds() {
 #[test]
 fn autoscale_campaign_is_reproducible_within_a_process() {
     // Run-twice bit-identity: the trace hash is a function of the seed
-    // alone, not of allocator state or queue geometry warm-up.
+    // alone, not of allocator state.
     let hotel = Workload::build(WorkloadKind::Hotel);
     let campaign = AutoscaleCampaign::new(1.5e6, 800).seed(7);
     let (a, wa) = campaign.run_cluster(&hotel, &campaign.crowd, true, |_, _| {});

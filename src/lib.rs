@@ -82,4 +82,13 @@ mod tests {
         let _ = FunctionSpec::new("x");
         let _ = SimTime::ZERO;
     }
+
+    /// Pins the test profile's overflow checks: it fails if the `dev`
+    /// profile in `.cargo/config.toml` ever turns them off.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflow")]
+    fn test_profile_keeps_overflow_checks() {
+        let _ = std::hint::black_box(u64::MAX) + 1;
+    }
 }
