@@ -29,16 +29,15 @@ pub enum LedgerCopy {
 /// Which witness a [`Violation::Journal`] compared, as `left` vs `right`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalCheck {
-    /// Replayed in-flight table vs the journal's live one.
+    /// The in-flight table replayed from the durable log vs the lifecycle
+    /// engine's admitted rows.
     ReplayedInFlight,
-    /// Replayed pending-retry table vs the journal's live one.
+    /// The pending-retry table replayed from the durable log vs the
+    /// lifecycle engine's retry-waiting rows.
     ReplayedPending,
-    /// The journal's in-flight table vs the slab's external requests.
+    /// The lifecycle engine's admitted rows vs the slab's external
+    /// requests.
     SlabExternals,
-    /// The lifecycle engine's admitted rows vs the journal's in-flight table.
-    LifecycleAdmitted,
-    /// The lifecycle engine's retry-wait rows vs the journal's pending table.
-    LifecycleRetries,
 }
 
 /// One broken invariant, with the numbers that break it (the field names

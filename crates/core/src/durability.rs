@@ -377,16 +377,22 @@ impl DurableLog {
         DurableLog::default()
     }
 
-    /// Appends `r` as the next frame.
+    /// Appends `r` as the next frame. The payload is encoded in place
+    /// after a zeroed header, which is then filled in, so a frame costs no
+    /// allocation of its own.
     pub fn append(&mut self, r: &JournalRecord) {
-        let mut payload = Vec::with_capacity(64);
-        encode_record(r, &mut payload);
         let seq = self.next_seq;
         let start = self.bytes.len();
-        put_u32(&mut self.bytes, payload.len() as u32);
-        put_u64(&mut self.bytes, seq);
-        put_u64(&mut self.bytes, frame_checksum(seq, &payload));
-        self.bytes.extend_from_slice(&payload);
+        let body = start + FRAME_HEADER_BYTES;
+        self.bytes.resize(body, 0);
+        encode_record(r, &mut self.bytes);
+        let payload = &self.bytes[body..];
+        let len = payload.len() as u32;
+        let checksum = frame_checksum(seq, payload);
+        let header = &mut self.bytes[start..body];
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..12].copy_from_slice(&seq.to_le_bytes());
+        header[12..].copy_from_slice(&checksum.to_le_bytes());
         self.running_hash = fnv1a_fold(self.running_hash, &self.bytes[start..]);
         self.next_seq += 1;
     }
@@ -744,6 +750,32 @@ mod tests {
             encode_record(&r, &mut payload);
             assert_eq!(decode_record(&payload), Some(r), "round trip of {r:?}");
         }
+    }
+
+    /// `append` writes `[len][seq][checksum][payload]` per record, and the
+    /// running hash and seal cover exactly those bytes.
+    #[test]
+    fn frames_follow_the_documented_layout() {
+        let records = sample_records();
+        let mut expected = Vec::new();
+        for (seq, r) in (0u64..).zip(&records) {
+            let mut payload = Vec::new();
+            encode_record(r, &mut payload);
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&seq.to_le_bytes());
+            expected.extend_from_slice(&frame_checksum(seq, &payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+        }
+        let log = log_of(&records);
+        assert_eq!(log.bytes(), expected);
+        assert_eq!(log.frames(), records.len() as u64);
+        assert_eq!(log.running_hash(), fnv1a(&expected));
+        let seal = CheckpointSeal::new(
+            records.len() as u64,
+            expected.len() as u64,
+            fnv1a(&expected),
+        );
+        assert_eq!(log.seal(), seal);
     }
 
     #[test]

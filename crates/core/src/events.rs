@@ -4,8 +4,9 @@
 //! [`LifecycleEvent`] and published exactly once on the [`EventBus`]. The
 //! bus fans each event out to its sinks in a fixed order:
 //!
-//! 1. `JournalSink` — appends the write-ahead journal record *first*
-//!    (append-before-effect, the crash-recovery contract),
+//! 1. `JournalSink` — appends the event's write-ahead record to the
+//!    journal's durable log *first* (append-before-effect, the
+//!    crash-recovery contract),
 //! 2. `StatsSink` — updates the [`RunReport`] counters, including the
 //!    warmup-symmetry bookkeeping,
 //! 3. `NoticeSink` — emits cluster [`WorkerNotice`]s for tagged requests,
@@ -32,7 +33,7 @@ use crate::admission::BrownoutLevel;
 use crate::durability::{fnv1a_fold, CheckpointSeal, FNV_OFFSET};
 use crate::function::FunctionId;
 use crate::invocation::{Breakdown, InvocationId};
-use crate::journal::{InvocationJournal, PendingInvocation, PendingRetry};
+use crate::journal::{InvocationJournal, JournalRecord, PendingRetry};
 use crate::memory::{MemoryLedger, MemoryPressure};
 use crate::recovery::RecoveryRung;
 use crate::stats::{AutoscaleStats, CrashStats, DurabilityStats, RunReport, SanitizeStats};
@@ -444,7 +445,10 @@ impl LifecycleEvent {
     }
 }
 
-/// Sink 1: the write-ahead journal (present only on journaled runs).
+/// Sink 1: the write-ahead journal (present only on journaled runs). It
+/// turns each journaled event into its [`JournalRecord`] and appends it
+/// to the journal's durable log, the journal's only record; the live
+/// request table is the lifecycle engine's.
 #[derive(Debug, Default)]
 struct JournalSink {
     journal: Option<InvocationJournal>,
@@ -459,8 +463,8 @@ impl JournalSink {
         let Some(j) = self.journal.as_mut() else {
             return;
         };
-        match *ev {
-            LifecycleEvent::Shed { func, measured, .. } => j.shed(func, measured),
+        let record = match *ev {
+            LifecycleEvent::Shed { func, measured, .. } => JournalRecord::Shed { func, measured },
             LifecycleEvent::Admitted {
                 id,
                 func,
@@ -469,30 +473,54 @@ impl JournalSink {
                 attempt,
                 tag,
                 ..
-            } => j.admit(id, func, bytes, arrival, attempt, tag),
-            LifecycleEvent::ArgBufGranted { id, va, bytes, .. } => j.argbuf_grant(id, va, bytes),
-            LifecycleEvent::Dispatched { id, executor, .. } => j.dispatch(id, executor),
-            LifecycleEvent::PdCreated { id, pd, .. } => j.pd_create(id, pd),
-            LifecycleEvent::Completed { id, measured, .. } => j.complete(id, measured),
-            LifecycleEvent::Failed { id, measured, .. } => j.fail(id, measured),
+            } => JournalRecord::Admit {
+                id,
+                func,
+                bytes,
+                arrival,
+                attempt,
+                tag,
+            },
+            LifecycleEvent::ArgBufGranted { id, va, bytes, .. } => {
+                JournalRecord::ArgBufGrant { id, va, bytes }
+            }
+            LifecycleEvent::Dispatched { id, executor, .. } => {
+                JournalRecord::Dispatch { id, executor }
+            }
+            LifecycleEvent::PdCreated { id, pd, .. } => JournalRecord::PdCreate { id, pd },
+            LifecycleEvent::Completed { id, measured, .. } => {
+                JournalRecord::Complete { id, measured }
+            }
+            LifecycleEvent::Failed { id, measured, .. } => JournalRecord::Fail { id, measured },
             LifecycleEvent::RetryScheduled {
                 id,
                 token,
                 retry,
                 measured,
                 ..
-            } => j.retry_scheduled(token, id, retry, measured),
-            LifecycleEvent::RetryFired { token, .. } => j.retry_fired(token),
+            } => JournalRecord::RetryScheduled {
+                token,
+                id,
+                func: retry.func,
+                bytes: retry.bytes,
+                arrival: retry.arrival,
+                attempt: retry.attempt,
+                due: retry.due,
+                tag: retry.tag,
+                measured,
+            },
+            LifecycleEvent::RetryFired { token, .. } => JournalRecord::RetryFired { token },
             LifecycleEvent::RetryDropped {
                 token, measured, ..
-            } => j.retry_dropped(token, measured),
-            // An arrival withdrawn before admission was never journaled.
-            LifecycleEvent::Cancelled { id: Some(id), .. } => j.cancel(id),
-            LifecycleEvent::Cancelled { id: None, .. } => {}
-            LifecycleEvent::Crashed { scope } => j.crash(scope),
-            LifecycleEvent::BrownoutChanged { level, .. } => j.brownout(level),
-            _ => {}
-        }
+            } => JournalRecord::RetryDropped { token, measured },
+            LifecycleEvent::Cancelled { id: Some(id), .. } => JournalRecord::Cancel { id },
+            LifecycleEvent::Crashed { scope } => JournalRecord::Crash { scope },
+            LifecycleEvent::BrownoutChanged { level, .. } => JournalRecord::Brownout { level },
+            // Offers and arrivals withdrawn before admission are never
+            // journaled, nor are the stat-only events.
+            _ => return,
+        };
+        j.append(&record);
     }
 }
 
@@ -1039,7 +1067,8 @@ impl DebugBytes for LifecycleEvent {
 }
 
 /// What the bus contributes to a [`WorkerCheckpoint`](crate::WorkerCheckpoint):
-/// the journal mark plus the ledger state the sinks own.
+/// the journal mark plus the ledger state the sinks own. The in-flight
+/// and pending-retry tables come from the lifecycle engine's rows.
 #[derive(Debug)]
 pub struct CheckpointImage {
     /// Journal record index replay starts from.
@@ -1048,10 +1077,6 @@ pub struct CheckpointImage {
     pub report: RunReport,
     /// Warmup completions seen.
     pub warmed: u64,
-    /// In-flight external requests.
-    pub in_flight: Vec<PendingInvocation>,
-    /// Scheduled-but-unfired retries, as `(token, retry)`.
-    pub pending: Vec<(u64, PendingRetry)>,
     /// Integrity seal over the durable log up to the checkpoint mark
     /// (frame count, byte length, running hash).
     pub seal: CheckpointSeal,
@@ -1142,8 +1167,6 @@ impl EventBus {
             at_record,
             report: self.stats.report.clone(),
             warmed: self.stats.warmed,
-            in_flight: j.in_flight().values().copied().collect(),
-            pending: j.pending().iter().map(|(&t, &p)| (t, p)).collect(),
             seal: j.durable_log().seal(),
         })
     }

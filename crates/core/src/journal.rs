@@ -3,10 +3,14 @@
 //! Every lifecycle transition of an *external* request — admission,
 //! dispatch, PD creation, ArgBuf grant, completion, failure, shed, retry
 //! scheduling — is appended to the journal **before** the transition takes
-//! effect. Periodically the server snapshots its hot state into a
-//! [`WorkerCheckpoint`]. After a whole-worker crash, recovery restores the
-//! latest checkpoint and [`replay`](InvocationJournal::replay)s the journal
-//! suffix, reconstructing the exact request ledger — the
+//! effect. The journal keeps only its framed [`DurableLog`]: the bytes
+//! that survive a crash are its one record of what happened. Periodically
+//! the server snapshots its hot state into a [`WorkerCheckpoint`], whose
+//! in-flight and pending-retry tables come from the lifecycle engine's
+//! request rows, the one live request table. After a whole-worker crash,
+//! recovery decodes the log through [`durability::scan`](crate::durability::scan)
+//! and [`replay`](WorkerCheckpoint::replay)s the records past the latest
+//! checkpoint, reconstructing the exact request ledger — the
 //! `(offered, completed, failed, sheds, warmed)` tuple — and the set of
 //! requests that were in flight at the instant of the crash.
 //!
@@ -166,7 +170,7 @@ pub enum JournalRecord {
 }
 
 /// An external request currently in flight (admitted, not yet concluded),
-/// as the journal tracks it.
+/// as a checkpoint records it and replay reconstructs it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingInvocation {
     /// Current slab id.
@@ -181,8 +185,6 @@ pub struct PendingInvocation {
     pub attempt: u32,
     /// Cluster request tag (0 = untagged).
     pub tag: u64,
-    /// Executor it was dispatched to, if any yet.
-    pub executor: Option<usize>,
 }
 
 /// A failed request waiting out its backoff before re-dispatch.
@@ -218,9 +220,11 @@ pub struct WorkerCheckpoint {
     pub injector: Option<FaultInjector>,
     /// Warmup completions seen.
     pub warmed: u64,
-    /// In-flight external requests.
+    /// In-flight external requests (the lifecycle engine's admitted
+    /// rows), by slab index.
     pub in_flight: Vec<PendingInvocation>,
-    /// Scheduled-but-unfired retries, as `(token, retry)`.
+    /// Scheduled-but-unfired retries (the lifecycle engine's retry-wait
+    /// rows), as `(token, retry)` by token.
     pub pending: Vec<(u64, PendingRetry)>,
     /// The VMA table's durable (privileged/global) mappings at capture;
     /// any correct restore must reproduce them bit-for-bit.
@@ -235,7 +239,7 @@ pub struct WorkerCheckpoint {
 
 /// What replay reconstructs: the ledger-exact report plus the in-flight
 /// and pending-retry sets at the crash instant.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RecoveredState {
     /// Report with the request-ledger counters replayed forward.
     pub report: RunReport,
@@ -249,18 +253,14 @@ pub struct RecoveredState {
     pub replayed: u64,
 }
 
-/// The write-ahead journal: an append-only record list plus the live
-/// in-flight and pending-retry tables it implies. The live tables exist so
-/// crash handling is O(in-flight), and so recovery can *prove* its replay
-/// correct by comparing the replayed tables against them.
+/// The write-ahead journal: the framed durable log plus the checkpoint
+/// cadence. It holds no decoded records and no live tables; replay
+/// decodes the log, and the lifecycle engine owns the live requests.
 #[derive(Debug, Default)]
 pub struct InvocationJournal {
-    records: Vec<JournalRecord>,
-    /// The framed, checksummed byte image of `records` — what actually
-    /// survives a crash. Record `i` is frame `i` (sequence number `i`).
+    /// The framed, checksummed record stream — what survives a crash.
+    /// Record `i` is frame `i` (sequence number `i`).
     log: DurableLog,
-    in_flight: BTreeMap<usize, PendingInvocation>,
-    pending: BTreeMap<u64, PendingRetry>,
     since_checkpoint: usize,
     checkpoints: u64,
 }
@@ -271,20 +271,21 @@ impl InvocationJournal {
         InvocationJournal::default()
     }
 
-    fn push(&mut self, r: JournalRecord) {
-        self.log.append(&r);
-        self.records.push(r);
+    /// Appends `r` as the next frame of the durable log: write-ahead, so
+    /// before the transition it records takes effect.
+    pub fn append(&mut self, r: &JournalRecord) {
+        self.log.append(r);
         self.since_checkpoint += 1;
     }
 
     /// Records appended so far.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.log.frames() as usize
     }
 
     /// True when nothing has been journaled.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.log.frames() == 0
     }
 
     /// Checkpoints marked so far.
@@ -292,24 +293,9 @@ impl InvocationJournal {
         self.checkpoints
     }
 
-    /// The full record list.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// The framed durable byte image of the record list.
+    /// The framed durable byte image of every record appended.
     pub fn durable_log(&self) -> &DurableLog {
         &self.log
-    }
-
-    /// Live in-flight table (externals only), keyed by slab index.
-    pub fn in_flight(&self) -> &BTreeMap<usize, PendingInvocation> {
-        &self.in_flight
-    }
-
-    /// Live pending-retry table, keyed by token.
-    pub fn pending(&self) -> &BTreeMap<u64, PendingRetry> {
-        &self.pending
     }
 
     /// True when `every` records have accumulated since the last
@@ -320,176 +306,33 @@ impl InvocationJournal {
 
     /// Marks a checkpoint; returns the record index replay starts from.
     pub fn mark_checkpoint(&mut self) -> usize {
-        self.push(JournalRecord::Checkpoint);
+        self.append(&JournalRecord::Checkpoint);
         self.since_checkpoint = 0;
         self.checkpoints += 1;
-        self.records.len()
+        self.len()
     }
+}
 
-    // ------------------------------------------------------------------
-    // Append-before-effect API (one method per transition)
-    // ------------------------------------------------------------------
-
-    /// An external request enters the system (fresh arrival or fired
-    /// retry).
-    pub fn admit(
-        &mut self,
-        id: InvocationId,
-        func: FunctionId,
-        bytes: u64,
-        arrival: SimTime,
-        attempt: u32,
-        tag: u64,
-    ) {
-        self.push(JournalRecord::Admit {
-            id,
-            func,
-            bytes,
-            arrival,
-            attempt,
-            tag,
-        });
-        let prev = self.in_flight.insert(
-            id.0,
-            PendingInvocation {
-                id,
-                func,
-                bytes,
-                arrival,
-                attempt,
-                tag,
-                executor: None,
-            },
-        );
-        debug_assert!(prev.is_none(), "slab id {id:?} admitted twice");
-    }
-
-    /// The request was pushed to an executor queue.
-    pub fn dispatch(&mut self, id: InvocationId, executor: usize) {
-        self.push(JournalRecord::Dispatch { id, executor });
-        if let Some(p) = self.in_flight.get_mut(&id.0) {
-            p.executor = Some(executor);
-        }
-    }
-
-    /// The request's PD was created (or popped from the sanitized pool).
-    pub fn pd_create(&mut self, id: InvocationId, pd: u16) {
-        self.push(JournalRecord::PdCreate { id, pd });
-    }
-
-    /// The request's ArgBuf was allocated and filled.
-    pub fn argbuf_grant(&mut self, id: InvocationId, va: Va, bytes: u64) {
-        self.push(JournalRecord::ArgBufGrant { id, va, bytes });
-    }
-
-    /// The request completed.
-    pub fn complete(&mut self, id: InvocationId, measured: bool) {
-        self.push(JournalRecord::Complete { id, measured });
-        let removed = self.in_flight.remove(&id.0);
-        debug_assert!(removed.is_some(), "completed request {id:?} not in flight");
-    }
-
-    /// The request terminally failed.
-    pub fn fail(&mut self, id: InvocationId, measured: bool) {
-        self.push(JournalRecord::Fail { id, measured });
-        let removed = self.in_flight.remove(&id.0);
-        debug_assert!(removed.is_some(), "failed request {id:?} not in flight");
-    }
-
-    /// An arriving request was shed at admission.
-    pub fn shed(&mut self, func: FunctionId, measured: bool) {
-        self.push(JournalRecord::Shed { func, measured });
-    }
-
-    /// The request's current attempt ended and a re-dispatch was
-    /// scheduled under `token` (allocated by the caller's lifecycle
-    /// engine — tokens stay monotonic even when a cluster crash replaces
-    /// the journal); the matching [`Self::retry_fired`] consumes it.
-    pub fn retry_scheduled(
-        &mut self,
-        token: u64,
-        id: InvocationId,
-        retry: PendingRetry,
-        measured: bool,
-    ) {
-        self.push(JournalRecord::RetryScheduled {
-            token,
-            id,
-            func: retry.func,
-            bytes: retry.bytes,
-            arrival: retry.arrival,
-            attempt: retry.attempt,
-            due: retry.due,
-            tag: retry.tag,
-            measured,
-        });
-        let removed = self.in_flight.remove(&id.0);
-        debug_assert!(removed.is_some(), "retried request {id:?} not in flight");
-        let clashed = self.pending.insert(token, retry);
-        debug_assert!(clashed.is_none(), "retry token {token} reused");
-    }
-
-    /// A scheduled retry fired (its `Admit` follows immediately).
-    pub fn retry_fired(&mut self, token: u64) {
-        self.push(JournalRecord::RetryFired { token });
-        let removed = self.pending.remove(&token);
-        debug_assert!(removed.is_some(), "retry token {token} not pending");
-    }
-
-    /// A scheduled retry was discarded unfired; the request fails.
-    pub fn retry_dropped(&mut self, token: u64, measured: bool) {
-        self.push(JournalRecord::RetryDropped { token, measured });
-        let removed = self.pending.remove(&token);
-        debug_assert!(removed.is_some(), "retry token {token} not pending");
-    }
-
-    /// An admitted-but-undispatched request was withdrawn by the tier
-    /// above; the ledger un-offers it here (it lives on elsewhere).
-    pub fn cancel(&mut self, id: InvocationId) {
-        self.push(JournalRecord::Cancel { id });
-        let removed = self.in_flight.remove(&id.0);
-        debug_assert!(removed.is_some(), "cancelled request {id:?} not in flight");
-    }
-
-    /// A component crashed.
-    pub fn crash(&mut self, scope: &'static str) {
-        self.push(JournalRecord::Crash { scope });
-    }
-
-    /// The brownout level changed.
-    pub fn brownout(&mut self, level: BrownoutLevel) {
-        self.push(JournalRecord::Brownout { level });
-    }
-
-    // ------------------------------------------------------------------
-    // Replay
-    // ------------------------------------------------------------------
-
-    /// Rebuilds the request ledger from `checkpoint` by replaying every
-    /// record appended after it. The result's `in_flight`/`pending` tables
-    /// must equal the journal's live tables — recovery asserts exactly
-    /// that, which is the machine-checked proof that checkpoint + suffix
-    /// loses no request.
-    pub fn replay(&self, checkpoint: &WorkerCheckpoint) -> RecoveredState {
-        Self::replay_records(&self.records, checkpoint)
-    }
-
-    /// [`replay`](Self::replay) over an explicit record image — the
-    /// scanned (possibly truncated) contents of a struck durable log
-    /// rather than the live in-memory list. A `records` shorter than
-    /// `checkpoint.at_record` replays nothing: the checkpoint already
-    /// covers more than the image can prove.
-    pub fn replay_records(
-        records: &[JournalRecord],
-        checkpoint: &WorkerCheckpoint,
-    ) -> RecoveredState {
-        let mut report = checkpoint.report.clone();
-        let mut warmed = checkpoint.warmed;
+impl WorkerCheckpoint {
+    /// Rebuilds the request ledger from this checkpoint by replaying
+    /// every record of `records` past [`at_record`](Self::at_record).
+    /// `records` is a log image decoded by
+    /// [`durability::scan`](crate::durability::scan): the intact log on
+    /// the exact rung and in the audit, the salvaged prefix of a struck
+    /// log on the lossy rungs. An image shorter than `at_record` replays
+    /// nothing: the checkpoint already covers more than the image can
+    /// prove. On the exact rung the result's tables must equal the
+    /// lifecycle engine's rows; recovery asserts exactly that, which is
+    /// the machine-checked proof that checkpoint + suffix loses no
+    /// request.
+    pub fn replay(&self, records: &[JournalRecord]) -> RecoveredState {
+        let mut report = self.report.clone();
+        let mut warmed = self.warmed;
         let mut in_flight: BTreeMap<usize, PendingInvocation> =
-            checkpoint.in_flight.iter().map(|p| (p.id.0, *p)).collect();
-        let mut pending: BTreeMap<u64, PendingRetry> = checkpoint.pending.iter().copied().collect();
+            self.in_flight.iter().map(|p| (p.id.0, *p)).collect();
+        let mut pending: BTreeMap<u64, PendingRetry> = self.pending.iter().copied().collect();
         let mut replayed = 0u64;
-        for r in records.get(checkpoint.at_record..).unwrap_or(&[]) {
+        for r in records.get(self.at_record..).unwrap_or(&[]) {
             replayed += 1;
             match *r {
                 JournalRecord::Admit {
@@ -509,16 +352,12 @@ impl InvocationJournal {
                             arrival,
                             attempt,
                             tag,
-                            executor: None,
                         },
                     );
                 }
-                JournalRecord::Dispatch { id, executor } => {
-                    if let Some(p) = in_flight.get_mut(&id.0) {
-                        p.executor = Some(executor);
-                    }
-                }
-                JournalRecord::PdCreate { .. } | JournalRecord::ArgBufGrant { .. } => {}
+                JournalRecord::Dispatch { .. }
+                | JournalRecord::PdCreate { .. }
+                | JournalRecord::ArgBufGrant { .. } => {}
                 JournalRecord::Complete { id, measured } => {
                     in_flight.remove(&id.0);
                     if measured {
@@ -610,6 +449,7 @@ impl InvocationJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability;
 
     fn ckpt(journal: &InvocationJournal, report: RunReport, warmed: u64) -> WorkerCheckpoint {
         WorkerCheckpoint {
@@ -619,8 +459,8 @@ mod tests {
             rng: Rng::new(1),
             injector: None,
             warmed,
-            in_flight: journal.in_flight().values().copied().collect(),
-            pending: journal.pending().iter().map(|(&t, &p)| (t, p)).collect(),
+            in_flight: Vec::new(),
+            pending: Vec::new(),
             footprint: DurableFootprint {
                 entries: Vec::new(),
             },
@@ -629,8 +469,39 @@ mod tests {
         }
     }
 
+    /// Replays `j`'s durable log over `cp`, decoded as recovery decodes it.
+    fn replay(j: &InvocationJournal, cp: &WorkerCheckpoint) -> RecoveredState {
+        let scan = durability::scan(j.durable_log().bytes());
+        assert_eq!(scan.anomaly, None, "an untouched log scans clean");
+        cp.replay(&scan.records)
+    }
+
     fn id(i: usize) -> InvocationId {
         InvocationId(i)
+    }
+
+    fn admit(
+        i: usize,
+        func: FunctionId,
+        arrival: SimTime,
+        attempt: u32,
+        tag: u64,
+    ) -> JournalRecord {
+        JournalRecord::Admit {
+            id: id(i),
+            func,
+            bytes: 64,
+            arrival,
+            attempt,
+            tag,
+        }
+    }
+
+    fn complete(i: usize, measured: bool) -> JournalRecord {
+        JournalRecord::Complete {
+            id: id(i),
+            measured,
+        }
     }
 
     fn retry(f: FunctionId, arrival: SimTime, attempt: u32, due: SimTime) -> PendingRetry {
@@ -644,6 +515,20 @@ mod tests {
         }
     }
 
+    fn retry_scheduled(token: u64, i: usize, r: PendingRetry, measured: bool) -> JournalRecord {
+        JournalRecord::RetryScheduled {
+            token,
+            id: id(i),
+            func: r.func,
+            bytes: r.bytes,
+            arrival: r.arrival,
+            attempt: r.attempt,
+            due: r.due,
+            tag: r.tag,
+            measured,
+        }
+    }
+
     #[test]
     fn replay_reconstructs_ledger_and_in_flight() {
         let mut j = InvocationJournal::new();
@@ -652,39 +537,57 @@ mod tests {
         report.offered = 5;
         let base = ckpt(&j, report, 0);
 
-        j.admit(id(0), f, 128, SimTime::ZERO, 0, 0);
-        j.dispatch(id(0), 3);
-        j.pd_create(id(0), 7);
-        j.argbuf_grant(id(0), 0x1000, 128);
-        j.complete(id(0), true);
-        j.admit(id(1), f, 256, SimTime::from_us(1), 0, 0);
-        j.shed(f, true);
-        j.admit(id(2), f, 64, SimTime::from_us(2), 0, 0);
-        j.dispatch(id(2), 5);
         let tok = 0;
-        j.retry_scheduled(
-            tok,
-            id(2),
-            retry(f, SimTime::from_us(2), 1, SimTime::from_us(9)),
-            true,
-        );
-        j.admit(id(3), f, 64, SimTime::from_us(3), 0, 0);
-        j.fail(id(3), true);
+        for r in [
+            admit(0, f, SimTime::ZERO, 0, 0),
+            JournalRecord::Dispatch {
+                id: id(0),
+                executor: 3,
+            },
+            JournalRecord::PdCreate { id: id(0), pd: 7 },
+            JournalRecord::ArgBufGrant {
+                id: id(0),
+                va: 0x1000,
+                bytes: 128,
+            },
+            complete(0, true),
+            admit(1, f, SimTime::from_us(1), 0, 0),
+            JournalRecord::Shed {
+                func: f,
+                measured: true,
+            },
+            admit(2, f, SimTime::from_us(2), 0, 0),
+            JournalRecord::Dispatch {
+                id: id(2),
+                executor: 5,
+            },
+            retry_scheduled(
+                tok,
+                2,
+                retry(f, SimTime::from_us(2), 1, SimTime::from_us(9)),
+                true,
+            ),
+            admit(3, f, SimTime::from_us(3), 0, 0),
+            JournalRecord::Fail {
+                id: id(3),
+                measured: true,
+            },
+        ] {
+            j.append(&r);
+        }
 
-        let rec = j.replay(&base);
+        let rec = replay(&j, &base);
         assert_eq!(rec.report.completed, 1);
         assert_eq!(rec.report.faults.sheds, 1);
         assert_eq!(rec.report.faults.failed, 1);
         assert_eq!(rec.report.faults.retries, 1);
         assert_eq!(rec.report.offered, 5);
         assert_eq!(rec.replayed, j.len() as u64);
-        // The replayed tables equal the journal's live ones — the proof
-        // obligation recovery enforces.
         assert_eq!(
             rec.in_flight.keys().copied().collect::<Vec<_>>(),
-            j.in_flight().keys().copied().collect::<Vec<_>>()
+            [1],
+            "only id 1 is still in flight"
         );
-        assert_eq!(rec.in_flight.len(), 1, "only id 1 is still in flight");
         assert_eq!(rec.pending.len(), 1);
         assert_eq!(rec.pending[&tok].attempt, 1);
     }
@@ -693,8 +596,8 @@ mod tests {
     fn replay_starts_at_the_checkpoint_not_the_origin() {
         let mut j = InvocationJournal::new();
         let f = FunctionId(1);
-        j.admit(id(0), f, 128, SimTime::ZERO, 0, 0);
-        j.complete(id(0), true);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 0));
+        j.append(&complete(0, true));
         let mut report = RunReport::new();
         report.offered = 3;
         report.completed = 1; // the pre-checkpoint completion, already in
@@ -702,9 +605,9 @@ mod tests {
         let cp = ckpt(&j, report, 0);
         assert_eq!(cp.at_record, cp_at);
 
-        j.admit(id(0), f, 128, SimTime::from_us(5), 0, 0); // slab id reused
-        j.complete(id(0), true);
-        let rec = j.replay(&cp);
+        j.append(&admit(0, f, SimTime::from_us(5), 0, 0)); // slab id reused
+        j.append(&complete(0, true));
+        let rec = replay(&j, &cp);
         assert_eq!(rec.report.completed, 2, "1 from checkpoint + 1 replayed");
         assert_eq!(rec.replayed, 2, "only the suffix replays");
         assert!(rec.in_flight.is_empty());
@@ -717,12 +620,18 @@ mod tests {
         let mut report = RunReport::new();
         report.offered = 4;
         let cp = ckpt(&j, report, 0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
-        j.complete(id(0), false); // unmeasured: slides the warmup window
-        j.admit(id(1), f, 64, SimTime::ZERO, 0, 0);
-        j.fail(id(1), false);
-        j.shed(f, false);
-        let rec = j.replay(&cp);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 0));
+        j.append(&complete(0, false)); // unmeasured: slides the warmup window
+        j.append(&admit(1, f, SimTime::ZERO, 0, 0));
+        j.append(&JournalRecord::Fail {
+            id: id(1),
+            measured: false,
+        });
+        j.append(&JournalRecord::Shed {
+            func: f,
+            measured: false,
+        });
+        let rec = replay(&j, &cp);
         assert_eq!(rec.warmed, 2, "completion and failure advance warmup");
         assert_eq!(rec.report.offered, 1, "all three discounted");
         assert_eq!(rec.report.completed, 0);
@@ -734,28 +643,33 @@ mod tests {
     fn retry_tokens_are_caller_allocated_and_fire_once() {
         let mut j = InvocationJournal::new();
         let f = FunctionId(0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
-        let t0 = 0;
-        j.retry_scheduled(
-            t0,
-            id(0),
-            retry(f, SimTime::ZERO, 1, SimTime::from_us(1)),
-            false,
-        );
-        j.admit(id(1), f, 64, SimTime::ZERO, 0, 0);
-        let t1 = 1;
-        j.retry_scheduled(
-            t1,
-            id(1),
-            retry(f, SimTime::ZERO, 1, SimTime::from_us(2)),
-            false,
-        );
-        assert_eq!(j.pending().len(), 2);
-        j.retry_fired(t0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 1, 0);
-        assert_eq!(j.pending().len(), 1);
-        assert!(j.pending().contains_key(&t1));
-        assert_eq!(j.in_flight().len(), 1);
+        let cp = ckpt(&j, RunReport::new(), 0);
+        let (t0, t1) = (0, 1);
+        for r in [
+            admit(0, f, SimTime::ZERO, 0, 0),
+            retry_scheduled(
+                t0,
+                0,
+                retry(f, SimTime::ZERO, 1, SimTime::from_us(1)),
+                false,
+            ),
+            admit(1, f, SimTime::ZERO, 0, 0),
+            retry_scheduled(
+                t1,
+                1,
+                retry(f, SimTime::ZERO, 1, SimTime::from_us(2)),
+                false,
+            ),
+        ] {
+            j.append(&r);
+        }
+        assert_eq!(replay(&j, &cp).pending.len(), 2);
+        j.append(&JournalRecord::RetryFired { token: t0 });
+        j.append(&admit(0, f, SimTime::ZERO, 1, 0));
+        let rec = replay(&j, &cp);
+        assert_eq!(rec.pending.keys().copied().collect::<Vec<_>>(), [t1]);
+        assert_eq!(rec.in_flight.len(), 1);
+        assert_eq!(rec.in_flight[&0].attempt, 1, "the fired retry re-entered");
     }
 
     #[test]
@@ -765,26 +679,25 @@ mod tests {
         let mut report = RunReport::new();
         report.offered = 2;
         let cp = ckpt(&j, report, 0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
-        let t0 = 0;
-        j.retry_scheduled(
-            t0,
-            id(0),
-            retry(f, SimTime::ZERO, 1, SimTime::from_us(5)),
-            true,
-        );
-        j.admit(id(1), f, 64, SimTime::ZERO, 0, 0);
-        let t1 = 1;
-        j.retry_scheduled(
-            t1,
-            id(1),
-            retry(f, SimTime::ZERO, 1, SimTime::from_us(5)),
-            false,
-        );
-        j.retry_dropped(t0, true);
-        j.retry_dropped(t1, false);
-        assert!(j.pending().is_empty());
-        let rec = j.replay(&cp);
+        let (t0, t1) = (0, 1);
+        let due = SimTime::from_us(5);
+        for r in [
+            admit(0, f, SimTime::ZERO, 0, 0),
+            retry_scheduled(t0, 0, retry(f, SimTime::ZERO, 1, due), true),
+            admit(1, f, SimTime::ZERO, 0, 0),
+            retry_scheduled(t1, 1, retry(f, SimTime::ZERO, 1, due), false),
+            JournalRecord::RetryDropped {
+                token: t0,
+                measured: true,
+            },
+            JournalRecord::RetryDropped {
+                token: t1,
+                measured: false,
+            },
+        ] {
+            j.append(&r);
+        }
+        let rec = replay(&j, &cp);
         assert!(rec.pending.is_empty());
         assert_eq!(rec.report.faults.failed, 1, "measured drop fails");
         assert_eq!(rec.warmed, 1, "unmeasured drop slides warmup");
@@ -797,15 +710,26 @@ mod tests {
         // the recovered state must be the checkpoint state, bit for bit.
         let mut j = InvocationJournal::new();
         let f = FunctionId(0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
-        j.complete(id(0), true);
-        j.admit(id(1), f, 64, SimTime::from_us(1), 0, 7);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 0));
+        j.append(&complete(0, true));
+        let still_in_flight = admit(1, f, SimTime::from_us(1), 0, 7);
+        j.append(&still_in_flight);
         let mut report = RunReport::new();
         report.offered = 2;
         report.completed = 1;
         j.mark_checkpoint();
-        let cp = ckpt(&j, report, 0);
-        let rec = j.replay(&cp);
+        let cp = WorkerCheckpoint {
+            in_flight: vec![PendingInvocation {
+                id: id(1),
+                func: f,
+                bytes: 64,
+                arrival: SimTime::from_us(1),
+                attempt: 0,
+                tag: 7,
+            }],
+            ..ckpt(&j, report, 0)
+        };
+        let rec = replay(&j, &cp);
         assert_eq!(rec.replayed, 0, "nothing after the checkpoint");
         assert_eq!(rec.report.offered, 2);
         assert_eq!(rec.report.completed, 1);
@@ -822,12 +746,11 @@ mod tests {
         let mut report = RunReport::new();
         report.offered = 3;
         let cp = ckpt(&j, report, 0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 1);
-        j.admit(id(1), f, 64, SimTime::ZERO, 0, 2);
-        j.cancel(id(0));
-        j.complete(id(1), true);
-        assert!(j.in_flight().is_empty());
-        let rec = j.replay(&cp);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 1));
+        j.append(&admit(1, f, SimTime::ZERO, 0, 2));
+        j.append(&JournalRecord::Cancel { id: id(0) });
+        j.append(&complete(1, true));
+        let rec = replay(&j, &cp);
         assert!(rec.in_flight.is_empty());
         assert_eq!(rec.report.offered, 2, "the cancelled copy is un-offered");
         assert_eq!(rec.report.completed, 1);
@@ -839,20 +762,15 @@ mod tests {
         let mut j = InvocationJournal::new();
         let f = FunctionId(0);
         let cp = ckpt(&j, RunReport::new(), 0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 9);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 9));
         let tok = 5; // caller-allocated: need not start at zero
-        j.retry_scheduled(
-            tok,
-            id(0),
-            PendingRetry {
-                tag: 9,
-                ..retry(f, SimTime::ZERO, 1, SimTime::from_us(4))
-            },
-            true,
-        );
-        assert_eq!(j.pending()[&tok].tag, 9);
-        let rec = j.replay(&cp);
-        assert_eq!(rec.pending[&tok].tag, 9, "tag survives replay");
+        let tagged = PendingRetry {
+            tag: 9,
+            ..retry(f, SimTime::ZERO, 1, SimTime::from_us(4))
+        };
+        j.append(&retry_scheduled(tok, 0, tagged, true));
+        let rec = replay(&j, &cp);
+        assert_eq!(rec.pending[&tok], tagged, "tag and due survive replay");
     }
 
     #[test]
@@ -860,10 +778,13 @@ mod tests {
         let mut j = InvocationJournal::new();
         assert!(!j.due_checkpoint(3));
         let f = FunctionId(0);
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
-        j.dispatch(id(0), 0);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 0));
+        j.append(&JournalRecord::Dispatch {
+            id: id(0),
+            executor: 0,
+        });
         assert!(!j.due_checkpoint(3));
-        j.complete(id(0), true);
+        j.append(&complete(0, true));
         assert!(j.due_checkpoint(3));
         j.mark_checkpoint();
         assert!(!j.due_checkpoint(3));
@@ -876,11 +797,11 @@ mod tests {
         let mut j = InvocationJournal::new();
         let f = FunctionId(0);
         assert!(!j.due_checkpoint(1), "an empty journal owes nothing");
-        j.admit(id(0), f, 64, SimTime::ZERO, 0, 0);
+        j.append(&admit(0, f, SimTime::ZERO, 0, 0));
         assert!(j.due_checkpoint(1));
         j.mark_checkpoint();
         assert!(!j.due_checkpoint(1), "the mark resets the cadence");
-        j.complete(id(0), true);
+        j.append(&complete(0, true));
         assert!(j.due_checkpoint(1));
         j.mark_checkpoint();
         assert_eq!(j.checkpoints(), 2);

@@ -20,13 +20,16 @@
 //!         RetryWait◀──RetryScheduled──┴────RetryScheduled──────┘
 //!            │    │
 //!            │    └──RetryDropped──▶ [Failed]
-//!            └─(unchanged journal row survives a worker crash)
+//!            └─(the unchanged row survives a worker crash)
 //! ```
 //!
-//! The [`LifecycleEngine`] keeps one [`RequestRow`] per live request —
-//! the table the cluster hooks (`queued_tags`, `cancel_tagged`,
-//! `crash_for_cluster`) read instead of re-walking server internals, and
-//! a fourth independent witness for the crash-recovery replay proof.
+//! The [`LifecycleEngine`] keeps one [`RequestRow`] per live request: the
+//! worker's one live request table. The cluster hooks (`queued_tags`,
+//! `cancel_tagged`, `crash_for_cluster`) read it instead of re-walking
+//! server internals; checkpoints record its admitted and retry-waiting
+//! rows as their in-flight and pending-retry tables; a worker crash
+//! settles its interrupted requests from it; and the crash-recovery
+//! replay proof checks the journal's replayed tables against it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,6 +39,7 @@ use jord_sim::SimTime;
 use crate::events::LifecycleEvent;
 use crate::function::FunctionId;
 use crate::invocation::InvocationId;
+use crate::journal::{PendingInvocation, PendingRetry};
 
 /// Where a live external request currently is.
 ///
@@ -184,6 +188,34 @@ pub struct RequestRow {
     /// Pending-retry token, while in
     /// [`RetryWait`](InvocationState::RetryWait).
     pub token: Option<u64>,
+    /// When the pending retry fires (meaningful while `token` is set).
+    pub due: SimTime,
+}
+
+impl RequestRow {
+    /// The row as a checkpoint's in-flight entry, admitted as `id`.
+    pub fn invocation(&self, id: InvocationId) -> PendingInvocation {
+        PendingInvocation {
+            id,
+            func: self.func,
+            bytes: self.bytes,
+            arrival: self.arrival,
+            attempt: self.attempt,
+            tag: self.tag,
+        }
+    }
+
+    /// The row's request re-dispatched at `due` with its current attempt.
+    pub fn retry_at(&self, due: SimTime) -> PendingRetry {
+        PendingRetry {
+            func: self.func,
+            bytes: self.bytes,
+            arrival: self.arrival,
+            attempt: self.attempt,
+            tag: self.tag,
+            due,
+        }
+    }
 }
 
 /// The request table plus the id/token allocators: every state change
@@ -268,6 +300,7 @@ impl LifecycleEngine {
                     state: next,
                     slab: None,
                     token: None,
+                    due: SimTime::ZERO,
                 },
             );
             debug_assert!(prev.is_none(), "request {req} offered twice");
@@ -282,8 +315,10 @@ impl LifecycleEngine {
                 bytes,
                 arrival,
                 attempt,
+                tag,
                 ..
             } => {
+                debug_assert_eq!(row.tag, tag, "request {req} admitted under another tag");
                 row.slab = Some(id);
                 row.func = func;
                 row.bytes = bytes;
@@ -291,12 +326,17 @@ impl LifecycleEngine {
                 row.attempt = attempt;
             }
             LifecycleEvent::RetryScheduled { token, retry, .. } => {
+                debug_assert_eq!(
+                    row.tag, retry.tag,
+                    "request {req} retried under another tag"
+                );
                 row.slab = None;
                 row.token = Some(token);
                 row.func = retry.func;
                 row.bytes = retry.bytes;
                 row.arrival = retry.arrival;
                 row.attempt = retry.attempt;
+                row.due = retry.due;
             }
             LifecycleEvent::RetryFired { .. } => row.token = None,
             _ => {}
@@ -338,42 +378,31 @@ impl LifecycleEngine {
             .copied()
     }
 
-    /// The request holding slab id `id`, if any.
-    pub fn req_of_slab(&self, id: InvocationId) -> Option<u64> {
-        self.rows
-            .values()
-            .find(|r| r.slab == Some(id))
-            .map(|r| r.req)
-    }
-
-    /// The request holding pending-retry `token`, if any.
-    pub fn req_of_token(&self, token: u64) -> Option<u64> {
-        self.rows
-            .values()
-            .find(|r| r.token == Some(token))
-            .map(|r| r.req)
-    }
-
-    /// Slab ids of every admitted row, sorted — compared against the
-    /// journal's in-flight table and the slab's external population in
-    /// the crash-recovery proof.
-    pub fn live_slab_ids(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self
+    /// Admitted rows ([`Queued`](InvocationState::Queued) /
+    /// [`InFlight`](InvocationState::InFlight)) with their slab ids, by
+    /// slab index: the in-flight table a checkpoint records, a worker
+    /// crash settles, and the replay proof compares.
+    pub fn admitted(&self) -> Vec<(InvocationId, RequestRow)> {
+        let mut rows: Vec<_> = self
             .rows
             .values()
-            .filter_map(|r| r.slab)
-            .map(|i| i.0)
+            .filter_map(|r| Some((r.slab?, *r)))
             .collect();
-        ids.sort_unstable();
-        ids
+        rows.sort_unstable_by_key(|&(id, _)| id.0);
+        rows
     }
 
-    /// Tokens of every retry-waiting row, sorted — compared against the
-    /// journal's pending-retry table in the crash-recovery proof.
-    pub fn live_tokens(&self) -> Vec<u64> {
-        let mut toks: Vec<u64> = self.rows.values().filter_map(|r| r.token).collect();
-        toks.sort_unstable();
-        toks
+    /// Retry-waiting rows with their tokens, by token: the pending-retry
+    /// table a checkpoint records, a worker crash settles, and the replay
+    /// proof compares.
+    pub fn retrying(&self) -> Vec<(u64, RequestRow)> {
+        let mut rows: Vec<_> = self
+            .rows
+            .values()
+            .filter_map(|r| Some((r.token?, *r)))
+            .collect();
+        rows.sort_unstable_by_key(|&(token, _)| token);
+        rows
     }
 
     /// Removes and returns every live row in request-id order (a cluster
@@ -405,7 +434,7 @@ mod tests {
         }
     }
 
-    fn admitted(req: u64, slab: usize) -> LifecycleEvent {
+    fn admitted(req: u64, slab: usize, tag: u64) -> LifecycleEvent {
         LifecycleEvent::Admitted {
             req,
             id: InvocationId(slab),
@@ -413,9 +442,35 @@ mod tests {
             bytes: 64,
             arrival: SimTime::ZERO,
             attempt: 0,
-            tag: 0,
+            tag,
             orch: 0,
         }
+    }
+
+    fn retry(req: u64, slab: usize, token: u64, tag: u64) -> LifecycleEvent {
+        LifecycleEvent::RetryScheduled {
+            req,
+            id: InvocationId(slab),
+            token,
+            retry: PendingRetry {
+                func: FunctionId(0),
+                bytes: 64,
+                arrival: SimTime::ZERO,
+                attempt: 1,
+                tag,
+                due: SimTime::from_us(5),
+            },
+            kind: RetryKind::Backoff,
+            measured: true,
+        }
+    }
+
+    /// `(slab index, req)` of every admitted row, in table order.
+    fn slabs(eng: &LifecycleEngine) -> Vec<(usize, u64)> {
+        eng.admitted()
+            .iter()
+            .map(|(id, row)| (id.0, row.req))
+            .collect()
     }
 
     #[test]
@@ -424,8 +479,8 @@ mod tests {
         let req = eng.alloc_req();
         eng.apply(&offered(req, 0)).unwrap();
         assert_eq!(eng.rows().next().unwrap().state, InvocationState::Offered);
-        eng.apply(&admitted(req, 3)).unwrap();
-        assert_eq!(eng.live_slab_ids(), [3]);
+        eng.apply(&admitted(req, 3, 0)).unwrap();
+        assert_eq!(slabs(&eng), [(3, req)]);
         eng.apply(&LifecycleEvent::Dispatched {
             req,
             id: InvocationId(3),
@@ -482,28 +537,19 @@ mod tests {
         let mut eng = LifecycleEngine::new();
         let req = eng.alloc_req();
         eng.apply(&offered(req, 7)).unwrap();
-        eng.apply(&admitted(req, 0)).unwrap();
+        eng.apply(&admitted(req, 0, 7)).unwrap();
         let token = eng.alloc_token();
-        eng.apply(&LifecycleEvent::RetryScheduled {
-            req,
-            id: InvocationId(0),
-            token,
-            retry: PendingRetry {
-                func: FunctionId(0),
-                bytes: 64,
-                arrival: SimTime::ZERO,
-                attempt: 1,
-                tag: 7,
-                due: SimTime::from_us(5),
-            },
-            kind: RetryKind::Backoff,
-            measured: true,
-        })
-        .unwrap();
-        assert_eq!(eng.live_tokens(), [token]);
-        assert_eq!(eng.live_slab_ids(), [] as [usize; 0]);
-        assert_eq!(eng.req_of_token(token), Some(req));
-        let row = *eng.rows().next().unwrap();
+        let scheduled = retry(req, 0, token, 7);
+        eng.apply(&scheduled).unwrap();
+        let LifecycleEvent::RetryScheduled { retry: pending, .. } = scheduled else {
+            unreachable!()
+        };
+        let [(t, row)] = eng.retrying()[..] else {
+            panic!("one retry-waiting row")
+        };
+        assert_eq!((t, row.req), (token, req));
+        assert_eq!(row.retry_at(row.due), pending, "the row holds the retry");
+        assert!(eng.admitted().is_empty());
         assert_eq!(row.attempt, 1);
         assert_eq!(row.state, InvocationState::RetryWait);
         eng.apply(&LifecycleEvent::RetryFired { req, token })
@@ -512,8 +558,37 @@ mod tests {
         assert_eq!(row.state, InvocationState::Offered);
         assert_eq!(row.token, None, "token consumed");
         // Re-admission on a different slab id.
-        eng.apply(&admitted(req, 9)).unwrap();
-        assert_eq!(eng.req_of_slab(InvocationId(9)), Some(req));
+        eng.apply(&admitted(req, 9, 7)).unwrap();
+        assert_eq!(slabs(&eng), [(9, req)]);
+        assert!(eng.retrying().is_empty());
+    }
+
+    #[test]
+    fn tables_come_out_by_slab_index_and_by_token() {
+        let mut eng = LifecycleEngine::new();
+        let reqs: Vec<u64> = (0..4).map(|_| eng.alloc_req()).collect();
+        for &req in &reqs {
+            eng.apply(&offered(req, 0)).unwrap();
+        }
+        // Slab ids and tokens run against request-id order.
+        eng.apply(&admitted(reqs[0], 8, 0)).unwrap();
+        eng.apply(&admitted(reqs[1], 2, 0)).unwrap();
+        eng.apply(&admitted(reqs[2], 5, 0)).unwrap();
+        eng.apply(&admitted(reqs[3], 1, 0)).unwrap();
+        assert_eq!(
+            slabs(&eng),
+            [(1, reqs[3]), (2, reqs[1]), (5, reqs[2]), (8, reqs[0])]
+        );
+        eng.apply(&retry(reqs[0], 8, 4, 0)).unwrap();
+        eng.apply(&retry(reqs[3], 1, 3, 0)).unwrap();
+        let tokens: Vec<_> = eng.retrying().iter().map(|(t, r)| (*t, r.req)).collect();
+        assert_eq!(tokens, [(3, reqs[3]), (4, reqs[0])]);
+        assert_eq!(slabs(&eng), [(2, reqs[1]), (5, reqs[2])]);
+        let [(id, row), _] = eng.admitted()[..] else {
+            panic!("two admitted rows")
+        };
+        let entry = row.invocation(id);
+        assert_eq!((entry.id, entry.attempt, entry.bytes), (id, 0, 64));
     }
 
     #[test]
@@ -525,7 +600,7 @@ mod tests {
         eng.apply(&offered(a, 1)).unwrap();
         eng.apply(&offered(b, 2)).unwrap();
         eng.apply(&offered(c, 0)).unwrap(); // untagged: invisible to walks
-        eng.apply(&admitted(b, 0)).unwrap();
+        eng.apply(&admitted(b, 0, 2)).unwrap();
         let cancellable = [InvocationState::Offered, InvocationState::Queued];
         let tags: Vec<u64> = eng.tagged_in(&cancellable).map(|r| r.tag).collect();
         assert_eq!(tags, [1, 2], "request-id order, untagged skipped");

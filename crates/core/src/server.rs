@@ -12,6 +12,7 @@ use crate::admission::{AdmissionPolicy, BrownoutLevel, FailureDisposition};
 use crate::argbuf::ArgBuf;
 use crate::audit::{AuditError, LedgerCopy, Violation};
 use crate::config::{ConfigError, RuntimeConfig};
+use crate::durability;
 use crate::events::{AbortCause, EventBus, LifecycleEvent, RetryKind, WorkerNotice};
 use crate::executor::Executor;
 use crate::function::{FuncOp, FunctionId, FunctionRegistry};
@@ -470,7 +471,12 @@ impl WorkerServer {
         found.extend(dead_grants.map(|(pd, grants)| Violation::GrantOutlivesPd { pd, grants }));
         // Only journaled runs checkpoint, and they do from `begin` on.
         if let Some(checkpoint) = &self.checkpoint {
-            found.extend(self.prove_replay(checkpoint).1);
+            let j = self
+                .bus
+                .journal()
+                .expect("a checkpoint implies the journal");
+            let records = durability::scan(j.durable_log().bytes()).records;
+            found.extend(self.prove_replay(&records, checkpoint).1);
         }
         AuditError::check(found)
     }
@@ -1984,13 +1990,16 @@ impl std::fmt::Debug for WorkerServer {
 #[cfg(test)]
 mod tests {
     //! One test per worker [`Violation`] variant: each finishes a small
-    //! clean run, breaks exactly one invariant through private state, and
-    //! checks the audit reports exactly that.
+    //! clean run, breaks one invariant through private state, and checks
+    //! the audit reports exactly what that breaks. The replay proof is
+    //! also checked at every event boundary of a run.
 
     use super::*;
     use crate::audit::JournalCheck;
+    use crate::config::RecoveryPolicy;
     use crate::function::FunctionSpec;
     use crate::recovery::CrashConfig;
+    use jord_hw::InjectConfig;
     use jord_sim::TimeDist;
     use jord_vma::PdSnapshot;
 
@@ -2170,22 +2179,156 @@ mod tests {
             orch: 0,
         };
         s.bus.publish(&admitted);
-        // Replay and the journal's live table agree (both saw the record);
-        // the slab and the lifecycle rows did not.
+        // Only the durable log saw the record: replay finds the request in
+        // flight, the lifecycle rows (and the slab) do not.
+        assert_eq!(
+            violations(&s, &report),
+            [Violation::Journal {
+                check: JournalCheck::ReplayedInFlight,
+                left: vec![5],
+                right: Vec::new(),
+            }]
+        );
+    }
+
+    /// Offers request 999 and admits it as slab id 5 in the lifecycle
+    /// engine alone, neither journaling the events nor filling the slab.
+    fn admit_behind_the_journal(s: &mut WorkerServer) -> u64 {
+        let req = 999;
+        let func = FunctionId(0);
+        for ev in [
+            LifecycleEvent::Offered {
+                req,
+                func,
+                bytes: 64,
+                tag: 0,
+                at: SimTime::ZERO,
+            },
+            LifecycleEvent::Admitted {
+                req,
+                id: InvocationId(5),
+                func,
+                bytes: 64,
+                arrival: SimTime::ZERO,
+                attempt: 0,
+                tag: 0,
+                orch: 0,
+            },
+        ] {
+            s.lifecycle.apply(&ev).unwrap();
+        }
+        req
+    }
+
+    #[test]
+    fn a_lifecycle_row_the_journal_never_saw_breaks_the_replay_proof() {
+        let (mut s, report) = clean_run();
+        admit_behind_the_journal(&mut s);
         assert_eq!(
             violations(&s, &report),
             [
+                Violation::Unsettled {
+                    invocations: 0,
+                    requests: 1,
+                },
+                Violation::Journal {
+                    check: JournalCheck::ReplayedInFlight,
+                    left: Vec::new(),
+                    right: vec![5],
+                },
                 Violation::Journal {
                     check: JournalCheck::SlabExternals,
                     left: vec![5],
                     right: Vec::new(),
                 },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_retry_the_journal_never_saw_breaks_the_replay_proof() {
+        let (mut s, report) = clean_run();
+        let req = admit_behind_the_journal(&mut s);
+        let retry = PendingRetry {
+            func: FunctionId(0),
+            bytes: 64,
+            arrival: SimTime::ZERO,
+            attempt: 1,
+            tag: 0,
+            due: SimTime::from_us(1),
+        };
+        s.lifecycle
+            .apply(&LifecycleEvent::RetryScheduled {
+                req,
+                id: InvocationId(5),
+                token: 77,
+                retry,
+                kind: RetryKind::Backoff,
+                measured: true,
+            })
+            .unwrap();
+        assert_eq!(
+            violations(&s, &report),
+            [
+                Violation::Unsettled {
+                    invocations: 0,
+                    requests: 1,
+                },
                 Violation::Journal {
-                    check: JournalCheck::LifecycleAdmitted,
+                    check: JournalCheck::ReplayedPending,
                     left: Vec::new(),
-                    right: vec![5],
+                    right: vec![77],
                 },
             ]
         );
+    }
+
+    /// The replay proof holds at every event boundary of a journaled run
+    /// with injected faults, retries and a shed bound, not only at seal
+    /// (when every table is empty) and at crash instants.
+    #[test]
+    fn the_replay_proof_holds_at_every_event_boundary() {
+        let mut registry = FunctionRegistry::new();
+        let f = registry.register(
+            FunctionSpec::new("leaf")
+                .op(FuncOp::ReadInput)
+                .op(FuncOp::Compute(TimeDist::fixed(500.0)))
+                .op(FuncOp::WriteOutput),
+        );
+        let cfg = RuntimeConfig::jord_32()
+            .with_seed(7)
+            .with_inject(InjectConfig::faults(0.3))
+            .with_recovery(RecoveryPolicy {
+                shed_bound: Some(2),
+                ..RecoveryPolicy::default()
+            })
+            .with_crash(CrashConfig::journal_only().checkpoint_every(8));
+        let mut s = WorkerServer::new(cfg, registry).unwrap();
+        // Bursts of 12 simultaneous arrivals overflow the shed bound.
+        for i in 0..48 {
+            s.push_request(SimTime::from_ns(i / 12 * 3_000), f, 256);
+        }
+        s.begin();
+        let (mut boundaries, mut with_in_flight, mut with_retries) = (0, 0, 0);
+        loop {
+            let checkpoint = s.checkpoint.as_ref().expect("journaled runs checkpoint");
+            let log = s.bus.journal().expect("journaled").durable_log();
+            let records = durability::scan(log.bytes()).records;
+            let (recovered, found) = s.prove_replay(&records, checkpoint);
+            assert_eq!(found, [], "event boundary {boundaries}");
+            with_in_flight += usize::from(!recovered.in_flight.is_empty());
+            with_retries += usize::from(!recovered.pending.is_empty());
+            boundaries += 1;
+            if !s.step() {
+                break;
+            }
+        }
+        let report = s.seal();
+        assert_eq!(s.audit(&report), Ok(()));
+        let faults = &report.faults;
+        assert!(faults.retries > 0 && faults.failed > 0 && faults.sheds > 0);
+        assert!(report.crash.checkpoints > 4, "the base checkpoint moved");
+        assert!(with_in_flight > 0 && with_retries > 0);
+        assert!(boundaries > 100, "{boundaries} event boundaries");
     }
 }

@@ -9,16 +9,13 @@ use jord_hw::types::{CoreId, PdId};
 use jord_hw::CrashScope;
 use jord_sim::{SimDuration, SimTime};
 
-use std::collections::BTreeMap;
-
 use crate::audit::{AuditError, JournalCheck, Violation};
 use crate::durability::{self, FrameAnomaly, ScanReport};
 use crate::events::{AbortCause, LifecycleEvent, RetryKind};
 use crate::invocation::{Invocation, InvocationId, Origin, Phase};
-use crate::journal::{InvocationJournal, PendingRetry, RecoveredState, WorkerCheckpoint};
+use crate::journal::{JournalRecord, PendingRetry, RecoveredState, WorkerCheckpoint};
 use crate::lifecycle::InvocationState;
 use crate::recovery::{CrashSemantics, RecoveryRung, RESTART_PENALTY};
-use crate::stats::RunReport;
 
 use super::{Event, StrandedRequest, WorkerServer};
 
@@ -45,8 +42,9 @@ impl WorkerServer {
     }
 
     /// Snapshots the worker's hot state: the report, RNG streams, warmup
-    /// progress, the journal's live tables, and the VMA table's durable
-    /// footprint and free slots, which a post-crash reboot must reproduce.
+    /// progress, the lifecycle engine's admitted and retry-waiting rows,
+    /// and the VMA table's durable footprint and free slots, which a
+    /// post-crash reboot must reproduce.
     /// Checkpointing is free in simulated time (a real implementation
     /// would write it off the critical path).
     pub(super) fn take_checkpoint(&mut self, t: SimTime) {
@@ -60,8 +58,18 @@ impl WorkerServer {
             rng: self.rng.clone(),
             injector: self.injector.clone(),
             warmed: img.warmed,
-            in_flight: img.in_flight,
-            pending: img.pending,
+            in_flight: self
+                .lifecycle
+                .admitted()
+                .iter()
+                .map(|&(id, row)| row.invocation(id))
+                .collect(),
+            pending: self
+                .lifecycle
+                .retrying()
+                .iter()
+                .map(|&(token, row)| (token, row.retry_at(row.due)))
+                .collect(),
             footprint: self.privlib.durable_footprint(),
             free_slots: self.privlib.free_slot_counts(),
             seal: img.seal,
@@ -229,19 +237,21 @@ impl WorkerServer {
         self.orchs[o].next_free = t + RESTART_PENALTY;
     }
 
-    /// Replays the journal suffix over `checkpoint` and compares the
-    /// replayed tables with three witnesses: the journal's live tables,
-    /// the slab's external population, and the lifecycle engine's rows.
-    /// The crash path panics on any disagreement; the audit reports them.
+    /// Replays `records` (the journal's durable log, decoded by
+    /// [`durability::scan`]) over `checkpoint` and proves the replayed
+    /// tables against the lifecycle engine's rows, and those rows against
+    /// the slab's external population. The crash path panics on any
+    /// disagreement; the audit reports them.
     pub(super) fn prove_replay(
         &self,
+        records: &[JournalRecord],
         checkpoint: &WorkerCheckpoint,
     ) -> (RecoveredState, Vec<Violation>) {
-        let j = self.bus.journal().expect("replay requires the journal");
-        let recovered = j.replay(checkpoint);
-        let key = |&i: &usize| i as u64;
-        let in_flight: Vec<u64> = j.in_flight().keys().map(key).collect();
-        let pending: Vec<u64> = j.pending().keys().copied().collect();
+        let recovered = checkpoint.replay(records);
+        let admitted = self.lifecycle.admitted();
+        let in_flight: Vec<u64> = admitted.iter().map(|(id, _)| id.0 as u64).collect();
+        let retrying = self.lifecycle.retrying();
+        let pending: Vec<u64> = retrying.iter().map(|&(token, _)| token).collect();
         let mut externals: Vec<u64> = self
             .slab
             .iter()
@@ -249,17 +259,13 @@ impl WorkerServer {
             .map(|(id, _)| id.0 as u64)
             .collect();
         externals.sort_unstable();
-        let replayed: Vec<u64> = recovered.in_flight.keys().map(key).collect();
+        let replayed: Vec<u64> = recovered.in_flight.keys().map(|&i| i as u64).collect();
         let replayed_pending: Vec<u64> = recovered.pending.keys().copied().collect();
-        let admitted: Vec<u64> = self.lifecycle.live_slab_ids().iter().map(key).collect();
-        let retries = self.lifecycle.live_tokens();
         let mut found = Vec::new();
         for (check, left, right) in [
             (JournalCheck::ReplayedInFlight, &replayed, &in_flight),
             (JournalCheck::ReplayedPending, &replayed_pending, &pending),
             (JournalCheck::SlabExternals, &in_flight, &externals),
-            (JournalCheck::LifecycleAdmitted, &admitted, &in_flight),
-            (JournalCheck::LifecycleRetries, &retries, &pending),
         ] {
             if left != right {
                 let (left, right) = (left.clone(), right.clone());
@@ -271,8 +277,12 @@ impl WorkerServer {
 
     /// [`prove_replay`](Self::prove_replay) on the crash path: any
     /// disagreement is a recovery bug, so it panics.
-    fn replay_and_prove(&mut self, checkpoint: &WorkerCheckpoint) -> RecoveredState {
-        let (recovered, violations) = self.prove_replay(checkpoint);
+    fn replay_and_prove(
+        &mut self,
+        records: &[JournalRecord],
+        checkpoint: &WorkerCheckpoint,
+    ) -> RecoveredState {
+        let (recovered, violations) = self.prove_replay(records, checkpoint);
         AuditError::check(violations)
             .unwrap_or_else(|e| panic!("journal replay proof failed: {e}"));
         self.emit(LifecycleEvent::Replayed {
@@ -346,11 +356,12 @@ impl WorkerServer {
         (scan, rung, base)
     }
 
-    /// Reconstructs the pre-crash ledger along the chosen rung.
+    /// Reconstructs the pre-crash ledger along the chosen rung. Every
+    /// rung with a base checkpoint replays the scanned records through
+    /// [`WorkerCheckpoint::replay`].
     ///
-    /// * Exact replay re-runs the existing proof-carrying path (and first
-    ///   checks the scanned frames decode to the in-memory record list —
-    ///   the codec's end-to-end witness).
+    /// * Exact replay replays the whole clean scan and proves the result
+    ///   ([`prove_replay`](Self::prove_replay)).
     /// * Lossy rungs with a trusted base checkpoint replay whatever
     ///   verified suffix the scan salvaged over that base.
     /// * The pristine rung reconstructs nothing: empty ledger, empty
@@ -362,31 +373,15 @@ impl WorkerServer {
         base: Option<&WorkerCheckpoint>,
     ) -> RecoveredState {
         match (rung, base) {
-            (RecoveryRung::ExactReplay, Some(base)) => {
-                {
-                    let j = self.bus.journal().expect("recovery requires the journal");
-                    assert_eq!(
-                        scan.records.as_slice(),
-                        j.records(),
-                        "a clean scan must decode to the in-memory record list"
-                    );
-                }
-                self.replay_and_prove(base)
-            }
+            (RecoveryRung::ExactReplay, Some(base)) => self.replay_and_prove(&scan.records, base),
             (_, Some(base)) => {
-                let recovered = InvocationJournal::replay_records(&scan.records, base);
+                let recovered = base.replay(&scan.records);
                 self.emit(LifecycleEvent::Replayed {
                     records: recovered.replayed,
                 });
                 recovered
             }
-            (_, None) => RecoveredState {
-                report: RunReport::new(),
-                warmed: 0,
-                in_flight: BTreeMap::new(),
-                pending: BTreeMap::new(),
-                replayed: 0,
-            },
+            (_, None) => RecoveredState::default(),
         }
     }
 
@@ -427,11 +422,10 @@ impl WorkerServer {
 
     /// Kills the whole worker process and recovers it: replay the journal
     /// suffix over the latest checkpoint (proving the replayed tables
-    /// against the journal's live tables, the slab, and the lifecycle
-    /// engine), reboot a pristine process image (validating its durable
-    /// VMA footprint against the checkpoint's), restore the replayed
-    /// ledger, and settle every interrupted request per the semantics
-    /// knob.
+    /// against the lifecycle engine's rows and the slab), reboot a
+    /// pristine process image (validating its durable VMA footprint
+    /// against the checkpoint's), restore the replayed ledger, and settle
+    /// every interrupted request per the semantics knob.
     fn crash_worker(&mut self, t: SimTime) {
         let cc = self
             .cfg
@@ -447,21 +441,14 @@ impl WorkerServer {
         let (scan, rung, base) = self.storage_recovery_plan();
         let recovered = self.recover_via(&scan, rung, base.as_ref());
 
-        // Settlement drives off the journal's *live* tables — the full
-        // truth of what was unfinished at the crash. On the exact rung
-        // these provably equal the replayed tables (`replay_and_prove`);
+        // Settlement drives off the lifecycle engine's rows — the full
+        // truth of what was unfinished at the crash, in-flight requests
+        // by slab index and pending retries by token. On the exact rung
+        // they provably equal the replayed tables (`replay_and_prove`);
         // on lossy rungs, entries the salvaged suffix cannot prove are
         // demoted below.
-        let (live_in_flight, live_pending) = {
-            let j = self.bus.journal().expect("recovery requires the journal");
-            (
-                j.in_flight().values().copied().collect::<Vec<_>>(),
-                j.pending()
-                    .iter()
-                    .map(|(&token, &r)| (token, r))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let live_in_flight = self.lifecycle.admitted();
+        let live_pending = self.lifecycle.retrying();
 
         // The process dies: every continuation, queue entry, and pooled PD
         // evaporates — claims included, since the claimants died too.
@@ -517,27 +504,17 @@ impl WorkerServer {
                 // In-flight requests re-enter once the worker restarts;
                 // already-pending retries keep their token (and journal
                 // record) and fire no earlier than the restart.
-                for p in &live_in_flight {
-                    let req = self
-                        .lifecycle
-                        .req_of_slab(p.id)
-                        .expect("every live in-flight entry has a request row");
-                    if rung.lossy() && !recovered.in_flight.contains_key(&p.id.0) {
+                for &(id, row) in &live_in_flight {
+                    let req = row.req;
+                    if rung.lossy() && !recovered.in_flight.contains_key(&id.0) {
                         self.emit(LifecycleEvent::WorkDemoted { req, readmit: true });
                     }
                     let token = self.lifecycle.alloc_token();
                     self.emit(LifecycleEvent::RetryScheduled {
                         req,
-                        id: p.id,
+                        id,
                         token,
-                        retry: PendingRetry {
-                            func: p.func,
-                            bytes: p.bytes,
-                            arrival: p.arrival,
-                            attempt: p.attempt,
-                            tag: p.tag,
-                            due: restart,
-                        },
+                        retry: row.retry_at(restart),
                         kind: RetryKind::CrashReadmit,
                         measured: false,
                     });
@@ -545,36 +522,33 @@ impl WorkerServer {
                         restart,
                         Event::Retry {
                             req,
-                            func: p.func,
-                            bytes: p.bytes,
-                            arrival: p.arrival,
-                            attempt: p.attempt,
+                            func: row.func,
+                            bytes: row.bytes,
+                            arrival: row.arrival,
+                            attempt: row.attempt,
                             token,
-                            tag: p.tag,
+                            tag: row.tag,
                         },
                     );
                 }
-                for &(token, r) in &live_pending {
+                for &(token, row) in &live_pending {
                     // The row is already RetryWait (the RetryScheduled that
                     // created the token happened before the crash), so only
                     // the timer event is re-armed — no new transition.
-                    let req = self
-                        .lifecycle
-                        .req_of_token(token)
-                        .expect("every live pending entry has a request row");
+                    let req = row.req;
                     if rung.lossy() && !recovered.pending.contains_key(&token) {
                         self.emit(LifecycleEvent::WorkDemoted { req, readmit: true });
                     }
                     self.queue.push(
-                        r.due.max(restart),
+                        row.due.max(restart),
                         Event::Retry {
                             req,
-                            func: r.func,
-                            bytes: r.bytes,
-                            arrival: r.arrival,
-                            attempt: r.attempt,
+                            func: row.func,
+                            bytes: row.bytes,
+                            arrival: row.arrival,
+                            attempt: row.attempt,
                             token,
-                            tag: r.tag,
+                            tag: row.tag,
                         },
                     );
                 }
@@ -584,13 +558,10 @@ impl WorkerServer {
                 // retry — terminally fails. Interrupted work reports
                 // through the ledger only (no notices): the tier above
                 // learns about it from the stranded-request path.
-                for p in &live_in_flight {
+                for &(id, row) in &live_in_flight {
                     let measured = self.measuring();
-                    let req = self
-                        .lifecycle
-                        .req_of_slab(p.id)
-                        .expect("every live in-flight entry has a request row");
-                    if rung.lossy() && !recovered.in_flight.contains_key(&p.id.0) {
+                    let req = row.req;
+                    if rung.lossy() && !recovered.in_flight.contains_key(&id.0) {
                         self.emit(LifecycleEvent::WorkDemoted {
                             req,
                             readmit: false,
@@ -598,19 +569,16 @@ impl WorkerServer {
                     }
                     self.emit(LifecycleEvent::Failed {
                         req,
-                        id: p.id,
-                        tag: p.tag,
+                        id,
+                        tag: row.tag,
                         at: t,
                         measured,
                         notify: false,
                     });
                 }
-                for &(token, _) in &live_pending {
+                for &(token, row) in &live_pending {
                     let measured = self.measuring();
-                    let req = self
-                        .lifecycle
-                        .req_of_token(token)
-                        .expect("every live pending entry has a request row");
+                    let req = row.req;
                     if rung.lossy() && !recovered.pending.contains_key(&token) {
                         self.emit(LifecycleEvent::WorkDemoted {
                             req,
@@ -728,7 +696,7 @@ impl WorkerServer {
     ///
     /// Same recovery discipline as a standalone worker crash — replay
     /// the journal suffix over the latest checkpoint (proving the
-    /// replayed tables against the live tables and the slab), reboot a
+    /// replayed tables against the lifecycle rows and the slab), reboot a
     /// pristine image, validate its durable VMA footprint — but instead
     /// of settling interrupted requests locally, every tagged request
     /// the crash stranded (in flight, awaiting a local retry, or still
@@ -809,7 +777,8 @@ impl WorkerServer {
         // Retire the dead process's journal into the cumulative
         // counters and start a fresh one for the rebooted image: the
         // stranded requests are the dispatcher's problem now, so the
-        // new journal's live tables are rightly empty.
+        // drained lifecycle table and the fresh log rightly agree that
+        // nothing is live.
         self.bus.retire_journal();
         self.checkpoint = None;
         self.take_checkpoint(t);

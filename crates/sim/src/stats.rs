@@ -183,7 +183,7 @@ impl Default for LatencyHistogram {
 
 /// Streaming mean/variance accumulator (Welford), for scalar series such as
 /// dispatch latency or queue depth where quantiles are not needed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -257,6 +257,14 @@ impl OnlineStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for OnlineStats {
+    /// The empty accumulator, the same as [`OnlineStats::new`]: its
+    /// min/max start at ±∞ so the first sample sets both.
+    fn default() -> Self {
+        OnlineStats::new()
     }
 }
 
@@ -375,6 +383,21 @@ mod tests {
         assert_eq!(s.min().unwrap(), 2.0);
         assert_eq!(s.max().unwrap(), 9.0);
         assert_eq!(s.count(), 8);
+    }
+
+    #[test]
+    fn default_online_stats_is_the_empty_accumulator() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        // All samples positive, all negative: min and max are the
+        // extremes seen, not a 0 the accumulator started from.
+        for samples in [[3.0, 8.0, 5.0], [-3.0, -8.0, -5.0]] {
+            let mut s = OnlineStats::default();
+            samples.iter().for_each(|&x| s.record(x));
+            let (lo, hi) = samples
+                .iter()
+                .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            assert_eq!((s.min(), s.max()), (Some(lo), Some(hi)));
+        }
     }
 
     #[test]
