@@ -424,9 +424,10 @@ impl ClusterReport {
 }
 
 /// The front-end: owns the workers and runs the whole cluster to
-/// completion under one deterministic clock (sequential engine) or to
-/// barrier-synchronized conservative horizons (parallel engine,
-/// [`EngineConfig`]) — the two are bit-identical per seed.
+/// completion under one deterministic clock (sequential engine) or in
+/// windows up to conservative horizons, each window's shards shared among
+/// threads (parallel engine, [`EngineConfig`]) — the two are
+/// bit-identical per seed.
 pub struct ClusterDispatcher {
     cfg: ClusterConfig,
     /// The function registry, kept so scale-up can boot fresh workers.
@@ -568,8 +569,8 @@ impl ClusterDispatcher {
     ///
     /// With [`ClusterConfig::engine`] unset this is the sequential
     /// interleaved clock; with it set, the conservative parallel engine
-    /// ([`EngineConfig`]) produces the bit-identical result in
-    /// barrier-synchronized windows.
+    /// ([`EngineConfig`]) produces the bit-identical result in windows
+    /// whose shards advance on whichever of its threads claims them.
     pub fn run(&mut self) -> ClusterReport {
         let prewarm = self.cfg.autoscale.map_or(0, |_| PREWARM_PDS);
         for slot in &mut self.slots {
@@ -587,8 +588,8 @@ impl ClusterDispatcher {
     /// `bound` (no bound when `None`); returns `false` when nothing
     /// qualifies. This is the sequential engine's entire scheduling
     /// rule, and — bounded by a window horizon — the parallel engine's
-    /// serial barrier phase, so the tie discipline can never diverge
-    /// between the two.
+    /// serial phase after each window, so the tie discipline can never
+    /// diverge between the two.
     fn advance_once(&mut self, bound: Option<SimTime>) -> bool {
         // The globally earliest event wins; a worker beats the
         // dispatcher on ties so notices for time t are in hand
@@ -1477,6 +1478,46 @@ mod tests {
         }];
         cfg.heartbeat_loss_rate = 0.05;
         assert_engine_parity(cfg, 800, 150);
+    }
+
+    /// DESIGN §13's promise: a lookahead wider than the workload allows
+    /// panics at merge time with a diagnosis, at any thread count. Each
+    /// run happens on a thread of its own, joined with a timeout, so an
+    /// engine that deadlocks on the panic fails here instead of hanging.
+    #[test]
+    fn a_too_wide_lookahead_panics_with_a_diagnosis_at_any_thread_count() {
+        for threads in [1, 2] {
+            let (sent, outcome) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let mut cfg = base_cfg(3);
+                cfg.hedge = Some(HedgeConfig { after_us: 0.3 });
+                cfg.engine = Some(EngineConfig {
+                    threads,
+                    lookahead_us: 4.0,
+                });
+                let (mut c, _) = cluster_with_load(cfg, 50, 20_000);
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run()));
+                let message = result.err().map(|payload| {
+                    *payload
+                        .downcast::<String>()
+                        .expect("the lookahead assert formats its message")
+                });
+                sent.send(message).expect("the test thread is waiting");
+            });
+            // On a timeout the run's thread is left behind, still blocked:
+            // the failure is the finding.
+            let message = outcome
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!("the run at {threads} thread(s) hung instead of panicking")
+                });
+            run.join().expect("the run's panic was caught");
+            let message = message.unwrap_or_else(|| panic!("no panic at {threads} thread(s)"));
+            assert!(
+                message.contains("engine.lookahead_us exceeds"),
+                "at {threads} thread(s) the panic names the lookahead: {message}"
+            );
+        }
     }
 
     #[test]

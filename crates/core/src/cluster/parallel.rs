@@ -1,6 +1,21 @@
 //! The conservative parallel engine: shards advance concurrently to a
-//! lower-bound-on-timestamp horizon, then one serial barrier phase
-//! replays the dispatcher exactly as the sequential engine would.
+//! lower-bound-on-timestamp horizon, then one serial phase replays the
+//! dispatcher exactly as the sequential engine would.
+//!
+//! # How a window is shared
+//!
+//! The coordinating thread (the one that called `run`) computes each
+//! window: its horizon and the shards with work at or before it. A
+//! window with fewer than two runnable shards has nothing to share and
+//! runs inline. Otherwise the coordinator posts the runnable shards to a
+//! [`Deal`], and every thread, the coordinator included, claims the next
+//! unclaimed shard until none are left. The coordinator then waits only
+//! for the shards a helper has already claimed. A helper that is asleep,
+//! descheduled or not yet started claims nothing, so it never stalls a
+//! window: the coordinator simply advances every shard itself. A helper
+//! with nothing to claim yields and looks again a bounded number of
+//! times ([`SPINS`]), then sleeps on a condvar until the next post. With
+//! one thread the loop is the same, with no helpers.
 //!
 //! # Why this is bit-identical to the sequential engine
 //!
@@ -15,15 +30,15 @@
 //!    worker step could originate is stamped at least `lookahead` after
 //!    the step's pop time — so every worker event at `t ≤ H` is
 //!    independent of every other shard, and shards may pop them in any
-//!    interleaving (phase 1, concurrent).
+//!    interleaving, on any thread (phase 1, concurrent).
 //! 2. **Merge order**: phase 1 defers notice delivery into per-shard
-//!    outboxes stamped with the producing pop time. At the barrier they
-//!    are pushed into the dispatcher queue sorted by
-//!    `(time, worker_id, seq)` — pop time, then shard index, then
+//!    outboxes stamped with the producing pop time. Once every shard of
+//!    the window is done they are pushed into the dispatcher queue sorted
+//!    by `(time, worker_id, seq)` — pop time, then shard index, then
 //!    outbox order. That is exactly the chronological push order of the
 //!    sequential engine (it steps tied workers lowest-index first), and
 //!    the dispatcher queue breaks timestamp ties FIFO by push order, so
-//!    delivery order is identical.
+//!    delivery order is identical whichever thread advanced which shard.
 //! 3. **Serial phase**: dispatcher events at or before `H` are then
 //!    processed by the *same* `advance_once` loop the sequential engine
 //!    runs, bounded by `H`. Any worker events it injects (deliveries,
@@ -41,10 +56,15 @@
 //! sound only if no other shard advanced past the completion's
 //! timestamp, i.e. if the completion landed at least `lookahead` after
 //! its producing pop. The engine asserts that contract at merge time and
-//! panics with a configuration diagnosis rather than silently diverging.
+//! panics with a configuration diagnosis rather than silently diverging,
+//! at any thread count: the coordinator's [`Dealer`] closes the deal as
+//! it unwinds, so the helpers exit instead of leaving the thread scope
+//! waiting on them.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 use jord_sim::{lbts, SimDuration, SimTime};
 
@@ -55,9 +75,9 @@ use crate::events::{NoticeOutcome, WorkerNotice};
 /// Conservative parallel engine tuning ([`super::ClusterConfig::engine`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Threads advancing shards between barriers, counting the
+    /// Threads that may advance a window's shards, counting the
     /// coordinating thread itself. `1` runs the full windowed engine
-    /// (horizons, outbox merge, barrier phases) on one thread — the
+    /// (horizons, outbox merge, serial phases) on one thread — the
     /// cheapest way to differential-test the machinery. Must be ≥ 1.
     pub threads: usize,
     /// Declared minimum latency (µs of simulated time) of any
@@ -89,46 +109,232 @@ impl EngineConfig {
     }
 }
 
+/// How often a helper with nothing to claim yields and looks again
+/// before it sleeps on the condvar. A helper still awake when the next
+/// window is posted claims a shard without waiting to be woken: on a
+/// 2-vCPU host this ran `fleet-crowd` faster in 10 of 10 pairs, and the
+/// 2/4/8-thread `engine_bench` rows faster, than sleeping at once.
+const SPINS: u32 = 100;
+
 /// A unit of phase-1 work: one shard, advanced to one horizon.
 ///
-/// Carries a raw pointer so the coordinating thread can deal disjoint
+/// Carries a raw pointer so the coordinating thread can post disjoint
 /// `&mut`-equivalent loans out of its `slots` vector without the borrow
 /// checker seeing one `&mut` per element (which a growing `Vec` cannot
-/// hand out across threads). Soundness is the dealing discipline, not
+/// hand out across threads). Soundness is the deal's discipline, not
 /// the type: see the safety argument at the use sites.
+#[derive(Clone, Copy)]
 struct ShardTask {
     shard: *mut WorkerShard,
     horizon: SimTime,
 }
 
-// SAFETY: a ShardTask is only ever created from a live `&mut` borrow of
-// the slots vector, for pairwise-distinct indices, and is consumed
-// before that borrow ends (the phase-1 close barrier). The shard it
-// points to is touched by exactly one thread per window.
+// SAFETY: a ShardTask is only ever created from the coordinator's live
+// `&mut` borrow of the slots vector, for the pairwise-distinct indices
+// of one window. The deal hands each task to exactly one thread, under
+// its lock, and the coordinator touches `slots` again only after every
+// claimed task has reported done, so the shard it points to is touched
+// by exactly one thread per window. `horizon` is plain data.
 unsafe impl Send for ShardTask {}
 
-impl ClusterDispatcher {
-    /// Runs the windowed conservative engine to completion (the
-    /// parallel counterpart of the sequential `advance_once` loop).
-    pub(super) fn run_conservative(&mut self, eng: EngineConfig) {
-        let lookahead = us_dur(eng.lookahead_us);
-        if eng.threads <= 1 {
-            while let Some((h, runnable)) = self.next_window(lookahead) {
-                for &w in &runnable {
-                    self.slots[w].advance_to(h);
-                }
-                self.merge_window(h, &runnable);
-                while self.advance_once(Some(h)) {}
-            }
-        } else {
-            self.run_threaded(eng.threads, lookahead);
+/// One window's work, shared by claiming: the coordinator posts a
+/// window's tasks, every thread takes the next unclaimed task until none
+/// are left, and the coordinator then waits for the tasks helpers took.
+struct Deal<T> {
+    state: Mutex<DealState<T>>,
+    /// Helpers sleep here until a window is posted or the deal closes.
+    posted: Condvar,
+    /// The coordinator sleeps here until every helper claim is done.
+    settled: Condvar,
+}
+
+struct DealState<T> {
+    /// The current window's tasks; `tasks[next..]` are unclaimed. Kept
+    /// across windows, so posting a window allocates nothing.
+    tasks: Vec<T>,
+    next: usize,
+    /// Tasks a helper has claimed and not yet reported done.
+    in_flight: usize,
+    /// The run is over, or the coordinator is unwinding: helpers exit.
+    closed: bool,
+    /// The first panic a helper caught in a task, re-raised on the
+    /// coordinator once the window settles.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<T: Copy> DealState<T> {
+    fn claim(&mut self) -> Option<T> {
+        let task = *self.tasks.get(self.next)?;
+        self.next += 1;
+        Some(task)
+    }
+}
+
+impl<T> Deal<T> {
+    fn new() -> Self {
+        Deal {
+            state: Mutex::new(DealState {
+                tasks: Vec::new(),
+                next: 0,
+                in_flight: 0,
+                closed: false,
+                panic: None,
+            }),
+            posted: Condvar::new(),
+            settled: Condvar::new(),
         }
     }
 
-    /// Computes the next window: the LBTS horizon and the shards with
-    /// work at or before it. `None` when the simulation is out of work
-    /// (the sequential engine's termination condition, verbatim).
-    fn next_window(&self, lookahead: SimDuration) -> Option<(SimTime, Vec<usize>)> {
+    /// Poisoning is ignored: tasks run outside the lock, and each update
+    /// made under it leaves the state consistent.
+    fn lock(&self) -> MutexGuard<'_, DealState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The coordinating thread's side of the deal.
+    fn dealer(&self) -> Dealer<'_, T> {
+        Dealer(self)
+    }
+}
+
+impl<T: Copy> Deal<T> {
+    /// A helper's side of the deal: claims and runs tasks, sleeping when
+    /// there are none, until the deal closes. A task that panics releases
+    /// its claim and hands the panic to the coordinator, which re-raises
+    /// it once the window settles; the helper carries on serving.
+    fn serve(&self, work: impl Fn(T)) {
+        let mut st = self.lock();
+        let mut spins = 0;
+        while !st.closed {
+            let Some(task) = st.claim() else {
+                if spins < SPINS {
+                    spins += 1;
+                    drop(st);
+                    thread::yield_now();
+                    st = self.lock();
+                } else {
+                    spins = 0;
+                    st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+                continue;
+            };
+            spins = 0;
+            st.in_flight += 1;
+            drop(st);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(task)));
+            st = self.lock();
+            st.in_flight -= 1;
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
+            if st.in_flight == 0 {
+                self.settled.notify_one();
+            }
+        }
+    }
+}
+
+/// The coordinating thread's handle on a [`Deal`]. Dropping it — at the
+/// end of the run, or while unwinding from a panic — closes the deal and
+/// wakes every helper, so each one exits instead of leaving
+/// `thread::scope` waiting on it forever.
+struct Dealer<'a, T>(&'a Deal<T>);
+
+impl<T: Copy> Dealer<'_, T> {
+    /// Runs one window's tasks with whichever helpers claim some, and
+    /// returns once every task is done. Re-raises a helper's panic.
+    fn share(&self, tasks: impl IntoIterator<Item = T>, work: impl Fn(T)) {
+        let deal = self.0;
+        let mut st = deal.lock();
+        debug_assert!(st.next == st.tasks.len() && st.in_flight == 0);
+        st.tasks.clear();
+        st.tasks.extend(tasks);
+        st.next = 0;
+        deal.posted.notify_all();
+        while let Some(task) = st.claim() {
+            drop(st);
+            work(task);
+            st = deal.lock();
+        }
+        while st.in_flight > 0 {
+            st = deal
+                .settled
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl<T> Drop for Dealer<'_, T> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.posted.notify_all();
+    }
+}
+
+/// A window's merge buffer: `(pop time, worker, notice)`.
+type Merged = Vec<(SimTime, usize, WorkerNotice)>;
+
+impl ClusterDispatcher {
+    /// Runs the windowed conservative engine to completion (the
+    /// parallel counterpart of the sequential `advance_once` loop):
+    /// `eng.threads - 1` helper threads for the whole run (spawning per
+    /// window would dwarf the windows) and one shared deal per window.
+    pub(super) fn run_conservative(&mut self, eng: EngineConfig) {
+        let lookahead = us_dur(eng.lookahead_us);
+        let deal = Deal::new();
+        let advance = |task: ShardTask| {
+            // SAFETY: the deal hands each posted task to exactly one
+            // thread, and the coordinator neither reads `slots` nor posts
+            // the next window until every claimed task has reported
+            // done; the pointee outlives the window (`slots` cannot grow
+            // while a window is being shared).
+            unsafe { (*task.shard).advance_to(task.horizon) }
+        };
+        // Window buffers, kept across windows so that a window allocates
+        // nothing once they have grown to the fleet's size.
+        let mut runnable = Vec::new();
+        let mut merged = Merged::new();
+        thread::scope(|scope| {
+            for _ in 1..eng.threads {
+                scope.spawn(|| deal.serve(advance));
+            }
+            let dealer = deal.dealer();
+            while let Some(h) = self.next_window(lookahead, &mut runnable) {
+                if runnable.len() < 2 {
+                    for &w in &runnable {
+                        self.slots[w].advance_to(h);
+                    }
+                } else {
+                    // One raw base pointer for the whole window: nothing
+                    // may create a (safe) reference into `slots` until
+                    // `share` returns.
+                    let base = self.slots.as_mut_ptr();
+                    dealer.share(
+                        runnable.iter().map(|&w| ShardTask {
+                            // SAFETY: `w` indexes `slots`, and `runnable`
+                            // holds distinct indices.
+                            shard: unsafe { base.add(w) },
+                            horizon: h,
+                        }),
+                        advance,
+                    );
+                }
+                self.merge_window(h, &runnable, &mut merged);
+                while self.advance_once(Some(h)) {}
+            }
+        });
+    }
+
+    /// Computes the next window: returns the LBTS horizon and fills
+    /// `runnable` with the shards that have work at or before it. `None`
+    /// when the simulation is out of work (the sequential engine's
+    /// termination condition, verbatim).
+    fn next_window(&self, lookahead: SimDuration, runnable: &mut Vec<usize>) -> Option<SimTime> {
         let shard_next = self
             .slots
             .iter()
@@ -136,35 +342,33 @@ impl ClusterDispatcher {
             .filter_map(|s| s.server.next_event_time())
             .min();
         let h = lbts(self.events.peek_time(), shard_next, lookahead)?;
-        let runnable = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.crashed)
-            .filter(|(_, s)| s.server.next_event_time().is_some_and(|t| t <= h))
-            .map(|(w, _)| w)
-            .collect();
-        Some((h, runnable))
+        runnable.clear();
+        runnable.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.crashed)
+                .filter(|(_, s)| s.server.next_event_time().is_some_and(|t| t <= h))
+                .map(|(w, _)| w),
+        );
+        Some(h)
     }
 
-    /// Barrier phase 2: fold per-shard bookkeeping and push every
-    /// outbox notice into the dispatcher queue in `(time, worker_id,
-    /// seq)` order — the sequential engine's push chronology.
-    fn merge_window(&mut self, h: SimTime, runnable: &[usize]) {
-        let mut merged: Vec<(SimTime, usize, WorkerNotice)> = Vec::new();
+    /// Phase 2: fold per-shard bookkeeping and push every outbox notice
+    /// into the dispatcher queue in `(time, worker_id, seq)` order — the
+    /// sequential engine's push chronology. Drains the outboxes and
+    /// `merged` in place, so their capacity carries to the next window.
+    fn merge_window(&mut self, h: SimTime, runnable: &[usize], merged: &mut Merged) {
         for &w in runnable {
-            if let Some(t) = self.slots[w].advanced.take() {
+            let slot = &mut self.slots[w];
+            if let Some(t) = slot.advanced.take() {
                 self.finished_at = self.finished_at.max(t);
             }
-            if self.slots[w].outbox.is_empty() {
-                continue;
-            }
-            let outbox = std::mem::take(&mut self.slots[w].outbox);
-            merged.extend(outbox.into_iter().map(|(tau, n)| (tau, w, n)));
+            merged.extend(slot.outbox.drain(..).map(|(tau, n)| (tau, w, n)));
         }
         // Stable: equal (pop time, worker) keys keep their outbox order.
         merged.sort_by_key(|&(tau, w, _)| (tau, w));
-        for (tau, w, n) in merged {
+        for (tau, w, n) in merged.drain(..) {
             // The lookahead contract, checked where it matters: a
             // completion inside the window (n.at ≤ h is fine — every
             // shard stopped at h) may pull back copies from shards that
@@ -185,78 +389,108 @@ impl ClusterDispatcher {
             self.events.push(n.at, ClusterEvent::Notice(w, n));
         }
     }
+}
 
-    /// The threaded engine: persistent helper threads for the whole run
-    /// (spawning per window would dwarf the windows), two barriers per
-    /// window, shards dealt round-robin.
-    fn run_threaded(&mut self, threads: usize, lookahead: SimDuration) {
-        let helpers = threads - 1;
-        let barrier = Barrier::new(threads);
-        let done = AtomicBool::new(false);
-        // One work bay per helper. The mutexes never contend: the
-        // coordinator fills bays while helpers sit at the open barrier,
-        // helpers drain them before the close barrier.
-        let bays: Vec<Mutex<Vec<ShardTask>>> =
-            (0..helpers).map(|_| Mutex::new(Vec::new())).collect();
-        std::thread::scope(|scope| {
-            for bay in &bays {
-                let barrier = &barrier;
-                let done = &done;
-                scope.spawn(move || loop {
-                    barrier.wait(); // window opens
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut tasks = bay.lock().expect("bay mutex");
-                    for task in tasks.drain(..) {
-                        // SAFETY: the coordinator dealt pairwise-distinct
-                        // shard pointers this window and touches only its
-                        // own share until the close barrier; the pointee
-                        // outlives the window (no slot growth between the
-                        // barriers).
-                        unsafe { (*task.shard).advance_to(task.horizon) };
-                    }
-                    drop(tasks);
-                    barrier.wait(); // window closes
-                });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    /// Shares 60 windows, cycling through `sizes` for their task counts,
+    /// among the coordinator and `helpers` helper threads, and checks
+    /// after each window that every task ran exactly once.
+    fn every_task_runs_once(helpers: usize, sizes: &[usize]) {
+        let deal = Deal::new();
+        let max = sizes.iter().copied().max().unwrap_or(0);
+        let runs: Vec<AtomicUsize> = (0..max).map(|_| AtomicUsize::new(0)).collect();
+        let work = |i: usize| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+        };
+        thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| deal.serve(work));
             }
-            loop {
-                let Some((h, runnable)) = self.next_window(lookahead) else {
-                    done.store(true, Ordering::Release);
-                    barrier.wait(); // release helpers into the exit check
-                    break;
-                };
-                // Deal shards round-robin through one raw base pointer.
-                // Between here and the close barrier nothing may create
-                // a (safe) reference into `slots` — the coordinator's
-                // own share goes through the same base pointer.
-                let base = self.slots.as_mut_ptr();
-                let mut mine: Vec<usize> = Vec::new();
-                {
-                    let mut guards: Vec<_> =
-                        bays.iter().map(|b| b.lock().expect("bay mutex")).collect();
-                    for (k, &w) in runnable.iter().enumerate() {
-                        match k % threads {
-                            0 => mine.push(w),
-                            j => guards[j - 1].push(ShardTask {
-                                // SAFETY: `w` is in bounds and `runnable`
-                                // holds distinct indices.
-                                shard: unsafe { base.add(w) },
-                                horizon: h,
-                            }),
-                        }
-                    }
+            let dealer = deal.dealer();
+            for window in 0..60 {
+                let n = sizes[window % sizes.len()];
+                dealer.share(0..n, work);
+                // `share` returned, so every claimed task reported done.
+                for (i, r) in runs.iter().enumerate() {
+                    let want = usize::from(i < n);
+                    assert_eq!(
+                        r.swap(0, Ordering::Relaxed),
+                        want,
+                        "task {i} of a {n}-task window, {helpers} helper(s)"
+                    );
                 }
-                barrier.wait(); // window opens: helpers advance their bays
-                for &w in &mine {
-                    // SAFETY: disjoint from every dealt pointer (round-
-                    // robin over distinct indices), same provenance base.
-                    unsafe { (*base.add(w)).advance_to(h) };
-                }
-                barrier.wait(); // window closes: helpers hold no pointers
-                self.merge_window(h, &runnable);
-                while self.advance_once(Some(h)) {}
             }
+        });
+    }
+
+    #[test]
+    fn every_task_of_a_window_runs_exactly_once_with_no_helpers() {
+        every_task_runs_once(0, &[2, 5, 3, 8]);
+    }
+
+    #[test]
+    fn every_task_of_a_window_runs_exactly_once_with_one_helper() {
+        every_task_runs_once(1, &[2, 5, 3, 8, 64]);
+    }
+
+    #[test]
+    fn every_task_of_a_window_runs_exactly_once_with_more_helpers_than_tasks() {
+        every_task_runs_once(6, &[2, 3, 4]);
+    }
+
+    #[test]
+    fn the_coordinator_finishes_a_window_alone_when_no_helper_claims() {
+        let deal = Deal::new();
+        let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let work = |_: usize| {
+            ran_on
+                .lock()
+                .expect("no task panics")
+                .push(thread::current().id())
+        };
+        let window_done = Barrier::new(2);
+        thread::scope(|scope| {
+            // A helper that has not started serving yet: it starts only
+            // once the window is over.
+            scope.spawn(|| {
+                window_done.wait();
+                deal.serve(work);
+            });
+            let dealer = deal.dealer();
+            dealer.share(0..4, work);
+            let me = thread::current().id();
+            let ran_on = ran_on.lock().expect("no task panics");
+            assert_eq!(ran_on.len(), 4, "every task ran");
+            assert!(ran_on.iter().all(|&t| t == me), "all on the coordinator");
+            window_done.wait();
+        });
+    }
+
+    #[test]
+    fn a_task_that_panics_on_a_helper_is_re_raised_by_the_coordinator() {
+        let deal = Deal::new();
+        let coordinator = thread::current().id();
+        // The coordinator always claims a window's first task itself; it
+        // holds that task until the helper has claimed the second.
+        let both_claimed = Barrier::new(2);
+        let work = |_: usize| {
+            both_claimed.wait();
+            if thread::current().id() != coordinator {
+                panic!("helper task failed");
+            }
+        };
+        thread::scope(|scope| {
+            scope.spawn(|| deal.serve(work));
+            let dealer = deal.dealer();
+            let err = panic::catch_unwind(AssertUnwindSafe(|| dealer.share(0..2, work)))
+                .expect_err("the helper's panic reaches the coordinator");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"helper task failed"));
         });
     }
 }

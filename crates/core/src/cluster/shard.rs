@@ -5,10 +5,11 @@
 //! server (its own [`jord_sim::EventQueue`], RNG stream, and event bus),
 //! the phi-accrual detector state, and the dispatcher-side bookkeeping.
 //! Workers share no mutable state with each other (worker `w` runs on
-//! [`Rng::derive_seed`]`(seed, w)`), so between synchronization barriers
-//! any set of shards may advance concurrently; only the dispatcher's own
-//! handlers (routing, failover, autoscaling) ever touch two shards in
-//! one action, and those run serially at barrier time.
+//! [`Rng::derive_seed`]`(seed, w)`), so within one engine window any set
+//! of shards may advance concurrently, each on whichever thread claims
+//! it; only the dispatcher's own handlers (routing, failover,
+//! autoscaling) ever touch two shards in one action, and those run
+//! serially once every shard of the window is done.
 
 use jord_hw::{FaultInjector, InjectConfig, PartitionWindow};
 use jord_sim::{Rng, SimTime};
@@ -53,12 +54,12 @@ pub(super) struct WorkerShard {
     pub(super) retired_at: SimTime,
     /// Notices produced during a bounded advance, stamped with the pop
     /// time of the step that produced them: `(pop_time, notice)` in pop
-    /// order. The engine merges all shards' outboxes by
-    /// `(pop_time, worker_id, outbox_index)` at the barrier — exactly
+    /// order. Once the window's shards are all done, the engine merges
+    /// their outboxes by `(pop_time, worker_id, outbox_index)` — exactly
     /// the order the sequential engine would have pushed them.
     pub(super) outbox: Vec<(SimTime, WorkerNotice)>,
     /// Latest event time popped during the last bounded advance (the
-    /// engine folds it into `finished_at` at the barrier).
+    /// engine folds it into `finished_at` when it merges the window).
     pub(super) advanced: Option<SimTime>,
 }
 

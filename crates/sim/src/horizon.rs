@@ -14,13 +14,12 @@
 //! Every event a shard pops at `t ≤ LBTS` is safe: any message another
 //! shard could still originate is stamped at least `lookahead` after
 //! that shard's own next event, and the coordinator acts only at its
-//! queued times. The horizon is recomputed at every synchronization
-//! barrier; between barriers shards share nothing.
+//! queued times. The horizon is recomputed for every window; within a
+//! window shards share nothing.
 
 use crate::time::{SimDuration, SimTime};
 
-/// The lower-bound-on-timestamp horizon for one barrier-to-barrier
-/// window.
+/// The lower-bound-on-timestamp horizon for one window.
 ///
 /// `coordinator_next` is the earliest pending coordinator event (`None`
 /// when its queue is empty); `shard_next` is the minimum next-event time

@@ -341,9 +341,10 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The parallel cluster engine hands each shard's queue to a worker
-/// thread between barriers; keep that statically legal for any `Send`
-/// payload (the queue holds no shared or interior-mutable state).
+/// The parallel cluster engine hands each shard's queue to whichever
+/// thread claims the shard for a window; keep that statically legal for
+/// any `Send` payload (the queue holds no shared or interior-mutable
+/// state).
 #[allow(dead_code)]
 fn shard_handles_are_send<E: Send>() {
     fn check<T: Send>() {}

@@ -70,8 +70,8 @@ fn print_micro(label: &str, r: &MicroResult) {
 }
 
 /// One cluster-scale run: 8 workers, a burst far beyond their
-/// instantaneous capacity (deep queues keep every shard busy between
-/// barriers), on the sequential engine (`threads == None`) or the
+/// instantaneous capacity (deep queues keep every shard busy in every
+/// window), on the sequential engine (`threads == None`) or the
 /// conservative parallel engine.
 fn cluster_scale(hotel: &Workload, threads: Option<usize>) -> (f64, u64, u64) {
     const WORKERS: usize = 8;
