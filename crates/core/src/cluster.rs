@@ -22,9 +22,11 @@
 //!   `offered == completed + failed + shed`, with `lost == 0`
 //!   ([`ClusterDispatcher::audit`] checks it, and every worker's own
 //!   audit).
-//! - **Hedging**: a request still unanswered after a configured delay
-//!   gets a second copy on another worker; first response wins and the
-//!   loser is cancelled if it has not been dispatched yet.
+//! - **Hedging**: a request still unanswered after a configured delay,
+//!   and slower than the fleet's running p95, gets a second copy on
+//!   another worker, within a budget of 5 % of the requests routed;
+//!   first response wins and the loser is cancelled if it has not been
+//!   dispatched yet.
 //! - **Graceful drain**: a draining worker admits nothing new, its
 //!   queued (undispatched) requests are rebalanced to peers, and its
 //!   in-flight work finishes normally.
@@ -66,6 +68,13 @@ use crate::stats::{AutoscaleStats, DurabilityStats, FailoverStats, RunReport};
 /// How many times one request may be failed over before the dispatcher
 /// gives up and fails it (bounds retry storms).
 const MAX_FAILOVERS: u32 = 3;
+/// A request is hedged only once it is older than this quantile of the
+/// fleet's completed latencies, as well as [`HedgeConfig::after_us`]: a
+/// hedge is for the tail, not for every request a burst has queued.
+const HEDGE_QUANTILE: f64 = 0.95;
+/// Hedges sent may reach at most this share of the requests routed so
+/// far, so redundant copies can never add more than this much load.
+const HEDGE_BUDGET: f64 = 0.05;
 /// Autoscaler evaluation window length (µs of simulated time).
 const EVALUATE_EVERY_US: f64 = 20.0;
 /// Sanitized PDs to pre-fill per function when an autoscaled fleet boots a
@@ -76,8 +85,26 @@ const PREWARM_PDS: usize = 2;
 /// Hedged-dispatch tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
-    /// A request unanswered this long after dispatch gets a second copy
-    /// on another worker (µs of simulated time).
+    /// The floor of the hedge trigger (µs of simulated time): a request
+    /// still unanswered this long after dispatch *may* get a second copy
+    /// on another worker. Two rules from *The Tail at Scale* (Dean and
+    /// Barroso, CACM 2013) decide whether it does:
+    ///
+    /// - it must also be older than the p95 of the fleet's completed
+    ///   latencies so far (once anything has completed); a check that
+    ///   comes due earlier is re-armed for that age;
+    /// - hedges sent may reach at most 5 % of the requests routed so far;
+    ///   a check over budget is dropped.
+    ///
+    /// A fixed trigger alone fed on itself under a flash crowd: on
+    /// perfbench's `fleet-crowd`, once queueing passed the 10 µs floor,
+    /// 1,189 of 2,000 requests were hedged, 46 hedges won, and the copies
+    /// added the load that fired more hedges (p50 11.8 µs, against 5.2 µs
+    /// without hedging). Under both rules the same run sends 61 hedges
+    /// and reads p50 5.25 µs. While the fleet's p95 stays below the
+    /// floor, as it does in the failover campaign, the floor alone
+    /// decides, so a hedge still covers the detection window of a dead
+    /// worker.
     pub after_us: f64,
 }
 
@@ -442,6 +469,8 @@ pub struct ClusterDispatcher {
     finishing: bool,
     /// Dispatcher-level counters (routing, hedging, failover).
     fleet: FailoverStats,
+    /// Requests delivered to a worker so far (the hedge budget's base).
+    routed: u64,
     latency: LatencyHistogram,
     finished_at: SimTime,
     /// The control plane, if autoscaling is on.
@@ -513,6 +542,7 @@ impl ClusterDispatcher {
             pending: 0,
             finishing: false,
             fleet: FailoverStats::default(),
+            routed: 0,
             latency: LatencyHistogram::new(),
             finished_at: SimTime::ZERO,
             autoscaler,
@@ -612,7 +642,7 @@ impl ClusterDispatcher {
             (Some((wt, w)), ct) if ct.is_none() || wt <= ct.unwrap() => {
                 self.finished_at = self.finished_at.max(wt);
                 self.slots[w].server.step();
-                for n in self.slots[w].server.take_notices() {
+                for n in self.slots[w].server.drain_notices() {
                     // Deliver at the notice's own timestamp (≥ wt).
                     self.events.push(n.at, ClusterEvent::Notice(w, n));
                 }
@@ -666,6 +696,7 @@ impl ClusterDispatcher {
         self.win_offered += 1;
         match self.route_target(&[]) {
             Some(w) => {
+                self.routed += 1;
                 self.deliver(t, tag, w);
                 if let Some(h) = self.cfg.hedge {
                     self.events
@@ -788,11 +819,24 @@ impl ClusterDispatcher {
         if self.finishing {
             return;
         }
+        let Some(h) = self.cfg.hedge else {
+            return;
+        };
         let idx = (tag - 1) as usize;
         let req = &self.requests[idx];
         // Hedge only a request that is still a single live unanswered
         // copy: settled, failed-over, or already-hedged requests pass.
         if req.outcome.is_some() || req.hedged || req.copies.len() != 1 {
+            return;
+        }
+        // Not yet in the tail: look again once it is old enough. The
+        // tail may have grown by then, so that check may re-arm too.
+        let due = req.arrival + hedge_threshold(us_dur(h.after_us), &self.latency);
+        if t < due {
+            self.events.push(due, ClusterEvent::HedgeCheck(tag));
+            return;
+        }
+        if !hedge_budget_allows(self.fleet.hedges, self.routed) {
             return;
         }
         let Some(w2) = self.route_target(&req.copies) else {
@@ -1358,6 +1402,21 @@ impl ClusterDispatcher {
     }
 }
 
+/// The age at which an unanswered request may be hedged: the configured
+/// `floor`, or the fleet's [`HEDGE_QUANTILE`] of completed latencies if
+/// that is later. Before the first completion the floor alone applies.
+fn hedge_threshold(floor: SimDuration, latency: &LatencyHistogram) -> SimDuration {
+    latency
+        .quantile(HEDGE_QUANTILE)
+        .map_or(floor, |tail| tail.max(floor))
+}
+
+/// Whether one more hedge keeps the hedges sent within [`HEDGE_BUDGET`]
+/// of the `routed` requests.
+fn hedge_budget_allows(hedges: u64, routed: u64) -> bool {
+    (hedges + 1) as f64 <= HEDGE_BUDGET * routed as f64
+}
+
 /// µs (f64) → absolute instant.
 fn us(at_us: f64) -> SimTime {
     SimTime::ZERO + us_dur(at_us)
@@ -1374,29 +1433,60 @@ mod tests {
     use crate::function::{FuncOp, FunctionSpec};
     use jord_sim::TimeDist;
 
-    fn leaf_registry() -> (FunctionRegistry, FunctionId) {
+    /// A leaf function's compute: a fixed 1 µs.
+    const FIXED: TimeDist = TimeDist::fixed(1_000.0);
+    /// Exponential compute with a 1 µs mean: its long draws queue the
+    /// requests behind them, so a tail forms past the fleet's p95 and
+    /// hedge copies wait long enough to be pulled back.
+    const EXPONENTIAL: TimeDist = TimeDist::Exponential { mean_ns: 1_000.0 };
+
+    fn leaf_registry(compute: TimeDist) -> (FunctionRegistry, FunctionId) {
         let mut r = FunctionRegistry::new();
         let f = r.register(
             FunctionSpec::new("leaf")
                 .op(FuncOp::ReadInput)
-                .op(FuncOp::Compute(TimeDist::fixed(1_000.0)))
+                .op(FuncOp::Compute(compute))
                 .op(FuncOp::WriteOutput),
         );
         (r, f)
     }
 
-    /// A cluster with `n` requests arriving every `gap_ns`.
+    /// A cluster with `n` fixed-compute requests arriving every `gap_ns`.
     fn cluster_with_load(
         cfg: ClusterConfig,
         n: u64,
         gap_ns: u64,
     ) -> (ClusterDispatcher, FunctionId) {
-        let (r, f) = leaf_registry();
+        cluster_with(cfg, FIXED, n, gap_ns)
+    }
+
+    /// A cluster with `n` requests of `compute` arriving every `gap_ns`.
+    fn cluster_with(
+        cfg: ClusterConfig,
+        compute: TimeDist,
+        n: u64,
+        gap_ns: u64,
+    ) -> (ClusterDispatcher, FunctionId) {
+        let (r, f) = leaf_registry(compute);
         let mut c = ClusterDispatcher::new(cfg, r).expect("valid cluster config");
         for i in 0..n {
             c.push_request(SimTime::from_ns(i * gap_ns), f, 256);
         }
         (c, f)
+    }
+
+    /// Requests in [`queueing_hedged_cluster`]'s load.
+    const QUEUEING_REQUESTS: u64 = 2_000;
+
+    /// Two workers under 2,000 exponential-compute requests 20 ns apart,
+    /// hedging after 2 µs: queues build, the hedge budget binds, and the
+    /// first response wins both ways — some redundant copies are pulled
+    /// back still queued, others have already started and run late.
+    fn queueing_hedged_cluster(engine: Option<EngineConfig>) -> ClusterDispatcher {
+        let mut cfg = base_cfg(2);
+        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
+        cfg.engine = engine;
+        cluster_with(cfg, EXPONENTIAL, QUEUEING_REQUESTS, 20).0
     }
 
     fn base_cfg(workers: usize) -> ClusterConfig {
@@ -1408,15 +1498,21 @@ mod tests {
     /// ledger counters, latency tail, windows, finish time — must be
     /// bit-identical.
     fn assert_engine_parity(cfg: ClusterConfig, n: u64, gap_ns: u64) {
-        let mut seq_cfg = cfg.clone();
-        seq_cfg.engine = None;
-        let (mut seq, _) = cluster_with_load(seq_cfg, n, gap_ns);
-        let oracle = seq.run();
+        assert_engine_parity_of(|engine| {
+            let mut cfg = cfg.clone();
+            cfg.engine = engine;
+            cluster_with_load(cfg, n, gap_ns).0
+        });
+    }
+
+    /// [`assert_engine_parity`] for any cluster `build` makes for an
+    /// engine setting.
+    fn assert_engine_parity_of(
+        build: impl Fn(Option<EngineConfig>) -> ClusterDispatcher,
+    ) -> ClusterReport {
+        let oracle = build(None).run();
         for threads in [1, 2, 4] {
-            let mut pcfg = cfg.clone();
-            pcfg.engine = Some(EngineConfig::threads(threads));
-            let (mut par, _) = cluster_with_load(pcfg, n, gap_ns);
-            let rep = par.run();
+            let rep = build(Some(EngineConfig::threads(threads))).run();
             assert_eq!(
                 rep.trace_hash, oracle.trace_hash,
                 "fleet trace hash must match the sequential oracle at {threads} threads"
@@ -1439,6 +1535,7 @@ mod tests {
                 "@{threads} threads"
             );
         }
+        oracle
     }
 
     #[test]
@@ -1458,9 +1555,10 @@ mod tests {
 
     #[test]
     fn parallel_engine_matches_oracle_through_hedged_pullbacks() {
-        let mut cfg = base_cfg(3);
-        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
-        assert_engine_parity(cfg, 600, 100);
+        let oracle = assert_engine_parity_of(queueing_hedged_cluster);
+        let f = &oracle.failover;
+        assert!(f.cancelled > 0, "some hedge copies are pulled back");
+        assert!(f.duplicated > 0, "some hedge copies run late");
     }
 
     #[test]
@@ -1495,7 +1593,11 @@ mod tests {
                     threads,
                     lookahead_us: 4.0,
                 });
-                let (mut c, _) = cluster_with_load(cfg, 50, 20_000);
+                // The panic needs a completion inside a window while a
+                // hedge copy is live. Only requests past the fleet's p95
+                // are hedged, at most one in twenty, so that takes a long
+                // run of varied requests.
+                let (mut c, _) = cluster_with(cfg, EXPONENTIAL, 4_000, 2_000);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run()));
                 let message = result.err().map(|payload| {
                     *payload
@@ -1708,15 +1810,15 @@ mod tests {
 
     #[test]
     fn hedging_duplicates_slow_requests_and_first_response_wins() {
-        let mut cfg = base_cfg(3);
-        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
         // Tight arrivals so queues build and some requests sit past the
         // hedge horizon.
-        let (mut c, _) = cluster_with_load(cfg, 600, 100);
+        let mut c = queueing_hedged_cluster(None);
         let rep = c.run();
-        assert_eq!(rep.completed, 600);
+        assert_eq!(rep.completed, QUEUEING_REQUESTS);
         c.audit(&rep).expect("hedging loses and leaks nothing");
         assert!(rep.failover.hedges > 0, "load must trigger hedging");
+        assert!(rep.failover.cancelled > 0, "a queued loser is pulled back");
+        assert!(rep.failover.duplicated > 0, "a running loser finishes late");
         // Every hedged request produces exactly one redundant copy,
         // which is either pulled back in time or finishes late.
         assert!(
@@ -1738,12 +1840,12 @@ mod tests {
         // event queue), or left to finish late (`duplicated`). The
         // first-response-wins path must therefore un-offer *exactly* the
         // redundant copies — no double-cancels, no leaks.
-        let mut cfg = base_cfg(3);
-        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
-        let (mut c, _) = cluster_with_load(cfg, 600, 100);
+        let mut c = queueing_hedged_cluster(None);
         let rep = c.run();
-        assert_eq!(rep.completed, 600);
+        assert_eq!(rep.completed, QUEUEING_REQUESTS);
         assert!(rep.failover.hedges > 0, "load must trigger hedging");
+        assert!(rep.failover.cancelled > 0, "the pullback path must run");
+        assert!(rep.failover.duplicated > 0, "the late-finish path must run");
         assert_eq!(
             rep.failover.cancelled + rep.failover.duplicated,
             rep.failover.hedges,
@@ -1752,7 +1854,94 @@ mod tests {
         // A cancelled copy never produced work, so completions count
         // every request exactly once.
         let sum: u64 = rep.workers.iter().map(|w| w.completed).sum();
-        assert_eq!(sum, 600 + rep.failover.duplicated);
+        assert_eq!(sum, QUEUEING_REQUESTS + rep.failover.duplicated);
+    }
+
+    #[test]
+    fn an_overloaded_fleet_hedges_within_its_budget() {
+        // Two workers under more load than they serve: with a fixed
+        // trigger nearly every request outlives it, and the copies feed
+        // the overload. The tail rule and the budget keep hedges to 5 %
+        // of the offered requests.
+        let mut cfg = base_cfg(2);
+        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
+        let (mut c, _) = cluster_with(cfg, EXPONENTIAL, 2_000, 25);
+        let rep = c.run();
+        c.audit(&rep).expect("hedging loses and leaks nothing");
+        assert_eq!(rep.completed, rep.offered);
+        assert!(rep.failover.hedges > 0, "the overload's tail is hedged");
+        assert!(
+            rep.failover.hedges as f64 <= HEDGE_BUDGET * rep.offered as f64,
+            "{} hedges for {} requests overrun the {HEDGE_BUDGET} budget",
+            rep.failover.hedges,
+            rep.offered
+        );
+    }
+
+    #[test]
+    fn the_hedge_threshold_is_the_later_of_the_floor_and_the_fleet_p95() {
+        let floor = SimDuration::from_us(10);
+        let mut latency = LatencyHistogram::new();
+        assert_eq!(
+            hedge_threshold(floor, &latency),
+            floor,
+            "before any completion the floor alone applies"
+        );
+        for _ in 0..100 {
+            latency.record(SimDuration::from_us(4));
+        }
+        assert_eq!(
+            hedge_threshold(floor, &latency),
+            floor,
+            "a p95 below the floor leaves the floor"
+        );
+        for _ in 0..100 {
+            latency.record(SimDuration::from_us(30));
+        }
+        assert_eq!(
+            hedge_threshold(floor, &latency),
+            SimDuration::from_us(30),
+            "a p95 above the floor defers the hedge to the p95"
+        );
+    }
+
+    #[test]
+    fn the_hedge_budget_is_five_percent_of_the_routed_requests() {
+        assert!(!hedge_budget_allows(0, 19), "19 requests earn no hedge");
+        assert!(hedge_budget_allows(0, 20), "20 requests earn the first");
+        assert!(hedge_budget_allows(99, 2_000));
+        assert!(!hedge_budget_allows(100, 2_000), "101 of 2,000 overruns");
+    }
+
+    #[test]
+    fn an_early_hedge_check_re_arms_at_arrival_plus_the_threshold() {
+        let mut cfg = base_cfg(2);
+        cfg.hedge = Some(HedgeConfig { after_us: 2.0 });
+        let (r, f) = leaf_registry(FIXED);
+        let mut c = ClusterDispatcher::new(cfg, r).expect("valid cluster config");
+        let arrival = SimTime::from_us(3);
+        c.push_request(arrival, f, 256);
+        // Routed to worker 0, with enough traffic before it to afford a
+        // hedge.
+        c.requests[0].copies.push(0);
+        c.routed = 20;
+        // A fleet p95 of 7 µs: the check due at arrival + 2 µs is early.
+        for _ in 0..100 {
+            c.latency.record(SimDuration::from_us(7));
+        }
+        let due = arrival + SimDuration::from_us(7);
+        c.on_hedge_check(arrival + SimDuration::from_us(2), 1);
+        assert_eq!(c.fleet.hedges, 0, "a request inside the p95 is not hedged");
+        let rearmed: Vec<SimTime> = c
+            .events
+            .iter()
+            .filter(|(_, ev)| matches!(ev, ClusterEvent::HedgeCheck(1)))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(rearmed, [due], "the check comes back at arrival + p95");
+        c.on_hedge_check(due, 1);
+        assert_eq!(c.fleet.hedges, 1, "the re-armed check hedges");
+        assert_eq!(c.requests[0].copies, [0, 1]);
     }
 
     #[test]

@@ -119,9 +119,8 @@ impl WorkerShard {
             }
             self.server.step();
             self.advanced = Some(self.advanced.map_or(t, |a| a.max(t)));
-            for n in self.server.take_notices() {
-                self.outbox.push((t, n));
-            }
+            self.outbox
+                .extend(self.server.drain_notices().map(|n| (t, n)));
         }
     }
 }

@@ -67,7 +67,7 @@ pub enum NoticeOutcome {
 }
 
 /// A terminal notice for a tagged request, consumed by a cluster
-/// dispatcher via [`WorkerServer::take_notices`](crate::WorkerServer::take_notices).
+/// dispatcher via [`WorkerServer::drain_notices`](crate::WorkerServer::drain_notices).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerNotice {
     /// The dispatcher-assigned request tag.
@@ -1131,9 +1131,10 @@ impl EventBus {
 
     // --- notices -------------------------------------------------------
 
-    /// Drains the accumulated terminal notices.
-    pub fn take_notices(&mut self) -> Vec<WorkerNotice> {
-        std::mem::take(&mut self.notices.notices)
+    /// Drains the accumulated terminal notices, keeping the buffer's
+    /// capacity for the next ones.
+    pub fn drain_notices(&mut self) -> std::vec::Drain<'_, WorkerNotice> {
+        self.notices.notices.drain(..)
     }
 
     // --- journal -------------------------------------------------------
@@ -1348,7 +1349,7 @@ mod tests {
             at: SimTime::ZERO,
             measured: true,
         });
-        let notices = bus.take_notices();
+        let notices: Vec<_> = bus.drain_notices().collect();
         assert_eq!(notices.len(), 1, "untagged sheds emit no notice");
         assert_eq!(notices[0].tag, 9);
         assert_eq!(notices[0].outcome, NoticeOutcome::Shed);
@@ -1464,7 +1465,7 @@ mod tests {
             let name = ev.name();
             let journal_grew = bus.journal().unwrap().len() > records;
             assert_eq!(journal_grew, journaled, "{name}: journal record");
-            assert_eq!(!bus.take_notices().is_empty(), notified, "{name}: notice");
+            assert_eq!(bus.drain_notices().len() > 0, notified, "{name}: notice");
             assert_eq!(bus.trace_len(), traced + 1, "{name}: traced once");
             if quiet {
                 assert_eq!(format!("{:?}", bus.stats), stats, "{name}: stats untouched");

@@ -535,9 +535,11 @@ impl WorkerServer {
     }
 
     /// Drains the terminal notices accumulated for cluster-tagged
-    /// requests since the last call.
-    pub fn take_notices(&mut self) -> Vec<WorkerNotice> {
-        self.bus.take_notices()
+    /// requests since the last call. The worker keeps the buffer, so a
+    /// caller that moves the notices into a buffer of its own allocates
+    /// nothing per step.
+    pub fn drain_notices(&mut self) -> std::vec::Drain<'_, WorkerNotice> {
+        self.bus.drain_notices()
     }
 
     /// FNV-1a hash over the whole lifecycle-event stream so far. Two runs

@@ -758,7 +758,7 @@ fn tagged_requests_emit_notices_untagged_do_not() {
     }
     let rep = s.run();
     assert_eq!(rep.completed, 10);
-    let notices = s.take_notices();
+    let notices: Vec<_> = s.drain_notices().collect();
     let mut tags: Vec<u64> = notices.iter().map(|n| n.tag).collect();
     tags.sort_unstable();
     assert_eq!(
@@ -775,7 +775,7 @@ fn tagged_requests_emit_notices_untagged_do_not() {
             other => panic!("quiet run must complete everything, got {other:?}"),
         }
     }
-    assert!(s.take_notices().is_empty(), "take_notices drains");
+    assert_eq!(s.drain_notices().len(), 0, "drain_notices drains");
 }
 
 #[test]
@@ -797,7 +797,7 @@ fn cancel_tagged_unoffers_an_undelivered_arrival() {
     // seal() asserts conservation; the cancel must have un-offered.
     assert_eq!(rep.offered, 19);
     assert_eq!(rep.completed, 19);
-    let tags: Vec<u64> = s.take_notices().iter().map(|n| n.tag).collect();
+    let tags: Vec<u64> = s.drain_notices().map(|n| n.tag).collect();
     assert!(
         !tags.contains(&20),
         "no terminal notice for a cancelled tag"
@@ -826,7 +826,7 @@ fn cancel_tagged_unoffers_each_tag_exactly_once() {
     let rep = s.seal();
     assert_eq!(rep.offered, 15);
     assert_eq!(rep.completed, 15);
-    let tags: Vec<u64> = s.take_notices().iter().map(|n| n.tag).collect();
+    let tags: Vec<u64> = s.drain_notices().map(|n| n.tag).collect();
     assert_eq!(tags.len(), 15);
     for tag in [12, 14, 16, 18, 20] {
         assert!(!tags.contains(&tag), "no terminal notice for tag {tag}");
@@ -863,7 +863,7 @@ fn cancel_tagged_reaches_the_orchestrator_deque() {
     let rep = s.seal();
     assert_eq!(rep.offered, n - 1);
     assert_eq!(rep.completed, n - 1);
-    let tags: Vec<u64> = s.take_notices().iter().map(|n| n.tag).collect();
+    let tags: Vec<u64> = s.drain_notices().map(|n| n.tag).collect();
     assert!(!tags.contains(&victim));
 }
 
@@ -880,7 +880,7 @@ fn crash_for_cluster_strands_everything_unfinished() {
     for _ in 0..1_500 {
         assert!(s.step(), "600 leaf requests take well over 1500 events");
     }
-    let done_before: Vec<u64> = s.take_notices().iter().map(|n| n.tag).collect();
+    let done_before: Vec<u64> = s.drain_notices().map(|n| n.tag).collect();
     let crash_at = s.next_event_time().expect("work remains");
     let stranded = s.crash_for_cluster(crash_at);
 
@@ -998,7 +998,10 @@ fn manual_stepping_matches_run() {
         auto_rep.crash.journal_records,
         manual_rep.crash.journal_records
     );
-    assert_eq!(auto.take_notices(), manual.take_notices());
+    assert_eq!(
+        auto.drain_notices().collect::<Vec<_>>(),
+        manual.drain_notices().collect::<Vec<_>>()
+    );
 }
 
 #[test]
