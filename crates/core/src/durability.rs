@@ -32,7 +32,6 @@
 //! deterministic per seed, and nothing here consumes randomness unless a
 //! storage fault is actually armed.
 
-use jord_hw::types::Va;
 use jord_hw::{StorageFaultKind, StorageStrike};
 use jord_sim::SimTime;
 
@@ -140,10 +139,6 @@ impl<'a> Reader<'a> {
         self.take::<4>().map(u32::from_le_bytes)
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take::<2>().map(u16::from_le_bytes)
-    }
-
     fn u8(&mut self) -> Option<u8> {
         self.take::<1>().map(|[b]| b)
     }
@@ -165,10 +160,10 @@ impl<'a> Reader<'a> {
     }
 }
 
+// Tags are part of the on-log format, so none is ever renumbered. 1–3
+// carried records no longer journaled and stay unassigned: a frame with
+// one of them decodes as corrupt.
 const TAG_ADMIT: u8 = 0;
-const TAG_DISPATCH: u8 = 1;
-const TAG_PD_CREATE: u8 = 2;
-const TAG_ARGBUF_GRANT: u8 = 3;
 const TAG_COMPLETE: u8 = 4;
 const TAG_FAIL: u8 = 5;
 const TAG_SHED: u8 = 6;
@@ -199,22 +194,6 @@ pub fn encode_record(r: &JournalRecord, out: &mut Vec<u8>) {
             put_time(out, arrival);
             put_u32(out, attempt);
             put_u64(out, tag);
-        }
-        JournalRecord::Dispatch { id, executor } => {
-            out.push(TAG_DISPATCH);
-            put_u64(out, id.0 as u64);
-            put_u64(out, executor as u64);
-        }
-        JournalRecord::PdCreate { id, pd } => {
-            out.push(TAG_PD_CREATE);
-            put_u64(out, id.0 as u64);
-            out.extend_from_slice(&pd.to_le_bytes());
-        }
-        JournalRecord::ArgBufGrant { id, va, bytes } => {
-            out.push(TAG_ARGBUF_GRANT);
-            put_u64(out, id.0 as u64);
-            put_u64(out, va);
-            put_u64(out, bytes);
         }
         JournalRecord::Complete { id, measured } => {
             out.push(TAG_COMPLETE);
@@ -290,19 +269,6 @@ pub fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             arrival: r.time()?,
             attempt: r.u32()?,
             tag: r.u64()?,
-        },
-        TAG_DISPATCH => JournalRecord::Dispatch {
-            id: InvocationId(r.u64()? as usize),
-            executor: r.u64()? as usize,
-        },
-        TAG_PD_CREATE => JournalRecord::PdCreate {
-            id: InvocationId(r.u64()? as usize),
-            pd: r.u16()?,
-        },
-        TAG_ARGBUF_GRANT => JournalRecord::ArgBufGrant {
-            id: InvocationId(r.u64()? as usize),
-            va: r.u64()? as Va,
-            bytes: r.u64()?,
         },
         TAG_COMPLETE => JournalRecord::Complete {
             id: InvocationId(r.u64()? as usize),
@@ -694,13 +660,6 @@ mod tests {
                 attempt: 0,
                 tag: 11,
             },
-            JournalRecord::Dispatch { id, executor: 5 },
-            JournalRecord::PdCreate { id, pd: 42 },
-            JournalRecord::ArgBufGrant {
-                id,
-                va: 0xdead_0000,
-                bytes: 96,
-            },
             JournalRecord::Complete { id, measured: true },
             JournalRecord::Fail {
                 id,
@@ -912,6 +871,70 @@ mod tests {
             };
             assert!(!apply_strike(&mut bytes, &strike));
             assert_eq!(bytes, log.bytes());
+        }
+    }
+
+    /// The payload encoding is pinned byte for byte, tag values included:
+    /// the storage campaign's pins depend on them. Tags 1–3 carried the
+    /// dispatch, PD-creation and ArgBuf-grant records, which are no longer
+    /// journaled; a payload with one of them decodes to nothing, and a
+    /// well-formed frame carrying it stops the scan as a corrupt frame.
+    #[test]
+    fn payload_bytes_and_unassigned_tags_are_pinned() {
+        let id = InvocationId(7);
+        let admit = JournalRecord::Admit {
+            id,
+            func: FunctionId(3),
+            bytes: 96,
+            arrival: SimTime::from_ps(0x0201),
+            attempt: 2,
+            tag: 11,
+        };
+        #[rustfmt::skip]
+        let admit_payload: [u8; 41] = [
+            0, // TAG_ADMIT
+            7, 0, 0, 0, 0, 0, 0, 0, // id
+            3, 0, 0, 0, // func
+            96, 0, 0, 0, 0, 0, 0, 0, // bytes
+            0x01, 0x02, 0, 0, 0, 0, 0, 0, // arrival, in ps
+            2, 0, 0, 0, // attempt
+            11, 0, 0, 0, 0, 0, 0, 0, // tag
+        ];
+        let complete = JournalRecord::Complete { id, measured: true };
+        #[rustfmt::skip]
+        let complete_payload: [u8; 10] = [
+            4, // TAG_COMPLETE
+            7, 0, 0, 0, 0, 0, 0, 0, // id
+            1, // measured
+        ];
+        for (r, expected) in [(admit, &admit_payload[..]), (complete, &complete_payload)] {
+            let mut payload = Vec::new();
+            encode_record(&r, &mut payload);
+            assert_eq!(payload, expected, "payload of {r:?}");
+            assert_eq!(decode_record(expected), Some(r));
+        }
+
+        // What the dispatch (executor 5), PD-creation (PD 42) and
+        // ArgBuf-grant (0xdead_0000, 96 bytes) records of request 7 wrote.
+        #[rustfmt::skip]
+        let unassigned: [&[u8]; 3] = [
+            &[1, 7, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 7, 0, 0, 0, 0, 0, 0, 0, 42, 0],
+            &[3, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xad, 0xde, 0, 0, 0, 0, 96, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        for payload in unassigned {
+            assert_eq!(decode_record(payload), None, "tag {}", payload[0]);
+            let mut bytes = log_of(&[admit]).bytes().to_vec();
+            for (seq, p) in [(1u64, payload), (2, &complete_payload)] {
+                bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&seq.to_le_bytes());
+                bytes.extend_from_slice(&frame_checksum(seq, p).to_le_bytes());
+                bytes.extend_from_slice(p);
+            }
+            let scan = scan(&bytes);
+            assert_eq!(scan.anomaly, Some(FrameAnomaly::CorruptFrame { seq: 1 }));
+            assert_eq!(scan.records, [admit]);
+            assert_eq!(scan.frames_quarantined(), 1);
         }
     }
 }

@@ -452,9 +452,11 @@ impl LifecycleEvent {
 #[derive(Debug, Default)]
 struct JournalSink {
     journal: Option<InvocationJournal>,
-    /// Records/checkpoints of journals retired by a cluster-level crash
-    /// (the fresh journal restarts at zero; totals must not).
+    /// Records, bytes and checkpoints of journals retired by a
+    /// cluster-level crash (the fresh journal restarts at zero; totals
+    /// must not).
     retired_records: u64,
+    retired_bytes: u64,
     retired_checkpoints: u64,
 }
 
@@ -481,13 +483,6 @@ impl JournalSink {
                 attempt,
                 tag,
             },
-            LifecycleEvent::ArgBufGranted { id, va, bytes, .. } => {
-                JournalRecord::ArgBufGrant { id, va, bytes }
-            }
-            LifecycleEvent::Dispatched { id, executor, .. } => {
-                JournalRecord::Dispatch { id, executor }
-            }
-            LifecycleEvent::PdCreated { id, pd, .. } => JournalRecord::PdCreate { id, pd },
             LifecycleEvent::Completed { id, measured, .. } => {
                 JournalRecord::Complete { id, measured }
             }
@@ -517,7 +512,9 @@ impl JournalSink {
             LifecycleEvent::Crashed { scope } => JournalRecord::Crash { scope },
             LifecycleEvent::BrownoutChanged { level, .. } => JournalRecord::Brownout { level },
             // Offers and arrivals withdrawn before admission are never
-            // journaled, nor are the stat-only events.
+            // journaled, nor are the stat-only events, nor ArgBuf grants,
+            // dispatches and PD creations: a re-run request redoes all
+            // three, so replay reads none of them.
             _ => return,
         };
         j.append(&record);
@@ -1178,6 +1175,7 @@ impl EventBus {
     pub fn retire_journal(&mut self) {
         if let Some(j) = self.journal.journal.take() {
             self.journal.retired_records += j.len() as u64;
+            self.journal.retired_bytes += j.durable_log().bytes().len() as u64;
             self.journal.retired_checkpoints += j.checkpoints();
         }
         self.journal.journal = Some(InvocationJournal::new());
@@ -1247,12 +1245,12 @@ impl EventBus {
         if let Some(j) = &self.journal.journal {
             report.crash.journal_records = j.len() as u64 + self.journal.retired_records;
             report.crash.checkpoints = j.checkpoints() + self.journal.retired_checkpoints;
+            // Durable-log footprint rides the memory ledger too (it is not
+            // part of the mapped/resident/reclaimed conservation — the log
+            // lives outside the worker's address space).
+            report.memory.journal_bytes =
+                j.durable_log().bytes().len() as u64 + self.journal.retired_bytes;
         }
-        // Durable-log footprint rides the memory ledger too (it is not
-        // part of the mapped/resident/reclaimed conservation — the log
-        // lives outside the worker's address space).
-        report.memory.journal_bytes =
-            report.crash.journal_records * crate::memory::JOURNAL_RECORD_BYTES;
         report.memory.checkpoint_bytes =
             report.crash.checkpoints * crate::memory::CHECKPOINT_IMAGE_BYTES;
         report.sanitize = self.stats.sanitize;
@@ -1401,9 +1399,9 @@ mod tests {
         let steps = vec![
             (offer(1), false, false, false),
             (admit(1, 0), true, false, true),
-            (ArgBufGranted { req: 1, id: id(0), va: 0x1000, bytes: 64 }, true, false, true),
-            (Dispatched { req: 1, id: id(0), executor: 0 }, true, false, true),
-            (PdCreated { req: 1, id: id(0), pd: 1 }, true, false, true),
+            (ArgBufGranted { req: 1, id: id(0), va: 0x1000, bytes: 64 }, false, false, true),
+            (Dispatched { req: 1, id: id(0), executor: 0 }, false, false, true),
+            (PdCreated { req: 1, id: id(0), pd: 1 }, false, false, true),
             (Completed { req: 1, id: id(0), tag: 11, at: T, latency: NS, measured: true }, true, true, false),
             (offer(2), false, false, false),
             (Shed { req: 2, func: f, tag: 12, at: T, measured: true }, true, true, false),

@@ -1,11 +1,14 @@
 //! The write-ahead invocation journal and worker checkpoints.
 //!
-//! Every lifecycle transition of an *external* request — admission,
-//! dispatch, PD creation, ArgBuf grant, completion, failure, shed, retry
-//! scheduling — is appended to the journal **before** the transition takes
-//! effect. The journal keeps only its framed [`DurableLog`]: the bytes
-//! that survive a crash are its one record of what happened. Periodically
-//! the server snapshots its hot state into a [`WorkerCheckpoint`], whose
+//! Every lifecycle transition of an *external* request that replay reads
+//! — admission, completion, failure, shed, retry scheduling, firing and
+//! dropping, cancellation — is appended to the journal **before** the
+//! transition takes effect. Dispatch, PD creation and ArgBuf grant are
+//! not journaled: a request re-run after a crash dispatches again, gets a
+//! new PD and a new ArgBuf, so no recovery would read them. The journal
+//! keeps only its framed [`DurableLog`]: the bytes that survive a crash
+//! are its one record of what happened. Periodically the server
+//! snapshots its hot state into a [`WorkerCheckpoint`], whose
 //! in-flight and pending-retry tables come from the lifecycle engine's
 //! request rows, the one live request table. After a whole-worker crash,
 //! recovery decodes the log through [`durability::scan`](crate::durability::scan)
@@ -26,7 +29,6 @@
 
 use std::collections::BTreeMap;
 
-use jord_hw::types::Va;
 use jord_hw::FaultInjector;
 use jord_sim::{Rng, SimTime};
 use jord_vma::DurableFootprint;
@@ -59,30 +61,6 @@ pub enum JournalRecord {
         attempt: u32,
         /// Cluster request tag (0 = untagged).
         tag: u64,
-    },
-    /// The orchestrator pushed the request into an executor queue.
-    Dispatch {
-        /// The dispatched request.
-        id: InvocationId,
-        /// Target executor index.
-        executor: usize,
-    },
-    /// The executor created the request's protection domain.
-    PdCreate {
-        /// The request.
-        id: InvocationId,
-        /// The PD id granted by `cget` (or recycled from the sanitized
-        /// pool).
-        pd: u16,
-    },
-    /// The orchestrator allocated and filled the request's ArgBuf.
-    ArgBufGrant {
-        /// The request.
-        id: InvocationId,
-        /// ArgBuf base address.
-        va: Va,
-        /// ArgBuf length.
-        bytes: u64,
     },
     /// The request completed and its latency was (maybe) recorded.
     Complete {
@@ -355,9 +333,6 @@ impl WorkerCheckpoint {
                         },
                     );
                 }
-                JournalRecord::Dispatch { .. }
-                | JournalRecord::PdCreate { .. }
-                | JournalRecord::ArgBufGrant { .. } => {}
                 JournalRecord::Complete { id, measured } => {
                     in_flight.remove(&id.0);
                     if measured {
@@ -540,16 +515,6 @@ mod tests {
         let tok = 0;
         for r in [
             admit(0, f, SimTime::ZERO, 0, 0),
-            JournalRecord::Dispatch {
-                id: id(0),
-                executor: 3,
-            },
-            JournalRecord::PdCreate { id: id(0), pd: 7 },
-            JournalRecord::ArgBufGrant {
-                id: id(0),
-                va: 0x1000,
-                bytes: 128,
-            },
             complete(0, true),
             admit(1, f, SimTime::from_us(1), 0, 0),
             JournalRecord::Shed {
@@ -557,10 +522,6 @@ mod tests {
                 measured: true,
             },
             admit(2, f, SimTime::from_us(2), 0, 0),
-            JournalRecord::Dispatch {
-                id: id(2),
-                executor: 5,
-            },
             retry_scheduled(
                 tok,
                 2,
@@ -779,10 +740,7 @@ mod tests {
         assert!(!j.due_checkpoint(3));
         let f = FunctionId(0);
         j.append(&admit(0, f, SimTime::ZERO, 0, 0));
-        j.append(&JournalRecord::Dispatch {
-            id: id(0),
-            executor: 0,
-        });
+        j.append(&admit(1, f, SimTime::ZERO, 0, 0));
         assert!(!j.due_checkpoint(3));
         j.append(&complete(0, true));
         assert!(j.due_checkpoint(3));

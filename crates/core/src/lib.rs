@@ -86,7 +86,7 @@ pub use journal::{
 pub use lifecycle::{transition, InvocationState, LifecycleEngine, LifecycleError, RequestRow};
 pub use memory::{
     MemoryConfig, MemoryLedger, MemoryPressure, PdPool, PdPoolError, PooledPd,
-    CHECKPOINT_IMAGE_BYTES, JOURNAL_RECORD_BYTES,
+    CHECKPOINT_IMAGE_BYTES,
 };
 pub use orchestrator::Orchestrator;
 pub use recovery::{CrashConfig, CrashSemantics, RecoveryRung};

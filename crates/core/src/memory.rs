@@ -24,9 +24,6 @@ use jord_vma::PdSnapshot;
 
 use crate::function::FunctionId;
 
-/// Nominal bytes one write-ahead journal record occupies on the durable
-/// log (the ledger's `journal_bytes` = records × this).
-pub const JOURNAL_RECORD_BYTES: u64 = 64;
 /// Nominal bytes one checkpoint image occupies (`checkpoint_bytes` =
 /// checkpoints × this).
 pub const CHECKPOINT_IMAGE_BYTES: u64 = 4096;
@@ -142,7 +139,8 @@ pub struct MemoryLedger {
     pub pool_evictions: u64,
     /// Bytes those evictions returned.
     pub evicted_bytes: u64,
-    /// Journal bytes appended (records × nominal record size).
+    /// Bytes of the journal's durable log: every frame appended, headers
+    /// included, across journals retired by a cluster-level crash too.
     pub journal_bytes: u64,
     /// Checkpoint bytes captured.
     pub checkpoint_bytes: u64,

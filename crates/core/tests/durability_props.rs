@@ -57,12 +57,6 @@ fn arb_record() -> impl Strategy<Value = JournalRecord> {
                     tag,
                 }
             }),
-        (arb_id(), 0usize..1 << 16)
-            .prop_map(|(id, executor)| JournalRecord::Dispatch { id, executor }),
-        (arb_id(), 0u32..u32::from(u16::MAX))
-            .prop_map(|(id, pd)| JournalRecord::PdCreate { id, pd: pd as u16 }),
-        (arb_id(), 0u64..1 << 48, 0u64..1 << 32)
-            .prop_map(|(id, va, bytes)| JournalRecord::ArgBufGrant { id, va, bytes }),
         (arb_id(), any::<bool>())
             .prop_map(|(id, measured)| JournalRecord::Complete { id, measured }),
         (arb_id(), any::<bool>()).prop_map(|(id, measured)| JournalRecord::Fail { id, measured }),

@@ -586,7 +586,7 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce the whole campaign");
         // The exact campaign, pinned: a change that moves any simulated
         // value fails here, not only one that breaks determinism.
-        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x13ceed0dcbe841d1);
+        assert_eq!(fnv1a(format!("{a:?}").as_bytes()), 0x3a8cd4fc94b69f4f);
     }
 
     #[test]
