@@ -13,13 +13,13 @@
 //!   case the paper's "even with memory-level parallelism" remark alludes
 //!   to.
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_hw::types::CoreId;
 use jord_hw::{Machine, MachineConfig};
 use jord_sim::SimDuration;
 use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
 
     // ---- orchestrator count ---------------------------------------------

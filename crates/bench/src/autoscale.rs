@@ -9,17 +9,17 @@
 //! zero lost, no worker leaks), the elastic fleet shedding no more than
 //! the pinned one, at most one scale
 //! reversal per cooldown window, and the mid-drain crash convicted by
-//! the failure detector. This example additionally replays the
+//! the failure detector. This program additionally replays the
 //! autoscaled crowd run and asserts the decision sequence and fleet
 //! trace hash are bit-identical — the determinism CI gates on.
 //!
 //! ```sh
-//! cargo run --release --example autoscale
+//! cargo run --release -p jord-bench -- autoscale
 //! ```
 
 use jord_workloads::{AutoscaleCampaign, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let hotel = Workload::build(WorkloadKind::Hotel);
     let campaign = AutoscaleCampaign::new(2.0e6, 4_000).seed(42);
 

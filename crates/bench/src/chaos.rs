@@ -2,13 +2,13 @@
 //! print the goodput/latency ladder (see README "Chaos testing").
 //!
 //! ```sh
-//! cargo run --release --example chaos_campaign
+//! cargo run --release -p jord-bench -- chaos
 //! ```
 
 use jord_core::RecoveryPolicy;
 use jord_workloads::{ChaosSpec, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let hotel = Workload::build(WorkloadKind::Hotel);
     let report = ChaosSpec::new(0.5e6)
         .rates(vec![1e-4, 1e-3, 1e-2])

@@ -12,12 +12,12 @@
 //! what each crash cost.
 //!
 //! ```sh
-//! cargo run --release -p jord-workloads --example crash_recovery
+//! cargo run --release -p jord-bench -- crash
 //! ```
 
 use jord_workloads::{CrashCampaign, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let workload = Workload::build(WorkloadKind::Hotel);
     // A burst far beyond instantaneous capacity: queues stay deep at the
     // crash instant, so every scope provably interrupts live work.

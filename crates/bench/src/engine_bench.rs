@@ -25,12 +25,12 @@
 //! Emits `BENCH_engine.json` with every number printed.
 //!
 //! ```sh
-//! cargo run --release --example engine_bench
+//! cargo run --release -p jord-bench -- engine
 //! ```
 
 use std::time::Instant;
 
-use jord_bench::engine::{cancel_storm, hold_model, transient, MicroResult};
+use crate::engine::{cancel_storm, hold_model, transient, MicroResult};
 use jord_core::durability::fnv1a;
 use jord_core::{
     ClusterConfig, ClusterDispatcher, EngineConfig, RuntimeConfig, SystemVariant, WindowRecord,
@@ -93,7 +93,7 @@ fn cluster_scale(hotel: &Workload, threads: Option<usize>) -> (f64, u64, u64) {
     (start.elapsed().as_secs_f64(), rep.trace_hash, rep.completed)
 }
 
-fn main() {
+pub fn main() {
     println!("== engine microbenches (events/sec, heap baseline vs slab-backed queue) ==");
     // Hold rows at the pending-set sizes perfbench (≤ 2,000) and the soak
     // (14,000) reach, and one far beyond any workload.

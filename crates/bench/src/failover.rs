@@ -13,12 +13,12 @@
 //! already the proof; the table shows what each incident cost.
 //!
 //! ```sh
-//! cargo run --release -p jord-workloads --example cluster_failover
+//! cargo run --release -p jord-bench -- failover
 //! ```
 
 use jord_workloads::{FailoverCampaign, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let workload = Workload::build(WorkloadKind::Hotel);
     // A burst far beyond four workers' instantaneous capacity: queues
     // stay deep at the kill instant, so failover provably moves stranded

@@ -4,10 +4,10 @@
 //! ~75 % of function service times fall below ~5 µs; Media and Social show
 //! long tails, with Social reaching ~75 µs (ComposePost).
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     header("Figure 10: CDF of function service time in Jord (low load)");
     row(&[

@@ -9,10 +9,10 @@
 //! reaching ~3× for RP. Also prints §6.2's per-request overhead numbers
 //! (~360 ns/request; 8 %/4 %/3 %/~30 % of service time).
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     header("Figure 11: service-time breakdown of selected functions (us)");
     row(&[

@@ -7,7 +7,7 @@
 //! entries suffice even for Media's ArgBuf-heavy functions, because the
 //! plain-list walk behind a miss costs only ~2 ns.
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_hw::MachineConfig;
 use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
 
@@ -55,7 +55,7 @@ fn vlb_sweep(kind: WorkloadKind, instr: bool, loads: &[f64], n: usize) {
     }
 }
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     // Hipster stresses the I-VLB (per-invocation code-grant churn);
     // Media stresses the D-VLB (many live ArgBufs per function).

@@ -6,7 +6,7 @@
 //! more time managing VMAs (tree walks + rebalancing); yet Jord_BT still
 //! beats NightCore.
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_core::{RuntimeConfig, SystemVariant, WorkerServer};
 use jord_hw::types::{CoreId, Perm};
 use jord_hw::{Machine, MachineConfig};
@@ -70,7 +70,7 @@ fn vma_mgmt_time(choice: TableChoice) -> f64 {
     (p.stats().vma_management_time() - before).as_us_f64()
 }
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     let w = Workload::build(WorkloadKind::Hotel);
     let slo = measure_slo(&w, 0.05e6, (n / 4).max(500)).expect("probe produced latencies");

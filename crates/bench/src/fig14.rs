@@ -10,7 +10,7 @@
 //!   queue line was just modified (one coherence message per executor;
 //!   cross-socket latencies push it to ~12 µs at 2×128 cores).
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_hw::types::{CoreId, PdId, Perm, VteAddr};
 use jord_hw::{Machine, MachineConfig, VlbKind};
 use jord_sim::SimDuration;
@@ -79,7 +79,7 @@ fn dispatch_worst_us(machine_cfg: &MachineConfig) -> f64 {
     (total / samples).as_us_f64()
 }
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     let w = Workload::build(WorkloadKind::Hipster);
 

@@ -8,7 +8,7 @@
 //! * NightCore failing the SLO at any load on the communication-heavy
 //!   workloads (Hipster, Media).
 
-use jord_bench::{header, requests_per_point, row};
+use crate::{header, requests_per_point, row};
 use jord_workloads::{measure_slo, throughput_under_slo, System, Workload, WorkloadKind};
 
 /// Per-workload load grids (MRPS), shaped around each one's capacity.
@@ -21,7 +21,7 @@ fn grid(kind: WorkloadKind) -> Vec<f64> {
     }
 }
 
-fn main() {
+pub fn main() {
     let n = requests_per_point();
     let systems = [System::JordNi, System::Jord, System::NightCore];
     let mut summary: Vec<(WorkloadKind, [f64; 3], f64)> = Vec::new();

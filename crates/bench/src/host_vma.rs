@@ -153,7 +153,7 @@ fn free_lists() {
 // Each group drops its tables before the next one runs: the timed insert
 // can grow a table's `Vec`, and what that costs depends on the heap layout
 // the earlier groups leave behind.
-fn main() {
+pub fn main() {
     lookup();
     insert_remove();
     codec();

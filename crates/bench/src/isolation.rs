@@ -2,12 +2,12 @@
 //! shootdowns, and the threat model of §3.1 — driven directly through
 //! PrivLib on the simulated hardware.
 //!
-//! Run with: `cargo run --release --example isolation_demo`
+//! Run with: `cargo run --release -p jord-bench -- isolation`
 
 use jord::prelude::*;
 use jord::privlib::os;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut machine = Machine::new(MachineConfig::isca25());
     let mut privlib = os::boot(&mut machine, TableChoice::PlainList)?;
     let core = CoreId(1);

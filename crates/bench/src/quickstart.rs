@@ -1,11 +1,11 @@
 //! Quickstart: deploy two functions on a Jord worker server, invoke them,
 //! and read the measurement report.
 //!
-//! Run with: `cargo run --release --example quickstart`
+//! Run with: `cargo run --release -p jord-bench -- quickstart`
 
 use jord::prelude::*;
 
-fn main() {
+pub fn main() {
     // 1. Write functions (the Rust analogue of the paper's Listing 1):
     //    a leaf service and an entry function that calls it and returns.
     let mut registry = FunctionRegistry::new();

@@ -1,11 +1,11 @@
 //! Scaling a Jord worker server from 16 cores to a dual-socket 256-core
 //! machine — the §6.3 study, showing why orchestrators must be per-socket.
 //!
-//! Run with: `cargo run --release --example scale_out`
+//! Run with: `cargo run --release -p jord-bench -- scale-out`
 
 use jord::prelude::*;
 
-fn main() {
+pub fn main() {
     let workload = Workload::build(WorkloadKind::Hipster);
     let scales = [
         ("16-core", MachineConfig::scaled(16)),

@@ -13,13 +13,13 @@
 //! `BENCH_memory.json` with the headline residency numbers.
 //!
 //! ```sh
-//! cargo run --release --example soak
+//! cargo run --release -p jord-bench -- soak
 //! ```
 
 use jord_workloads::autoscale::{fleet_autoscaler, INITIAL_WORKERS};
 use jord_workloads::{SoakCampaign, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let hotel = Workload::build(WorkloadKind::Hotel);
     let campaign = SoakCampaign::new(2.0e6, 14_000).seed(42);
     let autoscale = fleet_autoscaler();

@@ -12,13 +12,13 @@
 //! the durability gate CI runs, and it emits `BENCH_durability.json`.
 //!
 //! ```sh
-//! cargo run --release --example storage_chaos
+//! cargo run --release -p jord-bench -- storage
 //! ```
 
 use jord_workloads::crash::CHECKPOINT_EVERY;
 use jord_workloads::{StorageChaosCampaign, Workload, WorkloadKind};
 
-fn main() {
+pub fn main() {
     let hotel = Workload::build(WorkloadKind::Hotel);
     let campaign = StorageChaosCampaign::new(4.0e6, 1_500).seed(42);
 

@@ -93,8 +93,8 @@ fn measure(machine_cfg: MachineConfig) -> [f64; 7] {
     ]
 }
 
-fn main() {
-    jord_bench::header("Table 4: VMA and PD operation latencies (ns)");
+pub fn main() {
+    crate::header("Table 4: VMA and PD operation latencies (ns)");
     let sim = measure(MachineConfig::isca25());
     let fpga = measure(MachineConfig::fpga());
     let rows = [
@@ -106,7 +106,7 @@ fn main() {
         ("PD deletion", 14.0, 30.0),
         ("PD switching", 12.0, 22.0),
     ];
-    jord_bench::row(&[
+    crate::row(&[
         "operation".into(),
         "sim(meas)".into(),
         "sim(paper)".into(),
@@ -121,7 +121,7 @@ fn main() {
             sim_ns: sim[i],
             fpga_ns: fpga[i],
         };
-        jord_bench::row(&[
+        crate::row(&[
             r.name.into(),
             format!("{:.1}", r.sim_ns),
             format!("{:.0}", r.paper_sim_ns),

@@ -3,8 +3,8 @@
 //! The paper's Table 4 (simulator column, ns): VMA lookup 2, update 16,
 //! insertion 16, deletion 27, PD creation 11, deletion 14, switching 12.
 //! These tests measure the same operations on the modelled Table 2 machine
-//! with warm caches and assert we land near the paper (the bench
-//! `table4_op_latency` prints the full table). Tolerances are deliberately
+//! with warm caches and assert we land near the paper (`jord-bench`'s
+//! `table4` prints the full table). Tolerances are deliberately
 //! tight — the constants in `crates/privlib/src/cost.rs` were fitted to
 //! these.
 

@@ -47,8 +47,9 @@
 //! assert_eq!(report.invocations, 2);
 //! ```
 //!
-//! See `examples/` for realistic scenarios and `crates/bench/benches/` for
-//! the paper-reproduction harnesses.
+//! `crates/bench` holds the realistic scenarios and the
+//! paper-reproduction harnesses, each a subcommand of one binary:
+//! `cargo run --release -p jord-bench -- <name>`.
 
 pub use jord_core as core;
 pub use jord_hw as hw;
