@@ -14,10 +14,11 @@
 //!   to.
 
 use crate::{header, requests_per_point, row};
+use jord_core::SystemVariant;
 use jord_hw::types::CoreId;
 use jord_hw::{Machine, MachineConfig};
 use jord_sim::SimDuration;
-use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
+use jord_workloads::{runner::RunSpec, Workload, WorkloadKind};
 
 pub fn main() {
     let n = requests_per_point();
@@ -32,7 +33,7 @@ pub fn main() {
     for orchs in [1usize, 2, 4, 8] {
         let mut cells = vec![format!("{orchs}")];
         for &mrps in &loads {
-            let rep = RunSpec::new(System::Jord, mrps * 1e6)
+            let rep = RunSpec::new(SystemVariant::Jord, mrps * 1e6)
                 .orchestrators(orchs)
                 .requests(n, n / 10 + 100)
                 .run(&w);

@@ -5,7 +5,8 @@
 //! long tails, with Social reaching ~75 µs (ComposePost).
 
 use crate::{header, requests_per_point, row};
-use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
+use jord_core::SystemVariant;
+use jord_workloads::{runner::RunSpec, Workload, WorkloadKind};
 
 pub fn main() {
     let n = requests_per_point();
@@ -30,7 +31,7 @@ pub fn main() {
             WorkloadKind::Media => 0.3e6,
             WorkloadKind::Social => 0.08e6,
         };
-        let rep = RunSpec::new(System::Jord, rate)
+        let rep = RunSpec::new(SystemVariant::Jord, rate)
             .requests(n, n / 10 + 100)
             .run(&w);
         let q = |x: f64| rep.service.quantile(x).unwrap().as_us_f64();

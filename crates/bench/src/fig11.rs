@@ -10,7 +10,8 @@
 //! (~360 ns/request; 8 %/4 %/3 %/~30 % of service time).
 
 use crate::{header, requests_per_point, row};
-use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
+use jord_core::SystemVariant;
+use jord_workloads::{runner::RunSpec, Workload, WorkloadKind};
 
 pub fn main() {
     let n = requests_per_point();
@@ -34,10 +35,10 @@ pub fn main() {
 
     for (wi, kind) in WorkloadKind::ALL.into_iter().enumerate() {
         let w = Workload::build(kind);
-        let jord = RunSpec::new(System::Jord, rates[wi])
+        let jord = RunSpec::new(SystemVariant::Jord, rates[wi])
             .requests(n, n / 10 + 100)
             .run(&w);
-        let nc = RunSpec::new(System::NightCore, rates[wi])
+        let nc = RunSpec::new(SystemVariant::NightCore, rates[wi])
             .requests(n, n / 10 + 100)
             .run(&w);
 

@@ -8,8 +8,9 @@
 //! plain-list walk behind a miss costs only ~2 ns.
 
 use crate::{header, requests_per_point, row};
+use jord_core::SystemVariant;
 use jord_hw::MachineConfig;
-use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
+use jord_workloads::{runner::RunSpec, Workload, WorkloadKind};
 
 fn vlb_sweep(kind: WorkloadKind, instr: bool, loads: &[f64], n: usize) {
     let w = Workload::build(kind);
@@ -36,7 +37,7 @@ fn vlb_sweep(kind: WorkloadKind, instr: bool, loads: &[f64], n: usize) {
             loads
                 .iter()
                 .map(|&mrps| {
-                    let rep = RunSpec::new(System::Jord, mrps * 1e6)
+                    let rep = RunSpec::new(SystemVariant::Jord, mrps * 1e6)
                         .on(machine.clone())
                         .requests(n, n / 10 + 100)
                         .run(&w);
@@ -83,7 +84,7 @@ pub fn main() {
             loads
                 .iter()
                 .map(|&mrps| {
-                    let rep = RunSpec::new(System::Jord, mrps * 1e6)
+                    let rep = RunSpec::new(SystemVariant::Jord, mrps * 1e6)
                         .on(machine.clone())
                         .requests(n, n / 10 + 100)
                         .run(&w);

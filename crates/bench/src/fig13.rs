@@ -11,7 +11,7 @@ use jord_core::{RuntimeConfig, SystemVariant, WorkerServer};
 use jord_hw::types::{CoreId, Perm};
 use jord_hw::{Machine, MachineConfig};
 use jord_privlib::{os, TableChoice};
-use jord_workloads::{measure_slo, throughput_under_slo, System, Workload, WorkloadKind};
+use jord_workloads::{measure_slo, throughput_under_slo, Workload, WorkloadKind};
 
 /// Measures the VLB-miss walk penalty on a warm table of each kind.
 fn walk_penalty(choice: TableChoice) -> f64 {
@@ -83,8 +83,8 @@ pub fn main() {
     let rates = loads.map(|mrps| mrps * 1e6);
     let sweep =
         |sys| throughput_under_slo(sys, &w, &rates, slo, n).expect("sweep produced latencies");
-    let (jord, best_jord) = sweep(System::Jord);
-    let (bt, best_bt) = sweep(System::JordBt);
+    let (jord, best_jord) = sweep(SystemVariant::Jord);
+    let (bt, best_bt) = sweep(SystemVariant::JordBt);
     row(&["MRPS".into(), "Jord".into(), "Jord_BT".into()]);
     for (i, &mrps) in loads.iter().enumerate() {
         row(&[

@@ -11,10 +11,11 @@
 //!   cross-socket latencies push it to ~12 µs at 2×128 cores).
 
 use crate::{header, requests_per_point, row};
+use jord_core::SystemVariant;
 use jord_hw::types::{CoreId, PdId, Perm, VteAddr};
 use jord_hw::{Machine, MachineConfig, VlbKind};
 use jord_sim::SimDuration;
-use jord_workloads::{runner::RunSpec, System, Workload, WorkloadKind};
+use jord_workloads::{runner::RunSpec, Workload, WorkloadKind};
 
 /// Worst-case VLB shootdown: all cores cache the translation, core 0
 /// rewrites the VTE; completion waits on the furthest sharer.
@@ -103,7 +104,7 @@ pub fn main() {
     for (name, machine) in &scales {
         // Service time: workload-driven at a fixed light per-machine load
         // with the default per-socket orchestrator groups.
-        let rep = RunSpec::new(System::Jord, 0.2e6)
+        let rep = RunSpec::new(SystemVariant::Jord, 0.2e6)
             .on(machine.clone())
             .requests(n.min(3000), 300)
             .run(&w);

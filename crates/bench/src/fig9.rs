@@ -9,7 +9,8 @@
 //!   workloads (Hipster, Media).
 
 use crate::{header, requests_per_point, row};
-use jord_workloads::{measure_slo, throughput_under_slo, System, Workload, WorkloadKind};
+use jord_core::SystemVariant;
+use jord_workloads::{measure_slo, throughput_under_slo, Workload, WorkloadKind};
 
 /// Per-workload load grids (MRPS), shaped around each one's capacity.
 fn grid(kind: WorkloadKind) -> Vec<f64> {
@@ -23,7 +24,11 @@ fn grid(kind: WorkloadKind) -> Vec<f64> {
 
 pub fn main() {
     let n = requests_per_point();
-    let systems = [System::JordNi, System::Jord, System::NightCore];
+    let systems = [
+        SystemVariant::JordNi,
+        SystemVariant::Jord,
+        SystemVariant::NightCore,
+    ];
     let mut summary: Vec<(WorkloadKind, [f64; 3], f64)> = Vec::new();
 
     for kind in WorkloadKind::ALL {

@@ -20,7 +20,7 @@ pub fn main() {
         "scale", "serv(us)", "dispatch(us)", "shootdown(us)"
     );
     for (name, machine) in &scales {
-        let rep = RunSpec::new(System::Jord, 2.0e4)
+        let rep = RunSpec::new(SystemVariant::Jord, 2.0e4)
             .on(machine.clone())
             .orchestrators(1)
             .requests(2_000, 200)
@@ -41,7 +41,7 @@ pub fn main() {
     );
     for (name, machine) in &scales {
         let orchs = (machine.cores / 8).max(1);
-        let rep = RunSpec::new(System::Jord, 2.0e4)
+        let rep = RunSpec::new(SystemVariant::Jord, 2.0e4)
             .on(machine.clone())
             .orchestrators(orchs)
             .requests(2_000, 200)

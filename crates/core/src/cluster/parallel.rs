@@ -113,7 +113,7 @@ impl EngineConfig {
 /// before it sleeps on the condvar. A helper still awake when the next
 /// window is posted claims a shard without waiting to be woken: on a
 /// 2-vCPU host this ran `fleet-crowd` faster in 10 of 10 pairs, and the
-/// 2/4/8-thread `engine_bench` rows faster, than sleeping at once.
+/// 2/4/8-thread `jord-bench engine` rows faster, than sleeping at once.
 const SPINS: u32 = 100;
 
 /// A unit of phase-1 work: one shard, advanced to one horizon.

@@ -1,8 +1,8 @@
-//! Runtime configuration and the three evaluated system variants (§5).
+//! Runtime configuration and the four evaluated systems (§5).
 
 use core::fmt;
 
-use jord_hw::{InjectConfig, MachineConfig};
+use jord_hw::{CrashScope, InjectConfig, MachineConfig};
 use jord_privlib::{IsolationMode, PrivError, TableChoice};
 
 use crate::memory::MemoryConfig;
@@ -64,6 +64,14 @@ pub enum ConfigError {
     NoFunctions,
     /// PrivLib boot or initial VMA allocation failed.
     Boot(PrivError),
+    /// A setting the variant has no mechanism to act on: NightCore has no
+    /// PD to fault, time out, tear down or sanitize.
+    Unsupported {
+        /// The variant that cannot honour the setting.
+        variant: SystemVariant,
+        /// The setting, as its path in [`RuntimeConfig`].
+        setting: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -87,6 +95,9 @@ impl fmt::Display for ConfigError {
             ConfigError::Workload { reason } => write!(f, "invalid workload: {reason}"),
             ConfigError::NoFunctions => write!(f, "no functions deployed"),
             ConfigError::Boot(e) => write!(f, "runtime boot failed: {e}"),
+            ConfigError::Unsupported { variant, setting } => {
+                write!(f, "{setting} cannot act on {}", variant.label())
+            }
         }
     }
 }
@@ -106,7 +117,7 @@ impl From<PrivError> for ConfigError {
     }
 }
 
-/// The system variants of the paper's evaluation.
+/// The systems of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SystemVariant {
     /// Jord: plain-list VMA table, full in-process isolation.
@@ -115,13 +126,27 @@ pub enum SystemVariant {
     JordNi,
     /// Jord_BT: full isolation with the B-tree VMA table (Figure 13).
     JordBt,
+    /// The enhanced NightCore baseline (Jia & Witchel, ASPLOS '21): no
+    /// isolation, and dispatch, nested calls and results cross OS pipes.
+    /// The `server::pipes` module lists everything it does differently.
+    NightCore,
 }
 
 impl SystemVariant {
+    /// Every system, in the order the paper introduces them.
+    pub const ALL: [SystemVariant; 4] = [
+        SystemVariant::Jord,
+        SystemVariant::JordNi,
+        SystemVariant::JordBt,
+        SystemVariant::NightCore,
+    ];
+
     /// PrivLib table choice for this variant.
     pub fn table(self) -> TableChoice {
         match self {
-            SystemVariant::Jord | SystemVariant::JordNi => TableChoice::PlainList,
+            SystemVariant::Jord | SystemVariant::JordNi | SystemVariant::NightCore => {
+                TableChoice::PlainList
+            }
             SystemVariant::JordBt => TableChoice::BTree,
         }
     }
@@ -130,8 +155,14 @@ impl SystemVariant {
     pub fn isolation(self) -> IsolationMode {
         match self {
             SystemVariant::Jord | SystemVariant::JordBt => IsolationMode::Full,
-            SystemVariant::JordNi => IsolationMode::Bypassed,
+            SystemVariant::JordNi | SystemVariant::NightCore => IsolationMode::Bypassed,
         }
+    }
+
+    /// True when requests and results cross OS pipes instead of ArgBufs
+    /// (NightCore).
+    pub fn pipes(self) -> bool {
+        self == SystemVariant::NightCore
     }
 
     /// Display label as used in the paper's figures.
@@ -140,6 +171,7 @@ impl SystemVariant {
             SystemVariant::Jord => "Jord",
             SystemVariant::JordNi => "Jord_NI",
             SystemVariant::JordBt => "Jord_BT",
+            SystemVariant::NightCore => "NightCore",
         }
     }
 }
@@ -272,8 +304,8 @@ impl RecoveryPolicy {
 }
 
 /// The JBSQ bound [`RuntimeConfig::variant_on`] starts from: at most four
-/// outstanding requests per executor queue. The enhanced-NightCore twin
-/// runs the same bound, so its only difference from Jord is the pipes.
+/// outstanding requests per executor queue, for NightCore as for Jord (the
+/// paper's enhancement gives NightCore Jord's JBSQ dispatch).
 pub const DEFAULT_QUEUE_BOUND: usize = 4;
 
 /// Worker-server runtime parameters.
@@ -396,6 +428,12 @@ impl RuntimeConfig {
 
     /// Validates the configuration.
     ///
+    /// NightCore creates no PD, so it rejects, as
+    /// [`ConfigError::Unsupported`], every setting that acts only through
+    /// one: `inject`, `recovery.deadline_us`, an executor or orchestrator
+    /// crash, and `sanitize`. Retries and backoff stay accepted; without
+    /// those settings nothing on NightCore fails in a way they retry.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] detected.
@@ -429,7 +467,34 @@ impl RuntimeConfig {
         self.memory
             .validate()
             .map_err(|reason| ConfigError::Memory { reason })?;
+        if self.variant.pipes() {
+            if let Some(setting) = self.needs_pds() {
+                return Err(ConfigError::Unsupported {
+                    variant: self.variant,
+                    setting,
+                });
+            }
+        }
         Ok(())
+    }
+
+    /// The first setting that acts only through per-invocation PDs: a
+    /// fault or a blown deadline aborts through the PD teardown, a
+    /// component crash kills running continuations through it (or fails
+    /// their children, which aborts them), and sanitization restores a PD.
+    fn needs_pds(&self) -> Option<&'static str> {
+        let component_crash = self
+            .crash
+            .and_then(|c| c.plan)
+            .is_some_and(|p| p.scope != CrashScope::Worker);
+        [
+            (self.inject.is_some(), "inject"),
+            (self.recovery.deadline_us.is_some(), "recovery.deadline_us"),
+            (component_crash, "crash.plan.scope"),
+            (self.sanitize, "sanitize"),
+        ]
+        .into_iter()
+        .find_map(|(set, setting)| set.then_some(setting))
     }
 }
 
@@ -444,6 +509,82 @@ mod tests {
         assert_eq!(SystemVariant::JordNi.isolation(), IsolationMode::Bypassed);
         assert_eq!(SystemVariant::Jord.isolation(), IsolationMode::Full);
         assert_eq!(SystemVariant::JordNi.label(), "Jord_NI");
+        assert_eq!(SystemVariant::NightCore.table(), TableChoice::PlainList);
+        assert_eq!(
+            SystemVariant::NightCore.isolation(),
+            IsolationMode::Bypassed
+        );
+        assert_eq!(SystemVariant::NightCore.label(), "NightCore");
+        let piped: Vec<_> = SystemVariant::ALL.iter().map(|v| v.pipes()).collect();
+        assert_eq!(piped, [false, false, false, true]);
+    }
+
+    fn nightcore() -> RuntimeConfig {
+        RuntimeConfig::variant_on(SystemVariant::NightCore, MachineConfig::isca25())
+    }
+
+    /// Each setting that acts only through per-invocation PDs is rejected
+    /// on NightCore, by name, and stays legal on Jord.
+    #[test]
+    fn nightcore_rejects_every_setting_that_needs_a_pd() {
+        use crate::recovery::{CrashConfig, CrashSemantics};
+        use jord_hw::CrashPlan;
+        let deadline = RecoveryPolicy {
+            deadline_us: Some(5.0),
+            ..RecoveryPolicy::default()
+        };
+        let crash = |plan| CrashConfig::new(plan, CrashSemantics::AtLeastOnce);
+        let cases = [
+            (nightcore().with_inject(InjectConfig::faults(0.2)), "inject"),
+            (nightcore().with_sanitize(true), "sanitize"),
+            (nightcore().with_recovery(deadline), "recovery.deadline_us"),
+            (
+                nightcore().with_crash(crash(CrashPlan::executor_at(5.0, 0))),
+                "crash.plan.scope",
+            ),
+            (
+                nightcore().with_crash(crash(CrashPlan::orchestrator_at(5.0, 0))),
+                "crash.plan.scope",
+            ),
+        ];
+        for (cfg, setting) in cases {
+            let err = ConfigError::Unsupported {
+                variant: SystemVariant::NightCore,
+                setting,
+            };
+            assert_eq!(cfg.validate(), Err(err.clone()));
+            assert_eq!(
+                err.to_string(),
+                format!("{setting} cannot act on NightCore")
+            );
+            let jord = RuntimeConfig {
+                variant: SystemVariant::Jord,
+                ..cfg
+            };
+            jord.validate()
+                .unwrap_or_else(|e| panic!("{setting} is legal on Jord: {e}"));
+        }
+    }
+
+    /// What NightCore keeps: the journal and a whole-worker crash, spill,
+    /// the shed bound, the JBSQ bound and the memory budget. Their effect
+    /// is tested beside the pipe legs, in `server::pipes`.
+    #[test]
+    fn nightcore_accepts_every_setting_it_can_act_on() {
+        use crate::recovery::{CrashConfig, CrashSemantics};
+        use jord_hw::CrashPlan;
+        let policy = RecoveryPolicy {
+            shed_bound: Some(8),
+            ..RecoveryPolicy::default()
+        };
+        let crash = CrashConfig::new(CrashPlan::worker_at(5.0), CrashSemantics::AtMostOnce);
+        let mut c = nightcore()
+            .with_spill(SpillConfig::default())
+            .with_recovery(policy)
+            .with_crash(crash)
+            .with_memory(MemoryConfig::default());
+        c.queue_bound = 2;
+        c.validate().expect("NightCore acts on all of these");
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub struct Executor {
     pub next_free: SimTime,
     /// A wake event is already in the event queue.
     pub scheduled: bool,
+    /// NightCore only: the next of this worker's pipe message buffers,
+    /// which it recycles round-robin.
+    pub msg_buf: u64,
 }
 
 impl Executor {
@@ -45,6 +48,7 @@ impl Executor {
             queue_line,
             next_free: SimTime::ZERO,
             scheduled: false,
+            msg_buf: 0,
         }
     }
 

@@ -19,10 +19,12 @@
 //!   `jord-hw` machine; every queue access, ArgBuf transfer, VTE update,
 //!   and VLB shootdown is charged against the simulated hardware.
 //!
-//! Three system variants are expressible through [`RuntimeConfig`]:
-//! **Jord** (plain list + full isolation), **Jord_NI** (isolation
-//! bypassed — the paper's idealized insecure baseline), and **Jord_BT**
-//! (B-tree VMA table), matching §5.
+//! The four systems of §5 are variants of one [`RuntimeConfig`], run by
+//! the same [`WorkerServer`]: **Jord** (plain list + full isolation),
+//! **Jord_NI** (isolation bypassed — the paper's idealized insecure
+//! baseline), **Jord_BT** (B-tree VMA table), and the enhanced
+//! **NightCore** baseline (isolation bypassed, with dispatch, nested calls
+//! and results crossing OS pipes).
 //!
 //! # Example
 //!

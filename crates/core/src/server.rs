@@ -1,5 +1,7 @@
 //! The worker server: the discrete-event world tying orchestrators,
 //! executors, PrivLib, and the hardware model together (Figures 3 & 4).
+//! One event loop runs all four systems; NightCore's pipe legs live in
+//! the `pipes` child module.
 
 use jord_hw::types::{CoreId, PdId, Perm, Va};
 use jord_hw::{CrashPlan, Csr, Fault, FaultInjector, FaultKind, InjectionPlan, Machine};
@@ -24,6 +26,7 @@ use crate::orchestrator::Orchestrator;
 use crate::stats::RunReport;
 
 mod crash;
+mod pipes;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -85,12 +88,12 @@ const RT_BASE: u64 = 0x80_0000_0000;
 const FULL_RETRY: SimDuration = SimDuration::from_ns(100);
 /// Orchestrator work to ingest one external request from the network
 /// stack, ns (the measurement clock starts at receipt, as in §5).
-pub const INGEST_WORK_NS: f64 = 60.0;
+const INGEST_WORK_NS: f64 = 60.0;
 /// Orchestrator work per executor during a JBSQ scan, ns (compare and
 /// track the minimum).
 pub(crate) const SCAN_WORK_NS: f64 = 1.0;
 /// Executor work to pop a request and set up the continuation, ns.
-pub const PICKUP_WORK_NS: f64 = 15.0;
+const PICKUP_WORK_NS: f64 = 15.0;
 /// Executor work to push one internal request into an orchestrator inbox.
 const INTERNAL_PUSH_NS: f64 = 8.0;
 /// Executor work to assemble a completion notice.
@@ -100,7 +103,8 @@ const NOTIFY_NS: f64 = 10.0;
 /// injector's "wild access".
 const WILD_VA: Va = 0x10;
 
-/// A simulated Jord worker server.
+/// A simulated worker server of any [`SystemVariant`](crate::SystemVariant):
+/// Jord, Jord_NI, Jord_BT or NightCore.
 ///
 /// See the crate docs for an end-to-end example.
 pub struct WorkerServer {
@@ -242,28 +246,40 @@ impl WorkerServer {
         // spread evenly across the machine (and thus across sockets), and
         // each orchestrator manages the contiguous run of executor cores
         // following its own — "a group of executors in proximity".
+        // NightCore places its launchers its own way.
         let n_orch = cfg.orchestrators;
         let n_exec = cfg.executors();
-        let cores = cfg.machine.cores;
-        let stride = cores as f64 / n_orch as f64;
-        let orch_cores: Vec<usize> = (0..n_orch).map(|i| (i as f64 * stride) as usize).collect();
-        let exec_cores: Vec<usize> = (0..cores).filter(|c| !orch_cores.contains(c)).collect();
+        let (orch_cores, exec_cores, groups) = if cfg.variant.pipes() {
+            pipes::launcher_placement(n_orch, n_exec)
+        } else {
+            let cores = cfg.machine.cores;
+            let stride = cores as f64 / n_orch as f64;
+            let orch_cores: Vec<usize> =
+                (0..n_orch).map(|i| (i as f64 * stride) as usize).collect();
+            let exec_cores: Vec<usize> = (0..cores).filter(|c| !orch_cores.contains(c)).collect();
+            // Orchestrator i's group starts at the first executor core
+            // above its own and ends where the next one's starts.
+            let mut starts: Vec<usize> = orch_cores
+                .iter()
+                .map(|&o| exec_cores.partition_point(|&c| c < o))
+                .collect();
+            starts.push(n_exec);
+            let groups = starts.windows(2).map(|w| w[0]..w[1]).collect();
+            (orch_cores, exec_cores, groups)
+        };
         debug_assert_eq!(exec_cores.len(), n_exec);
-        let mut orchs: Vec<Orchestrator> = Vec::with_capacity(n_orch);
-        for i in 0..n_orch {
-            let start = exec_cores.partition_point(|&c| c < orch_cores[i]);
-            let end = if i + 1 < n_orch {
-                exec_cores.partition_point(|&c| c < orch_cores[i + 1])
-            } else {
-                n_exec
-            };
-            orchs.push(Orchestrator::new(
-                CoreId(orch_cores[i]),
-                start..end,
-                RT_BASE + (i as u64) * 256,
-                RT_BASE + (i as u64) * 256 + 64,
-            ));
-        }
+        let orchs: Vec<Orchestrator> = groups
+            .into_iter()
+            .enumerate()
+            .map(|(i, group)| {
+                Orchestrator::new(
+                    CoreId(orch_cores[i]),
+                    group,
+                    RT_BASE + (i as u64) * 256,
+                    RT_BASE + (i as u64) * 256 + 64,
+                )
+            })
+            .collect();
         let execs = (0..n_exec)
             .map(|e| {
                 let orch = orchs
@@ -752,7 +768,9 @@ impl WorkerServer {
         let core = self.orchs[i].core;
         let mut cost = SimDuration::ZERO;
 
-        if is_internal {
+        if self.cfg.variant.pipes() {
+            cost += self.pipe_receive(is_internal);
+        } else if is_internal {
             // Dequeue from the shared-memory inbox.
             cost += self.machine.atomic_rmw(core, self.orchs[i].inbox_line);
         } else if self.slab.get(inv_id).argbuf.va() == 0 {
@@ -816,13 +834,21 @@ impl WorkerServer {
                 } else {
                     self.orchs[i].external.push_front(inv_id);
                 }
+                let backoff = if self.cfg.variant.pipes() {
+                    pipes::FULL_RETRY
+                } else {
+                    FULL_RETRY
+                };
                 self.orchs[i].next_free = t + cost;
                 self.orchs[i].scheduled = true;
-                self.queue.push(t + cost + FULL_RETRY, Event::OrchWake(i));
+                self.queue.push(t + cost + backoff, Event::OrchWake(i));
             }
             Some(e) => {
                 // Push the request into the executor's queue line.
                 cost += self.machine.write(core, self.execs[e].queue_line, 64);
+                if self.cfg.variant.pipes() {
+                    cost += self.pipe_dispatch(t, e, inv_id, is_internal);
+                }
                 self.execs[e].queue.push_back(inv_id);
                 let done = t + cost;
                 {
@@ -888,6 +914,9 @@ impl WorkerServer {
             inv.started_at = t;
             (inv.func, inv.argbuf)
         };
+        if self.cfg.variant.pipes() {
+            return self.pipe_start(t, e, id, exec);
+        }
         // Draw this execution's injection schedule (retries draw afresh) and
         // arm the deadline clock.
         let ops_len = self.registry.spec(func).ops().len();
@@ -1031,6 +1060,9 @@ impl WorkerServer {
     }
 
     fn resume(&mut self, t: SimTime, e: usize, id: InvocationId) {
+        if self.cfg.variant.pipes() {
+            return self.pipe_resume(t, e, id);
+        }
         // A synchronous child faulted while we were suspended: the failure
         // propagates — this continuation aborts instead of running on with a
         // missing result (§ nested-call error propagation).
@@ -1150,6 +1182,12 @@ impl WorkerServer {
                     inv.breakdown.exec += d;
                     inv.pc += 1;
                 }
+                Some(FuncOp::MmapTemp { .. }) if self.cfg.variant.pipes() => {
+                    acc += self.pipe_heap(id, true);
+                }
+                Some(FuncOp::MunmapTemp) if self.cfg.variant.pipes() => {
+                    acc += self.pipe_heap(id, false);
+                }
                 Some(FuncOp::MmapTemp { bytes }) => {
                     let code_va = self.code_vmas[func.0 as usize];
                     let trans = self.privlib_round_trip(core, pd, code_va);
@@ -1198,39 +1236,16 @@ impl WorkerServer {
                     arg_bytes,
                     asynchronous,
                 }) => {
-                    let mut iso = SimDuration::ZERO;
-                    let mut exec = SimDuration::ZERO;
-                    // jord::argBuf<T>: allocate the child's ArgBuf (owned
-                    // by the runtime, readable/writable by this PD).
-                    // Three gated PrivLib calls: argBuf mmap, pcopy, and
-                    // the call/async submission itself.
-                    let code_va = self.code_vmas[func.0 as usize];
-                    for _ in 0..3 {
-                        iso += self.privlib_round_trip(core, pd, code_va);
-                    }
-                    let (gate, gate_cost) = self
-                        .privlib
-                        .try_enter(&self.machine, core, true)
-                        .expect("gated entry");
-                    let _ = gate;
-                    iso += gate_cost;
                     let bytes = arg_bytes.max(64);
-                    let (va, c) = self
-                        .privlib
-                        .mmap(&mut self.machine, core, bytes, Perm::RW, PdId::RUNTIME)
-                        .expect("child ArgBuf");
-                    exec += c;
-                    iso += self
-                        .privlib
-                        .pcopy(&mut self.machine, core, va, PdId::RUNTIME, pd, Perm::RW)
-                        .expect("ArgBuf share with caller");
-                    // Populate the arguments (stack + own ArgBuf + the
-                    // child's ArgBuf are all live in this loop).
-                    exec += self.bulk_translate(core, pd, va, bytes, Perm::WRITE, 3);
-                    exec += self.machine.write(core, va, bytes);
-
+                    let (iso, mut exec, va) = if self.cfg.variant.pipes() {
+                        (SimDuration::ZERO, pipes::send(bytes, false), 0)
+                    } else {
+                        self.child_argbuf(core, pd, func, bytes)
+                    };
                     // Create the internal request and push it to our
                     // orchestrator's inbox.
+                    let orch = self.execs[e].orch;
+                    exec += self.machine.write(core, self.orchs[orch].inbox_line, 64);
                     let child = self.slab.insert(Invocation::new(
                         target,
                         Origin::Internal {
@@ -1240,9 +1255,6 @@ impl WorkerServer {
                         ArgBuf::new(va, bytes),
                         t + acc,
                     ));
-                    let orch = self.execs[e].orch;
-                    exec += self.machine.work(INTERNAL_PUSH_NS);
-                    exec += self.machine.write(core, self.orchs[orch].inbox_line, 64);
                     acc += iso + exec;
                     self.orchs[orch].internal.push_back(child);
                     self.wake_orch(orch, t + acc);
@@ -1257,10 +1269,8 @@ impl WorkerServer {
                         self.slab.get_mut(id).outstanding += 1;
                     } else {
                         // jord::call: suspend until the child completes.
-                        let cex = self.privlib.cexit(&mut self.machine, core);
-                        acc += cex;
+                        acc += self.park(core, id);
                         let inv = self.slab.get_mut(id);
-                        inv.breakdown.isolation += cex;
                         inv.blocked_on = Some(child);
                         inv.phase = Phase::Suspended;
                         self.execs[e].next_free = t + acc;
@@ -1272,10 +1282,8 @@ impl WorkerServer {
                     if outstanding == 0 {
                         self.slab.get_mut(id).pc += 1;
                     } else {
-                        let cex = self.privlib.cexit(&mut self.machine, core);
-                        acc += cex;
+                        acc += self.park(core, id);
                         let inv = self.slab.get_mut(id);
-                        inv.breakdown.isolation += cex;
                         inv.waiting_all = true;
                         inv.phase = Phase::Suspended;
                         self.execs[e].next_free = t + acc;
@@ -1286,10 +1294,145 @@ impl WorkerServer {
         }
     }
 
-    /// Figure 4's "Destroy PD" half plus completion notification.
+    /// Jord's side of a nested call from `func`, running in PD `pd`:
+    /// jord::argBuf<T> allocates the child's `bytes`-byte ArgBuf (owned by
+    /// the runtime, readable/writable by this PD), the arguments are
+    /// written into it, and the call is submitted. Returns the isolation
+    /// time, the exec time and the ArgBuf's VA.
+    fn child_argbuf(
+        &mut self,
+        core: CoreId,
+        pd: PdId,
+        func: FunctionId,
+        bytes: u64,
+    ) -> (SimDuration, SimDuration, Va) {
+        let mut iso = SimDuration::ZERO;
+        let mut exec = SimDuration::ZERO;
+        // Three gated PrivLib calls: argBuf mmap, pcopy, and the
+        // call/async submission itself.
+        let code_va = self.code_vmas[func.0 as usize];
+        for _ in 0..3 {
+            iso += self.privlib_round_trip(core, pd, code_va);
+        }
+        let (_, gate_cost) = self
+            .privlib
+            .try_enter(&self.machine, core, true)
+            .expect("gated entry");
+        iso += gate_cost;
+        let (va, c) = self
+            .privlib
+            .mmap(&mut self.machine, core, bytes, Perm::RW, PdId::RUNTIME)
+            .expect("child ArgBuf");
+        exec += c;
+        iso += self
+            .privlib
+            .pcopy(&mut self.machine, core, va, PdId::RUNTIME, pd, Perm::RW)
+            .expect("ArgBuf share with caller");
+        // Populate the arguments (stack + own ArgBuf + the child's ArgBuf
+        // are all live in this loop).
+        exec += self.bulk_translate(core, pd, va, bytes, Perm::WRITE, 3);
+        exec += self.machine.write(core, va, bytes);
+        exec += self.machine.work(INTERNAL_PUSH_NS);
+        (iso, exec, va)
+    }
+
+    /// Suspends the running continuation `id`: `cexit` back to the
+    /// executor, charged as isolation (NightCore blocks in a pipe read
+    /// instead). Returns the time it took.
+    fn park(&mut self, core: CoreId, id: InvocationId) -> SimDuration {
+        if self.cfg.variant.pipes() {
+            return self.pipe_block(id);
+        }
+        let cex = self.privlib.cexit(&mut self.machine, core);
+        self.slab.get_mut(id).breakdown.isolation += cex;
+        cex
+    }
+
+    /// Completion: Figure 4's "Destroy PD" half and the notification (a
+    /// pipe `write` of the result on NightCore, which has no PD), then the
+    /// hand-back to the parent or the orchestrator.
     fn finish(&mut self, t: SimTime, offset: SimDuration, e: usize, id: InvocationId) {
         let core = self.execs[e].core;
         let mut acc = offset;
+        let (argbuf, func, origin) = {
+            let inv = self.slab.get(id);
+            (inv.argbuf, inv.func, inv.origin)
+        };
+        if self.cfg.variant.pipes() {
+            acc += self.pipe_result(t + acc, id);
+        } else {
+            acc += self.teardown(t, core, id);
+            if let Origin::External { orch, .. } = origin {
+                let mut d = self.machine.work(NOTIFY_NS);
+                d += self.machine.write(core, self.orchs[orch].resp_line, 64);
+                // Free the request ArgBuf (memory management → exec).
+                d += self
+                    .privlib
+                    .munmap(&mut self.machine, core, argbuf.va(), PdId::RUNTIME)
+                    .expect("request ArgBuf free");
+                acc += d;
+                self.slab.get_mut(id).breakdown.exec += d;
+            }
+        }
+        match origin {
+            Origin::External { orch, arrival } => {
+                let done = t + acc;
+                let measured = self.measuring();
+                let (req, tag) = {
+                    let inv = self.slab.get(id);
+                    (inv.req, inv.tag)
+                };
+                self.emit(LifecycleEvent::Completed {
+                    req,
+                    id,
+                    tag,
+                    at: done,
+                    latency: done.saturating_since(arrival),
+                    measured,
+                });
+                self.orchs[orch].in_flight -= 1;
+                if self.orchs[orch].has_work() {
+                    self.wake_orch(orch, done);
+                }
+            }
+            Origin::Internal { parent, .. } => {
+                let done = t + acc;
+                // Hand the result buffer to the parent and maybe unblock it.
+                let extra = self.deliver_child_result(done, core, parent, id, argbuf, false);
+                if !extra.is_zero() {
+                    acc += extra;
+                    self.slab.get_mut(id).breakdown.exec += extra;
+                }
+            }
+        }
+
+        // Record and retire. `measured` is recomputed here: a Completed
+        // event above may have crossed the warmup boundary, and the
+        // invocation record follows the post-crossing window.
+        let done = t + acc;
+        let (service, breakdown) = {
+            let inv = self.slab.get_mut(id);
+            inv.phase = Phase::Done;
+            (done.saturating_since(inv.enqueued_at), inv.breakdown)
+        };
+        let measured = self.measuring();
+        self.emit(LifecycleEvent::InvocationFinished {
+            func,
+            service,
+            breakdown,
+            measured,
+        });
+        self.slab.remove(id);
+        self.execs[e].next_free = done;
+        // Teardown is when pool and table state change, so the governor
+        // runs its reclamation pass here.
+        self.govern(done, core);
+    }
+
+    /// Figure 4's "Destroy PD" half: sanitize-and-pool or destroy the PD of
+    /// finished invocation `id`, freeing its leftover temps and child
+    /// buffers. Returns the time it took, already charged to `id`.
+    fn teardown(&mut self, t: SimTime, core: CoreId, id: InvocationId) -> SimDuration {
         let mut iso = SimDuration::ZERO;
         let (pd, argbuf, stackheap, func) = {
             let inv = self.slab.get(id);
@@ -1427,77 +1570,10 @@ impl WorkerServer {
                 self.pd_pool.forget(pd);
             }
         }
-        acc += iso + mem;
-        {
-            let inv = self.slab.get_mut(id);
-            inv.breakdown.isolation += iso;
-            inv.breakdown.exec += mem;
-        }
-
-        // Completion notification.
-        let origin = self.slab.get(id).origin;
-        match origin {
-            Origin::External { orch, arrival } => {
-                let mut d = self.machine.work(NOTIFY_NS);
-                d += self.machine.write(core, self.orchs[orch].resp_line, 64);
-                // Free the request ArgBuf (memory management → exec).
-                d += self
-                    .privlib
-                    .munmap(&mut self.machine, core, argbuf.va(), PdId::RUNTIME)
-                    .expect("request ArgBuf free");
-                acc += d;
-                self.slab.get_mut(id).breakdown.exec += d;
-                let done = t + acc;
-                let measured = self.measuring();
-                let (req, tag) = {
-                    let inv = self.slab.get(id);
-                    (inv.req, inv.tag)
-                };
-                self.emit(LifecycleEvent::Completed {
-                    req,
-                    id,
-                    tag,
-                    at: done,
-                    latency: done.saturating_since(arrival),
-                    measured,
-                });
-                self.orchs[orch].in_flight -= 1;
-                if self.orchs[orch].has_work() {
-                    self.wake_orch(orch, done);
-                }
-            }
-            Origin::Internal { parent, .. } => {
-                let done = t + acc;
-                // Hand the result buffer to the parent and maybe unblock it.
-                let extra = self.deliver_child_result(done, core, parent, id, argbuf, false);
-                if !extra.is_zero() {
-                    acc += extra;
-                    self.slab.get_mut(id).breakdown.exec += extra;
-                }
-            }
-        }
-
-        // Record and retire. `measured` is recomputed here: a Completed
-        // event above may have crossed the warmup boundary, and the
-        // invocation record follows the post-crossing window.
-        let done = t + acc;
-        let (service, breakdown) = {
-            let inv = self.slab.get_mut(id);
-            inv.phase = Phase::Done;
-            (done.saturating_since(inv.enqueued_at), inv.breakdown)
-        };
-        let measured = self.measuring();
-        self.emit(LifecycleEvent::InvocationFinished {
-            func,
-            service,
-            breakdown,
-            measured,
-        });
-        self.slab.remove(id);
-        self.execs[e].next_free = done;
-        // Teardown is when pool and table state change, so the governor
-        // runs its reclamation pass here.
-        self.govern(done, core);
+        let inv = self.slab.get_mut(id);
+        inv.breakdown.isolation += iso;
+        inv.breakdown.exec += mem;
+        iso + mem
     }
 
     /// Mean execution time of `func`'s whole invocation tree (the peer is

@@ -9,7 +9,7 @@
 //! config's `ipc_factor` alone (the Table 4 footnote: identical SRAM/raw
 //! latencies, lower IPC on instruction execution). The paper reports one
 //! latency per operation, so there is one constant per operation; the
-//! `table4_op_latency` bench and `tests/latency.rs` verify the fit.
+//! `jord-bench table4` and `tests/latency.rs` verify the fit.
 //!
 //! Instruction work (nanoseconds at IPC factor 1.0) scales with
 //! `ipc_factor`; hardware FSM work (the VTW) and memory latencies do not.

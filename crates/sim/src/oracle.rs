@@ -55,7 +55,7 @@ impl<E> Ord for Entry<E> {
 }
 
 /// The pre-refactor event queue: a comparison-based binary heap with FIFO
-/// tie-breaking by insertion sequence. Baseline of `engine_bench`'s
+/// tie-breaking by insertion sequence. Baseline of `jord-bench engine`'s
 /// microbenches (`BENCH_engine.json`); do not "optimize" it.
 pub struct BaselineHeap<E> {
     heap: BinaryHeap<Entry<E>>,

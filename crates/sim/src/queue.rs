@@ -21,7 +21,7 @@
 //! The heap this replaced, with payloads inside its entries and cancellation
 //! by scan and rebuild, survives as
 //! [`oracle::BaselineHeap`](crate::oracle::BaselineHeap): the baseline of
-//! `engine_bench`'s cancel-storm gate and, behind
+//! `jord-bench engine`'s cancel-storm gate and, behind
 //! [`oracle::HeapOracle`](crate::oracle::HeapOracle), the differential
 //! test's reference for pop order.
 

@@ -45,7 +45,7 @@ pub struct ChaosPoint {
 
 /// A chaos-campaign recipe: one workload on Jord
 /// ([`RuntimeConfig::jord_32`]: chaos targets the Jord runtime, since
-/// NightCore has no Jord protection hardware to misbehave against), a
+/// NightCore creates no PD to fault and rejects fault injection), a
 /// ladder of fault rates.
 #[derive(Debug, Clone)]
 pub struct ChaosSpec {

@@ -18,9 +18,9 @@
 //!   non-stationary [`ArrivalProcess`] shapes (diurnal sinusoid,
 //!   flash-crowd step, Markov-modulated bursts) that drive autoscaling
 //!   studies,
-//! * [`runner`] — one-call drivers that assemble a server (any Jord
-//!   variant or NightCore), inject a load, and return the measurement
-//!   report,
+//! * [`runner`] — one-call drivers that assemble a server for any
+//!   [`jord_core::SystemVariant`] (Jord, Jord_NI, Jord_BT or NightCore),
+//!   inject a load, and return the measurement report,
 //! * [`slo`] — the paper's SLO machinery: 10× the minimal-load service
 //!   time on Jord_NI, and the "throughput under SLO" search used all over
 //!   §6,
@@ -80,7 +80,7 @@ pub use chaos::{ChaosPoint, ChaosReport, ChaosSpec};
 pub use crash::{CrashCampaign, CrashPoint, CrashReport};
 pub use failover::{FailoverCampaign, FailoverPoint, FailoverReport};
 pub use loadgen::{ArrivalProcess, LoadGen};
-pub use runner::{run_system, SweepPoint, System};
+pub use runner::{run_system, SweepPoint};
 pub use slo::{measure_slo, throughput_under_slo, SloError};
 pub use soak::{SoakCampaign, SoakDay, SoakReport};
 pub use storage::{ClusterStoragePoint, StorageChaosCampaign, StoragePoint, StorageReport};

@@ -6,35 +6,9 @@
 
 use jord_core::{RunReport, RuntimeConfig, SystemVariant, WorkerServer};
 use jord_hw::MachineConfig;
-use jord_nightcore::{NightCoreConfig, NightCoreServer};
 
 use crate::apps::Workload;
 use crate::loadgen::LoadGen;
-
-/// The systems under test in §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum System {
-    /// Jord (plain list, full isolation).
-    Jord,
-    /// Jord_NI (isolation bypassed).
-    JordNi,
-    /// Jord_BT (B-tree VMA table).
-    JordBt,
-    /// Enhanced NightCore (pipes).
-    NightCore,
-}
-
-impl System {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Jord => "Jord",
-            System::JordNi => "Jord_NI",
-            System::JordBt => "Jord_BT",
-            System::NightCore => "NightCore",
-        }
-    }
-}
 
 /// One measured point of a load sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +25,7 @@ pub struct SweepPoint {
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// System under test.
-    pub system: System,
+    pub system: SystemVariant,
     /// Hardware configuration.
     pub machine: MachineConfig,
     /// Offered load, requests/second.
@@ -69,7 +43,7 @@ pub struct RunSpec {
 impl RunSpec {
     /// A default-quality recipe: Table 2 machine, 20 k measured requests,
     /// 2 k warm-up.
-    pub fn new(system: System, rate_rps: f64) -> Self {
+    pub fn new(system: SystemVariant, rate_rps: f64) -> Self {
         RunSpec {
             system,
             machine: MachineConfig::isca25(),
@@ -116,47 +90,21 @@ impl RunSpec {
 pub fn run_spec(spec: &RunSpec, workload: &Workload) -> RunReport {
     let mut gen = LoadGen::new(workload, spec.seed).expect("workload mix is sampleable");
     let arrivals = gen.arrivals(spec.rate_rps, spec.requests + spec.warmup);
-    match spec.system {
-        System::NightCore => {
-            let mut cfg = NightCoreConfig::on(spec.machine.clone());
-            cfg.seed = spec.seed;
-            if let Some(n) = spec.orchestrators {
-                cfg.orchestrators = n;
-            }
-            let mut server =
-                NightCoreServer::new(cfg, workload.registry.clone()).expect("valid config");
-            server.set_warmup(spec.warmup as u64);
-            for (t, f, b) in arrivals {
-                server.push_request(t, f, b);
-            }
-            server.run()
-        }
-        jord => {
-            let variant = match jord {
-                System::Jord => SystemVariant::Jord,
-                System::JordNi => SystemVariant::JordNi,
-                System::JordBt => SystemVariant::JordBt,
-                System::NightCore => unreachable!(),
-            };
-            let mut cfg =
-                RuntimeConfig::variant_on(variant, spec.machine.clone()).with_seed(spec.seed);
-            if let Some(n) = spec.orchestrators {
-                cfg = cfg.with_orchestrators(n);
-            }
-            let mut server =
-                WorkerServer::new(cfg, workload.registry.clone()).expect("valid config");
-            server.set_warmup(spec.warmup as u64);
-            for (t, f, b) in arrivals {
-                server.push_request(t, f, b);
-            }
-            server.run()
-        }
+    let mut cfg = RuntimeConfig::variant_on(spec.system, spec.machine.clone()).with_seed(spec.seed);
+    if let Some(n) = spec.orchestrators {
+        cfg = cfg.with_orchestrators(n);
     }
+    let mut server = WorkerServer::new(cfg, workload.registry.clone()).expect("valid config");
+    server.set_warmup(spec.warmup as u64);
+    for (t, f, b) in arrivals {
+        server.push_request(t, f, b);
+    }
+    server.run()
 }
 
 /// Convenience wrapper: run `system` on `workload` at `rate_rps` with the
 /// default recipe and return the report.
-pub fn run_system(system: System, workload: &Workload, rate_rps: f64) -> RunReport {
+pub fn run_system(system: SystemVariant, workload: &Workload, rate_rps: f64) -> RunReport {
     RunSpec::new(system, rate_rps).run(workload)
 }
 
@@ -168,12 +116,7 @@ mod tests {
     #[test]
     fn all_systems_run_the_hotel_workload() {
         let w = Workload::build(WorkloadKind::Hotel);
-        for sys in [
-            System::Jord,
-            System::JordNi,
-            System::JordBt,
-            System::NightCore,
-        ] {
+        for sys in SystemVariant::ALL {
             let rep = RunSpec::new(sys, 0.2e6).requests(500, 50).run(&w);
             assert_eq!(rep.completed, 500, "{} completes", sys.label());
             assert!(rep.p99().is_some());
@@ -183,7 +126,9 @@ mod tests {
     #[test]
     fn warmup_requests_are_excluded() {
         let w = Workload::build(WorkloadKind::Hipster);
-        let rep = RunSpec::new(System::Jord, 0.2e6).requests(300, 100).run(&w);
+        let rep = RunSpec::new(SystemVariant::Jord, 0.2e6)
+            .requests(300, 100)
+            .run(&w);
         assert_eq!(rep.completed, 300);
         assert_eq!(rep.offered, 300, "offered counts measured requests only");
     }
@@ -191,8 +136,12 @@ mod tests {
     #[test]
     fn runs_are_reproducible() {
         let w = Workload::build(WorkloadKind::Hotel);
-        let a = RunSpec::new(System::Jord, 0.5e6).requests(400, 50).run(&w);
-        let b = RunSpec::new(System::Jord, 0.5e6).requests(400, 50).run(&w);
+        let a = RunSpec::new(SystemVariant::Jord, 0.5e6)
+            .requests(400, 50)
+            .run(&w);
+        let b = RunSpec::new(SystemVariant::Jord, 0.5e6)
+            .requests(400, 50)
+            .run(&w);
         assert_eq!(a.p99(), b.p99());
         assert_eq!(a.finished_at, b.finished_at);
     }

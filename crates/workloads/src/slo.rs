@@ -6,10 +6,11 @@
 
 use std::fmt;
 
+use jord_core::SystemVariant;
 use jord_sim::SimDuration;
 
 use crate::apps::Workload;
-use crate::runner::{RunSpec, SweepPoint, System};
+use crate::runner::{RunSpec, SweepPoint};
 
 /// Why an SLO measurement could not be taken.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +52,7 @@ pub fn measure_slo(
     probe_rps: f64,
     requests: usize,
 ) -> Result<SimDuration, SloError> {
-    let rep = RunSpec::new(System::JordNi, probe_rps)
+    let rep = RunSpec::new(SystemVariant::JordNi, probe_rps)
         .requests(requests, requests / 10 + 50)
         .run(workload);
     let base = rep.latency.mean().ok_or(SloError::NoLatencies {
@@ -72,7 +73,7 @@ pub fn measure_slo(
 /// [`SloError::NoLatencies`] when a sweep run completes nothing to
 /// measure.
 pub fn throughput_under_slo(
-    system: System,
+    system: SystemVariant,
     workload: &Workload,
     loads: &[f64],
     slo: SimDuration,
@@ -124,7 +125,8 @@ mod tests {
         let w = Workload::build(WorkloadKind::Hotel);
         let slo = measure_slo(&w, 0.05e6, 300).unwrap();
         let loads = [0.2e6, 2.0e6];
-        let (points, best) = throughput_under_slo(System::Jord, &w, &loads, slo, 1_500).unwrap();
+        let (points, best) =
+            throughput_under_slo(SystemVariant::Jord, &w, &loads, slo, 1_500).unwrap();
         assert_eq!(points.len(), 2);
         assert!(
             points[1].p99_us >= points[0].p99_us,
@@ -138,7 +140,7 @@ mod tests {
         let w = Workload::build(WorkloadKind::Hotel);
         // Two light loads and one far past saturation.
         let loads = [0.2e6, 1.0e6, 20.0e6];
-        let sweep = |slo| throughput_under_slo(System::Jord, &w, &loads, slo, 300).unwrap();
+        let sweep = |slo| throughput_under_slo(SystemVariant::Jord, &w, &loads, slo, 300).unwrap();
         let (points, none) = sweep(SimDuration::ZERO);
         assert_eq!(none, 0.0, "no load meets a zero SLO");
         let p99 = |i: usize| SimDuration::from_ns_f64(points[i].p99_us * 1e3);

@@ -5,17 +5,17 @@
 //! The pins are exact picosecond counts. A change that only restructures
 //! code (a config field turned into a constant, a cost model moved) must
 //! leave every one of them as it is; a change to the model updates them
-//! and says why. The `trace_hash` pins in CI cover Jord alone, and
-//! NightCore's own determinism test only compares a run with itself, so
-//! this is the one pin on NightCore's exact output.
+//! and says why. The `trace_hash` pins in CI cover Jord alone, so this is
+//! the one pin on NightCore's exact output.
 
+use jord_core::SystemVariant;
 use jord_workloads::runner::RunSpec;
-use jord_workloads::{System, Workload, WorkloadKind};
+use jord_workloads::{Workload, WorkloadKind};
 
 /// `(system, finished_at ps, invocations, completed, p99 ps, mean ps)`.
-const PINS: [(System, u64, u64, u64, u64, u64); 4] = [
+const PINS: [(SystemVariant, u64, u64, u64, u64, u64); 4] = [
     (
-        System::Jord,
+        SystemVariant::Jord,
         2_104_735_657,
         3_312,
         1_000,
@@ -23,7 +23,7 @@ const PINS: [(System, u64, u64, u64, u64, u64); 4] = [
         2_549_725,
     ),
     (
-        System::JordNi,
+        SystemVariant::JordNi,
         2_104_308_657,
         3_315,
         1_000,
@@ -31,7 +31,7 @@ const PINS: [(System, u64, u64, u64, u64, u64); 4] = [
         1_954_432,
     ),
     (
-        System::JordBt,
+        SystemVariant::JordBt,
         2_105_103_298,
         3_311,
         1_000,
@@ -39,7 +39,7 @@ const PINS: [(System, u64, u64, u64, u64, u64); 4] = [
         3_020_046,
     ),
     (
-        System::NightCore,
+        SystemVariant::NightCore,
         2_113_084_711,
         3_310,
         1_000,

@@ -6,7 +6,7 @@
 //! and a benchmark harness that regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! This crate is a facade; the system lives in seven focused crates:
+//! This crate is a facade; the system lives in six focused crates:
 //!
 //! * [`sim`] (`jord-sim`) — deterministic discrete-event simulation kernel.
 //! * [`hw`] (`jord-hw`) — the Table 2 machine: mesh NoC, MESI directory
@@ -16,8 +16,9 @@
 //! * [`privlib`] (`jord-privlib`) — the trusted privileged library
 //!   (Table 1 APIs, call gates, policy checks).
 //! * [`core`] (`jord-core`) — orchestrators (JBSQ), executors
-//!   (continuations + per-invocation PDs), ArgBufs, the worker server.
-//! * [`nightcore`] (`jord-nightcore`) — the enhanced NightCore baseline.
+//!   (continuations + per-invocation PDs), ArgBufs, and the worker server
+//!   that runs all four systems: Jord, Jord_NI, Jord_BT and the enhanced
+//!   NightCore baseline.
 //! * [`workloads`] (`jord-workloads`) — Hipster/Hotel/Media/Social, the
 //!   open-loop Poisson load generator, SLO machinery.
 //!
@@ -53,7 +54,6 @@
 
 pub use jord_core as core;
 pub use jord_hw as hw;
-pub use jord_nightcore as nightcore;
 pub use jord_privlib as privlib;
 pub use jord_sim as sim;
 pub use jord_vma as vma;
@@ -66,11 +66,10 @@ pub mod prelude {
         SystemVariant, WorkerServer,
     };
     pub use jord_hw::{CoreId, Fault, Machine, MachineConfig, PdId, Perm};
-    pub use jord_nightcore::{NightCoreConfig, NightCoreServer};
     pub use jord_privlib::{IsolationMode, PrivError, PrivLib, TableChoice};
     pub use jord_sim::{LatencyHistogram, Rng, SimDuration, SimTime, TimeDist};
     pub use jord_workloads::{
-        measure_slo, runner::RunSpec, throughput_under_slo, LoadGen, System, Workload, WorkloadKind,
+        measure_slo, runner::RunSpec, throughput_under_slo, LoadGen, Workload, WorkloadKind,
     };
 }
 

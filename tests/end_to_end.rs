@@ -5,7 +5,7 @@
 use jord::prelude::*;
 
 /// Runs `system` on `kind` at `rate` and returns the report.
-fn run(kind: WorkloadKind, system: System, rate: f64, n: usize) -> jord::core::RunReport {
+fn run(kind: WorkloadKind, system: SystemVariant, rate: f64, n: usize) -> jord::core::RunReport {
     let w = Workload::build(kind);
     RunSpec::new(system, rate).requests(n, n / 10).run(&w)
 }
@@ -13,12 +13,7 @@ fn run(kind: WorkloadKind, system: System, rate: f64, n: usize) -> jord::core::R
 #[test]
 fn every_workload_completes_on_every_system() {
     for kind in WorkloadKind::ALL {
-        for sys in [
-            System::Jord,
-            System::JordNi,
-            System::JordBt,
-            System::NightCore,
-        ] {
+        for sys in SystemVariant::ALL {
             let rep = run(kind, sys, 0.1e6, 300);
             assert_eq!(rep.completed, 300, "{kind:?} on {}", sys.label());
             assert!(rep.invocations >= rep.completed);
@@ -32,19 +27,19 @@ fn latency_ordering_ni_jord_bt_nightcore() {
     // At a moderate shared load the paper's ordering must hold:
     // Jord_NI ≤ Jord ≤ Jord_BT, and NightCore far behind.
     let kind = WorkloadKind::Hotel;
-    let ni = run(kind, System::JordNi, 1.0e6, 2_000)
+    let ni = run(kind, SystemVariant::JordNi, 1.0e6, 2_000)
         .latency
         .mean()
         .unwrap();
-    let jord = run(kind, System::Jord, 1.0e6, 2_000)
+    let jord = run(kind, SystemVariant::Jord, 1.0e6, 2_000)
         .latency
         .mean()
         .unwrap();
-    let bt = run(kind, System::JordBt, 1.0e6, 2_000)
+    let bt = run(kind, SystemVariant::JordBt, 1.0e6, 2_000)
         .latency
         .mean()
         .unwrap();
-    let nc = run(kind, System::NightCore, 1.0e6, 2_000)
+    let nc = run(kind, SystemVariant::NightCore, 1.0e6, 2_000)
         .latency
         .mean()
         .unwrap();
@@ -59,12 +54,12 @@ fn jord_is_within_tens_of_percent_of_ni_at_moderate_load() {
     // at moderate load is the per-request view of the same claim; allow a
     // wider band than the paper's throughput metric.
     for kind in [WorkloadKind::Hipster, WorkloadKind::Hotel] {
-        let ni = run(kind, System::JordNi, 1.0e6, 2_000)
+        let ni = run(kind, SystemVariant::JordNi, 1.0e6, 2_000)
             .latency
             .mean()
             .unwrap()
             .as_ns_f64();
-        let jord = run(kind, System::Jord, 1.0e6, 2_000)
+        let jord = run(kind, SystemVariant::Jord, 1.0e6, 2_000)
             .latency
             .mean()
             .unwrap()
@@ -83,12 +78,12 @@ fn media_suffers_most_from_isolation() {
     // §6.1: Media's ~12 nested calls per request compound per-invocation
     // overheads; its Jord/NI gap must exceed Hipster's.
     let gap = |kind| {
-        let ni = run(kind, System::JordNi, 0.5e6, 1_500)
+        let ni = run(kind, SystemVariant::JordNi, 0.5e6, 1_500)
             .latency
             .mean()
             .unwrap()
             .as_ns_f64();
-        let jord = run(kind, System::Jord, 0.5e6, 1_500)
+        let jord = run(kind, SystemVariant::Jord, 0.5e6, 1_500)
             .latency
             .mean()
             .unwrap()
@@ -109,7 +104,7 @@ fn nightcore_fails_hipster_slo_even_at_minimum_load() {
     // the communication-heavy workloads.
     let w = Workload::build(WorkloadKind::Hipster);
     let slo = measure_slo(&w, 0.05e6, 1_000).expect("probe produced latencies");
-    let rep = RunSpec::new(System::NightCore, 0.05e6)
+    let rep = RunSpec::new(SystemVariant::NightCore, 0.05e6)
         .requests(1_000, 100)
         .run(&w);
     assert!(
@@ -124,13 +119,13 @@ fn nightcore_fails_hipster_slo_even_at_minimum_load() {
 fn isolation_overhead_is_nanoseconds_per_request() {
     // §6.2: dispatch + memory isolation lands in the hundreds of
     // nanoseconds per request, microseconds only for Media.
-    let rep = run(WorkloadKind::Hipster, System::Jord, 1.0e6, 2_000);
+    let rep = run(WorkloadKind::Hipster, SystemVariant::Jord, 1.0e6, 2_000);
     let ovh = rep.overhead_per_request_ns();
     assert!(
         (100.0..2_500.0).contains(&ovh),
         "Hipster overhead {ovh:.0} ns/request out of range"
     );
-    let media = run(WorkloadKind::Media, System::Jord, 0.5e6, 1_500);
+    let media = run(WorkloadKind::Media, SystemVariant::Jord, 0.5e6, 1_500);
     assert!(
         media.overhead_per_request_ns() > ovh,
         "Media must pay more overhead per request"
@@ -142,11 +137,11 @@ fn service_time_cdf_shape_matches_figure_10() {
     // 75% of function service times below ~5 µs; Social's tail an order
     // of magnitude beyond.
     for kind in WorkloadKind::ALL {
-        let rep = run(kind, System::Jord, 0.08e6, 2_000);
+        let rep = run(kind, SystemVariant::Jord, 0.08e6, 2_000);
         let p75 = rep.service.quantile(0.75).unwrap().as_us_f64();
         assert!(p75 < 6.0, "{kind:?} p75 = {p75:.1} us");
     }
-    let social = run(WorkloadKind::Social, System::Jord, 0.08e6, 2_000);
+    let social = run(WorkloadKind::Social, SystemVariant::Jord, 0.08e6, 2_000);
     let tail = social.service.quantile(0.999).unwrap().as_us_f64();
     assert!(
         (40.0..400.0).contains(&tail),
@@ -156,8 +151,8 @@ fn service_time_cdf_shape_matches_figure_10() {
 
 #[test]
 fn runs_are_bit_for_bit_reproducible() {
-    let a = run(WorkloadKind::Media, System::Jord, 0.5e6, 800);
-    let b = run(WorkloadKind::Media, System::Jord, 0.5e6, 800);
+    let a = run(WorkloadKind::Media, SystemVariant::Jord, 0.5e6, 800);
+    let b = run(WorkloadKind::Media, SystemVariant::Jord, 0.5e6, 800);
     assert_eq!(a.p99(), b.p99());
     assert_eq!(a.invocations, b.invocations);
     assert_eq!(a.finished_at, b.finished_at);
@@ -170,8 +165,8 @@ fn runs_are_bit_for_bit_reproducible() {
 #[test]
 fn btree_variant_pays_for_walks_but_agrees_semantically() {
     // Same load, same seed: identical completions, different time.
-    let jord = run(WorkloadKind::Hotel, System::Jord, 2.0e6, 1_500);
-    let bt = run(WorkloadKind::Hotel, System::JordBt, 2.0e6, 1_500);
+    let jord = run(WorkloadKind::Hotel, SystemVariant::Jord, 2.0e6, 1_500);
+    let bt = run(WorkloadKind::Hotel, SystemVariant::JordBt, 2.0e6, 1_500);
     assert_eq!(jord.completed, bt.completed);
     // Invocation records near the warm-up boundary shift with timing, so
     // the counts agree only approximately.

@@ -99,8 +99,8 @@ proptest! {
         let (registry, entry, fanout) = build(&recipe);
         prop_assume!(fanout <= 60);
         let requests = 20u64;
-        let mut server =
-            NightCoreServer::new(NightCoreConfig::default_32(), registry).expect("valid");
+        let cfg = RuntimeConfig::variant_on(SystemVariant::NightCore, MachineConfig::isca25());
+        let mut server = WorkerServer::new(cfg, registry).expect("valid");
         for i in 0..requests {
             server.push_request(SimTime::from_ns(i * 5_000), entry, 256);
         }
